@@ -13,9 +13,9 @@ from typing import Sequence
 import numpy as np
 
 from .bundle import (Chart, Current, CurrentDifferential, DensityCoefficient,
-                     HamiltonianSection, current_coefficients, d_current,
+                     HamiltonianSection, coefficient_derivative, d_current,
                      require_valid)
-from .expr import (Add, Const, Expression, Mul, Neg, Sub, add_all, simplify)
+from .expr import Const, Expression, NormalForm, simplify
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class VerticalField:
 
 def _neg(x):
     if isinstance(x, Expression):
-        return simplify(Neg(x))
+        return (-NormalForm.of(x)).to_expr()
     return -x
 
 
@@ -126,21 +126,22 @@ def connection_is_hamiltonian(Hu: Sequence[Sequence], Hp: Sequence[Sequence[Sequ
             any(len(cell) != m for row in Hp for cell in row):
         raise ValueError(f"Hp must have shape ({m}, {n}, {m})")
 
-    def as_expr(v) -> Expression:
-        return v if isinstance(v, Expression) else Const(float(v))
+    def as_form(v) -> NormalForm:
+        return NormalForm.of(v if isinstance(v, Expression) else Const(float(v)))
 
-    residuals: list[Expression] = []
+    H = NormalForm.of(h.H)
+    forms: list[NormalForm] = []
     for i in range(1, m + 1):
         for a in range(1, n + 1):
-            residuals.append(simplify(Sub(as_expr(Hu[i - 1][a - 1]),
-                                          h.H.diff(chart.p_name(i, a)))))
+            forms.append(NormalForm.sum([as_form(Hu[i - 1][a - 1]), -H.diff(chart.p_name(i, a))]))
     for a in range(1, n + 1):
-        trace = add_all(as_expr(Hp[i - 1][a - 1][i - 1]) for i in range(1, m + 1))
-        residuals.append(simplify(Add(trace, h.H.diff(chart.u_name(a)))))
+        forms.append(NormalForm.sum([as_form(Hp[i - 1][a - 1][i - 1]) for i in range(1, m + 1)]
+                                    + [H.diff(chart.u_name(a))]))
 
-    if all(r == Const(0.0) for r in residuals):
+    if not any(f.terms for f in forms):
         return ConnectionCheck(is_hamiltonian=True, max_residual=0.0)
 
+    residuals = [f.to_expr() for f in forms]
     if samples is None:
         samples = _default_samples(chart)
     worst = 0.0
@@ -153,37 +154,24 @@ def connection_is_hamiltonian(Hu: Sequence[Sequence], Hp: Sequence[Sequence[Sequ
 def bracket_affine(c: Current | DensityCoefficient, h: HamiltonianSection) -> DensityCoefficient:
     """Pairing of an observable with a Hamiltonian section.
 
-    For a one-dimensional base the observable is a plain density
-    coefficient f(x, u, p) and the result is the time-dependent Poisson
-    formula  df/dx + df/du dH/dp - df/dp dH/du.
+    The explicit base-derivative terms plus :func:`bracket_linear` of
+    ``c`` with H read as a density coefficient.  For a one-dimensional
+    base the observable is a plain density coefficient f(x, u, p) and the
+    result is the time-dependent Poisson formula
+    df/dx + df/du dH/dp - df/dp dH/du.
     """
     chart = h.chart
     if isinstance(c, DensityCoefficient):
         if chart.m != 1:
             raise ValueError("plain density observables are only defined for m = 1; "
                              "supply a Current for m >= 2")
-        f = c.F
-        terms: list[Expression] = [f.diff(chart.x_name(1))]
-        for a in range(1, chart.n + 1):
-            terms.append(Mul(f.diff(chart.u_name(a)), h.H.diff(chart.p_name(1, a))))
-            terms.append(Neg(Mul(f.diff(chart.p_name(1, a)), h.H.diff(chart.u_name(a)))))
-        return DensityCoefficient(chart, add_all(terms))
-
-    require_valid(c)
-    m, n = chart.m, chart.n
-    terms = []
-    for i in range(1, m + 1):
-        terms.append(c.beta[i - 1].diff(chart.x_name(i)))
-        for a in range(1, n + 1):
-            terms.append(Mul(c.Y[a - 1].diff(chart.x_name(i)), chart.p(i, a)))
-    for a in range(1, n + 1):
-        ua = chart.u_name(a)
-        for i in range(1, m + 1):
-            slope = add_all([c.beta[i - 1].diff(ua)] +
-                            [Mul(c.Y[b - 1].diff(ua), chart.p(i, b)) for b in range(1, n + 1)])
-            terms.append(Mul(slope, h.H.diff(chart.p_name(i, a))))
-        terms.append(Neg(Mul(h.H.diff(ua), c.Y[a - 1])))
-    return DensityCoefficient(chart, add_all(terms))
+        explicit = [NormalForm.of(c.F).diff(chart.x_name(1))]
+    else:
+        require_valid(c)
+        explicit = [coefficient_derivative(c, i, chart.x_name(i))
+                    for i in range(1, chart.m + 1)]
+    linear = _linear_form(c, NormalForm.of(h.H))
+    return DensityCoefficient(chart, NormalForm.sum(explicit + [linear]).to_expr())
 
 
 def bracket_linear(c: Current | DensityCoefficient,
@@ -194,29 +182,31 @@ def bracket_linear(c: Current | DensityCoefficient,
     argument.  For m = 1 both arguments are density coefficients and the
     result is the canonical Poisson bracket.
     """
-    chart = F.chart
     if isinstance(c, DensityCoefficient):
-        if chart.m != 1:
+        if F.chart.m != 1:
             raise ValueError("plain density observables are only defined for m = 1")
-        f, g = c.F, F.F
-        terms: list[Expression] = []
+    else:
+        require_valid(c)
+    return DensityCoefficient(F.chart, _linear_form(c, NormalForm.of(F.F)).to_expr())
+
+
+def _linear_form(c: Current | DensityCoefficient, g: NormalForm) -> NormalForm:
+    """Normal form of the bracket of a valid ``c`` with the density coefficient ``g``."""
+    chart = c.chart
+    terms: list[NormalForm] = []
+    if isinstance(c, DensityCoefficient):
+        f = NormalForm.of(c.F)
         for a in range(1, chart.n + 1):
             ua, pa = chart.u_name(a), chart.p_name(1, a)
-            terms.append(Mul(f.diff(ua), g.diff(pa)))
-            terms.append(Neg(Mul(f.diff(pa), g.diff(ua))))
-        return DensityCoefficient(chart, add_all(terms))
-
-    require_valid(c)
-    m, n = chart.m, chart.n
-    terms = []
-    for a in range(1, n + 1):
-        ua = chart.u_name(a)
-        for i in range(1, m + 1):
-            slope = add_all([c.beta[i - 1].diff(ua)] +
-                            [Mul(c.Y[b - 1].diff(ua), chart.p(i, b)) for b in range(1, n + 1)])
-            terms.append(Mul(slope, F.F.diff(chart.p_name(i, a))))
-        terms.append(Neg(Mul(F.F.diff(ua), c.Y[a - 1])))
-    return DensityCoefficient(chart, add_all(terms))
+            terms.append(f.diff(ua) * g.diff(pa))
+            terms.append(-(f.diff(pa) * g.diff(ua)))
+    else:
+        for a in range(1, chart.n + 1):
+            ua = chart.u_name(a)
+            for i in range(1, chart.m + 1):
+                terms.append(coefficient_derivative(c, i, ua) * g.diff(chart.p_name(i, a)))
+            terms.append(-(g.diff(ua) * NormalForm.of(c.Y[a - 1])))
+    return NormalForm.sum(terms)
 
 
 def current_bracket(a: Current, b: Current) -> Current:
@@ -229,26 +219,20 @@ def current_bracket(a: Current, b: Current) -> Current:
                          "use bracket_linear on density coefficients for m = 1")
     require_valid(a)
     require_valid(b)
-    n, m = chart.n, chart.m
-    Y, alpha = a.Y, a.beta
-    Z, beta = b.Y, b.beta
+    Y = [NormalForm.of(e) for e in a.Y]
+    Z = [NormalForm.of(e) for e in b.Y]
 
-    Y_out = []
-    for al in range(1, n + 1):
-        comm = add_all(
-            Sub(Mul(Y[be - 1], Z[al - 1].diff(chart.u_name(be))),
-                Mul(Z[be - 1], Y[al - 1].diff(chart.u_name(be))))
-            for be in range(1, n + 1))
-        Y_out.append(simplify(Neg(comm)))
+    def transport(qa: Expression, qb: Expression) -> Expression:
+        """-(Y^c d(qb)/du^c - Z^c d(qa)/du^c) for matching components qa of a, qb of b."""
+        fa, fb = NormalForm.of(qa), NormalForm.of(qb)
+        terms = []
+        for c, u in enumerate(chart.u_names):
+            terms.append(-(Y[c] * fb.diff(u)))
+            terms.append(Z[c] * fa.diff(u))
+        return NormalForm.sum(terms).to_expr()
 
-    beta_out = []
-    for i in range(1, m + 1):
-        deriv = add_all(
-            Sub(Mul(Y[be - 1], beta[i - 1].diff(chart.u_name(be))),
-                Mul(Z[be - 1], alpha[i - 1].diff(chart.u_name(be))))
-            for be in range(1, n + 1))
-        beta_out.append(simplify(Neg(deriv)))
-
+    Y_out = [transport(ya, yb) for ya, yb in zip(a.Y, b.Y)]
+    beta_out = [transport(alpha, beta) for alpha, beta in zip(a.beta, b.beta)]
     return Current(chart, tuple(Y_out), tuple(beta_out))
 
 
@@ -262,10 +246,10 @@ def hamiltonian_field(c: Current, extended: bool = False) -> VerticalField:
     chart = c.chart
     vu = tuple(simplify(y) for y in c.Y)
     vp = tuple(
-        tuple(simplify(Neg(dc.cu[b][i])) for b in range(chart.n))
+        tuple(_neg(dc.cu[b][i]) for b in range(chart.n))
         for i in range(chart.m)
     )
-    vpext = simplify(Neg(dc.c0)) if extended else None
+    vpext = _neg(dc.c0) if extended else None
     return VerticalField(vu=vu, vp=vp, vpext=vpext)
 
 
@@ -278,7 +262,8 @@ def representation_residual(a: Current, b: Current, h: HamiltonianSection,
     lhs = bracket_affine(current_bracket(a, b), h)
     r1 = bracket_linear(a, bracket_affine(b, h))
     r2 = bracket_linear(b, bracket_affine(a, h))
-    residual = simplify(Add(Sub(lhs.F, r1.F), r2.F))
+    residual = NormalForm.sum([NormalForm.of(lhs.F), -NormalForm.of(r1.F),
+                               NormalForm.of(r2.F)]).to_expr()
 
     if isinstance(samples, dict):
         arrays = {k: np.asarray(v, dtype=float) for k, v in samples.items()}

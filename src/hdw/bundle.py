@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .expr import Add, Const, Expression, Mul, Var, add_all, parse, simplify
+from .expr import Add, Expression, NormalForm, Var, parse, simplify
 
 EXTENDED_MOMENTUM = "pext"
 
@@ -167,12 +167,21 @@ def current_coefficients(c: Current) -> tuple[Expression, ...]:
     """The m component coefficients  Y^a p^i_a + b^i  of the observable."""
     require_valid(c)
     chart = c.chart
-    coeffs = []
-    for i in range(1, chart.m + 1):
-        terms: list[Expression] = [Mul(c.Y[a - 1], chart.p(i, a)) for a in range(1, chart.n + 1)]
-        terms.append(c.beta[i - 1])
-        coeffs.append(add_all(terms))
-    return tuple(coeffs)
+    Y = [NormalForm.of(y) for y in c.Y]
+    return tuple(
+        NormalForm.sum([y * NormalForm.atom(chart.p_name(i, a)) for a, y in enumerate(Y, start=1)]
+                       + [NormalForm.of(c.beta[i - 1])]).to_expr()
+        for i in range(1, chart.m + 1))
+
+
+def coefficient_derivative(c: Current, i: int, var: str) -> NormalForm:
+    """d/d(var) of the i-th component coefficient  Y^a p^i_a + b^i,  for a base
+    or fiber coordinate ``var``."""
+    chart = c.chart
+    return NormalForm.sum(
+        [NormalForm.of(c.beta[i - 1]).diff(var)]
+        + [NormalForm.of(y).diff(var) * NormalForm.atom(chart.p_name(i, a))
+           for a, y in enumerate(c.Y, start=1)])
 
 
 @dataclass(frozen=True)
@@ -193,14 +202,10 @@ def d_current(c: Current) -> CurrentDifferential:
     chart = c.chart
     m, n = chart.m, chart.n
 
-    def alpha_terms(dvar: str, i: int) -> Expression:
-        terms: list[Expression] = [c.beta[i - 1].diff(dvar)]
-        terms += [Mul(c.Y[a - 1].diff(dvar), chart.p(i, a)) for a in range(1, n + 1)]
-        return add_all(terms)
-
-    c0 = add_all(alpha_terms(chart.x_name(i), i) for i in range(1, m + 1))
+    c0 = NormalForm.sum(coefficient_derivative(c, i, chart.x_name(i))
+                        for i in range(1, m + 1)).to_expr()
     cu = tuple(
-        tuple(alpha_terms(chart.u_name(b), i) for i in range(1, m + 1))
+        tuple(coefficient_derivative(c, i, chart.u_name(b)).to_expr() for i in range(1, m + 1))
         for b in range(1, n + 1)
     )
     cp = tuple(simplify(y) for y in c.Y)

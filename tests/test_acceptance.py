@@ -63,6 +63,17 @@ def test_03_mechanics_reduction():
             report.passed and report.max_residual <= 1e-12 and exact)
 
 
+def test_03_self_bracket_cancels_exactly_at_higher_degree():
+    # criterion 3's literal zero also holds beyond quadratic polynomials
+    chart = Chart(m=1, n=2)
+    rng = np.random.default_rng(30)
+    for degree in (3, 4):
+        for _ in range(3):
+            f = DensityCoefficient(chart, random_polynomial(rng, tuple(sorted(chart.names)),
+                                                            degree=degree))
+            assert bracket_linear(f, f).F == Const(0.0)
+
+
 def test_04_isomorphism_round_trip():
     rng = np.random.default_rng(4)
     worst = 0.0
