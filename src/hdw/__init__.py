@@ -8,7 +8,8 @@ executable verification suite.
 
 from .expr import (Add, Binding, Const, Div, DomainError, ExprError,
                    Expression, Func, Mul, Neg, ParseError, Pow, Sub,
-                   UnboundVariableError, Var, add_all, parse, simplify)
+                   UnboundVariableError, Var, add_all, compile_exprs, parse,
+                   simplify)
 from .bundle import (EXTENDED_MOMENTUM, Chart, Current, CurrentDifferential,
                      DensityCoefficient, HamiltonianSection, ValidationReport,
                      current_coefficients, d_current, extended_density,
@@ -24,8 +25,8 @@ from .models import (BUILTIN_ALGEBRAS, ContinuumSpec, GasConstants,
                      legendre_momenta, model_perfect_gas, model_td_mechanics,
                      model_wave, model_yang_mills, piola_inverse,
                      piola_transform, so3_algebra, ym_residual)
-from .solver import (GridSection, NewtonError, OdeState, SolverConfig,
-                     evolve_field, evolve_ym_abelian, hdw_residual,
+from .solver import (GridSection, HamiltonianSystem, NewtonError, OdeState,
+                     SolverConfig, evolve_field, evolve_ym_abelian, hdw_residual,
                      integrate_ode, reconstruct_P, step_ode_rk4)
 from .verify import SUITES, VerificationReport, run_suites
 

@@ -16,6 +16,7 @@ coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .expr import Add, Expression, NormalForm, Var, parse, simplify
@@ -96,6 +97,12 @@ class HamiltonianSection:
 
     def replace(self, H: Expression) -> "HamiltonianSection":
         return HamiltonianSection(self.chart, H)
+
+    @cached_property
+    def system(self):
+        """H's derivatives, derived on first use: a :class:`hdw.solver.HamiltonianSystem`."""
+        from .solver import HamiltonianSystem
+        return HamiltonianSystem(self)
 
 
 @dataclass(frozen=True)

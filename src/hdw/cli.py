@@ -215,9 +215,9 @@ def _eval_profile(exprs: list[str], x: np.ndarray, chart: Chart) -> np.ndarray:
     return np.stack(rows)
 
 
-def _write_manifest(out: Path, manifest: dict) -> None:
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+def _json(obj, allow_nan: bool = True) -> str:
+    """Byte-stable JSON text."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=allow_nan) + "\n"
 
 
 def cmd_simulate(args) -> int:
@@ -265,13 +265,17 @@ def cmd_simulate(args) -> int:
     else:
         raise ModelFileError("simulation supports base dimensions 1 and 2")
 
+    try:
+        manifest = _json({
+            "model": model.name,
+            "config": {k: v for k, v in sorted(model.solver_data.items())},
+            "snapshots": len(traj),
+            "residual_norms": norms,
+        }, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(f"non-finite residual norm ({exc})") from None
     (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
-    _write_manifest(out, {
-        "model": model.name,
-        "config": {k: v for k, v in sorted(model.solver_data.items())},
-        "snapshots": len(traj),
-        "residual_norms": norms,
-    })
+    (out / "manifest.json").write_text(manifest)
     print(f"wrote {out / 'trajectory.csv'} ({len(traj)} snapshots)")
     return EXIT_OK
 
@@ -288,9 +292,9 @@ def cmd_verify(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        payload = [r.to_dict() for r in reports]
-        (out / "verification.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        (out / "verification.json").write_text(_json([r.to_dict() for r in reports]))
+        (out / "timings.json").write_text(
+            _json({r.name: r.details["runtime_s"] for r in reports}))
     failed = [r.name for r in reports if not r.passed]
     if failed:
         print(f"FAILED: {', '.join(failed)}", file=sys.stderr)

@@ -908,6 +908,128 @@ def add_all(terms) -> Expression:
 
 
 # ---------------------------------------------------------------------------
+# Compiled evaluation
+
+_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+# (test, default message) of the domain checks: scalar, then numpy
+_CHECKS = {
+    "ln": (("{} <= 0.0", 'f"ln of non-positive value {{{}}}"'),
+           ("({} <= 0.0).any()", '"ln of non-positive value"')),
+    "sqrt": (("{} < 0.0", 'f"sqrt of negative value {{{}}}"'),
+             ("({} < 0.0).any()", '"sqrt of negative value"')),
+    "zero": (("{} == 0.0", '"division by zero"'),
+             ("({} == 0.0).any()", '"division by zero"')),
+}
+
+
+def compile_exprs(exprs: Iterable[Expression], args: Iterable[str], numpy: bool = False):
+    """One generated Python function that evaluates all of ``exprs``.
+
+    The function takes the values of the variables ``args`` positionally
+    and returns a tuple with one value per expression.  Its source is flat:
+    one assignment per distinct subtree, where equal subtrees, also across
+    expressions, are computed once.  It performs the float operations of
+    :meth:`Expression.eval` (``numpy=False``, arguments are Python floats)
+    or of :meth:`Expression.eval_many` (``numpy=True``) in the order those
+    perform them, with the same :class:`DomainError` checks, so its results
+    are bit-identical to theirs.  Raises :class:`UnboundVariableError` for
+    a variable not in ``args``.
+    """
+    params = {name: f"a{j}" for j, name in enumerate(args)}
+    ns = {"DomainError": DomainError, "asarray": np.asarray}
+    mod = np if numpy else math
+    ns.update(sin=mod.sin, cos=mod.cos, exp=mod.exp, ln=mod.log, sqrt=mod.sqrt)
+    lines: list[str] = []
+    operand: dict[int, str] = {}  # id(node) -> name or literal of its value
+    known: dict[tuple, str] = {}  # structural key -> name of its value
+    emitted: set[str] = set()
+
+    def once(line: str) -> None:
+        if line not in emitted:
+            emitted.add(line)
+            lines.append(line)
+
+    def check(kind: str, x: str, message: str | None = None) -> None:
+        test, default = _CHECKS[kind][numpy]
+        once(f"    if {test.format(x)}: raise DomainError({(message or default).format(x)})")
+
+    def leaf(node) -> str:
+        if type(node) is Var:
+            if node.name not in params:
+                raise UnboundVariableError(node.name)
+            name = params[node.name]
+            if numpy:
+                once(f"    {name} = asarray({name}, dtype=float)")
+            return name
+        if numpy or not math.isfinite(node.value):
+            name = known.setdefault(("const", repr(node.value)), f"c{len(ns)}")
+            ns.setdefault(name, np.float64(node.value) if numpy else node.value)
+            return name
+        return f"({node.value!r})"
+
+    def emit(node) -> str:
+        t = type(node)
+        if t is Neg:
+            key = ("-", operand[id(node.arg)])
+            code = f"-{key[1]}"
+        elif t is Pow:
+            base, e = operand[id(node.base)], node.exponent
+            key, code = ("^", base, e), f"{base} ** {float(e) if numpy else e}"
+            if e <= 0:
+                check("zero", base, f'"0^{e} is undefined"')
+        elif t is Func:
+            arg = operand[id(node.arg)]
+            key, code = (node.name, arg), f"{node.name}({arg})"
+            if node.name in _CHECKS:
+                check(node.name, arg)
+        else:
+            left, right = operand[id(node.left)], operand[id(node.right)]
+            key = (_BINARY[t], left, right)
+            code = f"{left} {key[0]} {right}"
+        if key not in known:
+            known[key] = f"v{len(known)}"
+            lines.append(f"    {known[key]} = {code}")
+        return known[key]
+
+    outputs = []
+    for root in exprs:
+        # post-order walk in eval's order: a quotient checks its denominator
+        # before it evaluates its numerator
+        stack = [(root, 0)]
+        while stack:
+            node, phase = stack.pop()
+            if phase == 0:
+                if id(node) in operand:
+                    continue
+                t = type(node)
+                if t is Var or t is Const:
+                    operand[id(node)] = leaf(node)
+                elif t is Div:
+                    stack += [(node, 2), (node.left, 0), (node, 1), (node.right, 0)]
+                else:
+                    stack.append((node, 2))
+                    stack += [(child, 0) for child in reversed(_children(node))]
+            elif phase == 1:
+                check("zero", operand[id(node.right)])
+            else:
+                operand[id(node)] = emit(node)
+        outputs.append(operand[id(root)])
+    source = (f"def kernel({', '.join(params.values())}):\n" + "\n".join(lines)
+              + f"\n    return ({''.join(o + ', ' for o in outputs)})\n")
+    exec(compile(source, "<compile_exprs>", "exec"), ns)
+    return ns["kernel"]
+
+
+def _children(node: Expression) -> tuple:
+    t = type(node)
+    if t is Neg or t is Func:
+        return (node.arg,)
+    if t is Pow:
+        return (node.base,)
+    return (node.left, node.right)
+
+
+# ---------------------------------------------------------------------------
 # Parser
 
 _TOKEN_RE = re.compile(

@@ -10,6 +10,7 @@ import numpy as np
 from .bundle import Chart, HamiltonianSection
 from .expr import (Add, Const, Div, Expression, Func, Mul, Neg, Pow, Var,
                    add_all, parse, simplify)
+from .solver import ddx, norms
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +393,9 @@ def ym_residual(u: np.ndarray, pi: np.ndarray, algebra: LieAlgebraSpec,
     def ddt(a):
         return (a[2:] - a[:-2]) / (2.0 * dt)
 
-    def ddx(a):
-        return (np.roll(a, -1, axis=1) - np.roll(a, 1, axis=1)) / (2.0 * dx)
-
     interior = slice(1, T - 1)
     # curvature F_12 = d_t u_x - d_x u_t + [u_t, u_x]
-    F12 = ddt(u[:, :, :, 1]) - ddx(u[:, :, :, 0])[interior]
+    F12 = ddt(u[:, :, :, 1]) - ddx(u[:, :, :, 0], dx, axis=1)[interior]
     F12 += np.einsum("gab,tka,tkb->tkg", c, u[interior, :, :, 0], u[interior, :, :, 1])
     res_curvature = -F12 - 0.5 * pi[interior]
 
@@ -405,13 +403,8 @@ def ym_residual(u: np.ndarray, pi: np.ndarray, algebra: LieAlgebraSpec,
     res_evolution = ddt(pi) + np.einsum("gab,tkb,tkg->tka",
                                         c, u[interior, :, :, 0], pi[interior])
     # momentum equation, temporal component (Gauss law): -(d_x pi + [u_x, .] pi) = 0
-    res_gauss = -(ddx(pi)[interior] + np.einsum("gab,tkb,tkg->tka",
-                                                c, u[interior, :, :, 1], pi[interior]))
-
-    def norms(r):
-        return {"max": float(np.max(np.abs(r))),
-                "l2": float(np.sqrt(np.mean(r ** 2)))}
-
+    res_gauss = -(ddx(pi, dx, axis=1)[interior]
+                  + np.einsum("gab,tkb,tkg->tka", c, u[interior, :, :, 1], pi[interior]))
     return {"curvature": norms(res_curvature),
             "evolution": norms(res_evolution),
             "gauss": norms(res_gauss)}

@@ -91,6 +91,33 @@ class TestSimulate:
         assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
         assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_unstable_run_exits_3_without_output(self, tmp_path, capsys):
+        # dt = 10 dx: the explicit scheme blows up long before t_final
+        dx = 2 * 3.141592653589793 / 64
+        path = write_model(tmp_path, {
+            "model": "wave",
+            "initial": {"u": ["sin(x2)"], "M": ["-cos(x2)"]},
+            "solver": {"dt": 1.0, "t_final": 1000.0, "K": 64, "dx": dx},
+        })
+        out = tmp_path / "run"
+        with pytest.warns(UserWarning, match="instability"):
+            assert main(["simulate", "--model", path, "--out", str(out)]) == 3
+        assert "non-finite state at step" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+        assert not (out / "manifest.json").exists()
+
+    def test_domain_error_in_the_right_hand_side_exits_3(self, tmp_path, capsys):
+        # dp/dt = -(ln(u1) + 1) drives u1 = 0.05 below zero within t = 1
+        path = write_model(tmp_path, {
+            "chart": {"m": 1, "n": 1},
+            "hamiltonian": "p1_1^2/2 + u1*ln(u1)",
+            "initial": {"u": ["0.05"], "p": ["-2"]},
+            "solver": {"dt": 0.01, "t_final": 1.0},
+        })
+        assert main(["simulate", "--model", path, "--out", str(tmp_path / "run")]) == 3
+        assert "ln of non-positive value" in capsys.readouterr().err
+
     def test_missing_solver_block(self, tmp_path):
         path = write_model(tmp_path, {
             "chart": {"m": 1, "n": 1},
@@ -143,6 +170,17 @@ class TestVerify:
         assert "[PASS] mechanics_reduction" in out
         payload = json.loads((tmp_path / "verification.json").read_text())
         assert payload[0]["passed"] is True
+
+    def test_report_is_byte_stable(self, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        for out in (out1, out2):
+            assert main(["verify", "--suite", "m1-reduction", "--suite", "connection",
+                         "--out", str(out)]) == 0
+        report = (out1 / "verification.json").read_bytes()
+        assert report == (out2 / "verification.json").read_bytes()
+        assert b"runtime_s" not in report
+        timings = json.loads((out1 / "timings.json").read_text())
+        assert set(timings) == {"mechanics_reduction", "connection_class"}
 
     def test_seed_flag(self, capsys):
         assert main(["verify", "--suite", "m1-reduction", "--seed", "9"]) == 0

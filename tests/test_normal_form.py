@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hdw.expr import (FUNCTIONS, Add, Const, Div, DomainError, Func, Mul,
-                      Neg, Pow, Sub, Var, parse, simplify)
+                      Neg, Pow, Sub, Var, compile_exprs, parse, simplify)
 from hdw.models import PerfectGasModel, WaveModel
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -216,3 +216,43 @@ def test_long_sum_stays_shallow():
     exact = math.fsum((-1) ** k * k * 0.99 ** k for k in range(1, 3001))
     assert s.eval({"u1": 0.99}) == pytest.approx(exact, rel=1e-9)
     assert simplify(parse(str(s))) == s
+
+
+
+def _outcome(compute):
+    """Type, shape and bytes of each value ``compute`` returns, or its error."""
+    try:
+        with np.errstate(all="ignore"):
+            return tuple((type(v), np.shape(v), np.asarray(v).tobytes()) for v in compute())
+    except UNDEFINED as exc:
+        return type(exc), str(exc)
+
+
+@given(trees)
+def test_compiled_scalar_kernel_is_bit_identical_to_eval(e):
+    # e occurs twice, so the kernel shares its subtrees between the outputs
+    exprs = [e, Mul(e, Var("u1"))]
+    kernel = compile_exprs(exprs, NAMES)
+    for b in POINTS:
+        assert (_outcome(lambda: kernel(*(b[n] for n in NAMES)))
+                == _outcome(lambda: [x.eval(b) for x in exprs])), str(e)
+
+
+@given(trees)
+def test_compiled_numpy_kernel_is_bit_identical_to_eval_many(e):
+    exprs = [e, Mul(e, Var("u1"))]
+    kernel = compile_exprs(exprs, NAMES, numpy=True)
+    arrays = {n: np.array([b[n] for b in POINTS]) for n in NAMES}
+    for b in (arrays, {**arrays, "x1": 0.5}):
+        assert (_outcome(lambda: kernel(*(b[n] for n in NAMES)))
+                == _outcome(lambda: [x.eval_many(b) for x in exprs])), str(e)
+
+
+@pytest.mark.parametrize("numpy", [False, True])
+def test_compiled_kernel_keeps_signed_zero_and_non_finite_constants(numpy):
+    exprs = [Const(-0.0), Mul(Const(-0.0), Var("u1")), Add(Const(math.inf), Var("u1")),
+             Mul(Const(math.nan), Var("u1"))]
+    kernel = compile_exprs(exprs, ["u1"], numpy=numpy)
+    u1 = np.array([2.0]) if numpy else 2.0
+    expected = [x.eval_many({"u1": u1}) if numpy else x.eval({"u1": u1}) for x in exprs]
+    assert _outcome(lambda: kernel(u1)) == _outcome(lambda: expected)

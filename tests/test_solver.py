@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from hdw.bundle import Chart, HamiltonianSection
+from hdw.expr import parse, simplify
 from hdw.models import (ContinuumSpec, GasConstants, PerfectGasModel,
                         WaveModel, abelian_algebra, model_td_mechanics,
                         ym_residual)
 from hdw.solver import (GridSection, NewtonError, OdeState, SolverConfig,
-                        evolve_field, evolve_ym_abelian, hdw_residual,
-                        integrate_ode, reconstruct_P, step_ode_rk4)
+                        _FieldSystem, evolve_field, evolve_ym_abelian,
+                        hdw_residual, integrate_ode, reconstruct_P, step_ode_rk4)
 
 
 def _oscillator():
@@ -232,3 +233,97 @@ class TestEvolveYmAbelian:
         norms = ym_residual(u_traj, pi_traj, abelian_algebra(1), config.dt, dx)
         for key in ("curvature", "evolution", "gauss"):
             assert norms[key]["max"] <= 1e-13
+
+
+# forced Henon-Heiles, as in the benchmark's mechanics workload
+HENON_HEILES = "p1_1^2/2 + p1_2^2/2 + u1^2/2 + u2^2/2 + u1^2*u2 - u2^3/3 + 0.003*x1*u1"
+
+
+def _tree_walk_rk4(h, state, dt, steps):
+    """Reference RK4: array stages, every derivative evaluated by a tree walk."""
+    chart = h.chart
+    dH_dp = [h.H.diff(name) for name in chart.p_names]
+    dH_du = [h.H.diff(name) for name in chart.u_names]
+
+    def rhs(t, u, p):
+        b = {"x1": t, **dict(zip(chart.u_names, u)), **dict(zip(chart.p_names, p))}
+        return (np.array([e.eval(b) for e in dH_dp]), np.array([-e.eval(b) for e in dH_du]))
+
+    t, u, p = state.t, state.u, state.p
+    out = [(t, u, p)]
+    for _ in range(steps):
+        k1u, k1p = rhs(t, u, p)
+        k2u, k2p = rhs(t + dt / 2, u + dt / 2 * k1u, p + dt / 2 * k1p)
+        k3u, k3p = rhs(t + dt / 2, u + dt / 2 * k2u, p + dt / 2 * k2p)
+        k4u, k4p = rhs(t + dt, u + dt * k3u, p + dt * k3p)
+        u = u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
+        p = p + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        t = t + dt
+        out.append((t, u, p))
+    return out
+
+
+class TestHamiltonianSystem:
+    def _henon_heiles(self):
+        h = HamiltonianSection(Chart(m=1, n=2), HENON_HEILES)
+        return h, OdeState(t=0.0, u=np.array([0.12, -0.2]), p=np.array([0.05, 0.1]))
+
+    def test_cached_on_the_section(self):
+        h = _oscillator()
+        assert h.system is h.system
+        assert h.replace(h.H).system is not h.system
+
+    def test_integrate_ode_is_bit_identical_to_tree_walk(self):
+        h, initial = self._henon_heiles()
+        traj = integrate_ode(h, initial, SolverConfig(dt=1e-3, t_final=2.0))
+        reference = _tree_walk_rk4(h, initial, 1e-3, 2000)
+        assert len(traj) == len(reference)
+        for s, (t, u, p) in zip(traj, reference):
+            assert s.t == t and np.array_equal(s.u, u) and np.array_equal(s.p, p)
+
+    def test_integrate_ode_matches_dop853(self):
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        h, initial = self._henon_heiles()
+        final = integrate_ode(h, initial, SolverConfig(dt=1e-3, t_final=5.0))[-1]
+
+        def rhs(t, y):
+            u1, u2, p1, p2 = y
+            return [p1, p2, -(u1 + 2 * u1 * u2 + 0.003 * t), -(u2 + u1 ** 2 - u2 ** 2)]
+
+        ref = scipy_integrate.solve_ivp(rhs, (0.0, final.t), [*initial.u, *initial.p],
+                                        method="DOP853", rtol=1e-13, atol=1e-13).y[:, -1]
+        assert np.max(np.abs(np.concatenate([final.u, final.p]) - ref)) <= 1e-10
+
+    def test_derivative_with_3000_terms_compiles(self):
+        # the generated source is flat, so its size is not bounded by the
+        # parser's nesting limit
+        text = " + ".join(f"{(-1) ** k * k}*u1^{k}*p1_1" for k in range(1, 3001))
+        h = HamiltonianSection(Chart(m=1, n=1), simplify(parse(text)))
+        assert str(h.system.dH_du[0]).count("p1_1") == 3000
+        b = {"x1": 0.0, "u1": 0.99, "p1_1": 0.5}
+        assert h.system.hamilton(0.0, 0.99, 0.5) == \
+            (h.system.dH_dp[0][0].eval(b), -h.system.dH_du[0].eval(b))
+
+    def test_non_finite_state_raises(self):
+        # du/dt = p, dp/dt = u grows like e^t and overflows near t = 710
+        h = model_td_mechanics("-u1^2/2")
+        with pytest.raises(FloatingPointError, match="non-finite state at step"):
+            integrate_ode(h, OdeState(t=0.0, u=np.array([1.0]), p=np.array([0.0])),
+                          SolverConfig(dt=1.0, t_final=2000.0))
+
+    def test_first_stage_reuses_the_snapshot_stress(self, monkeypatch):
+        calls = []
+        original = _FieldSystem.reconstruct_P
+
+        def counted(self, *args):
+            calls.append(1)
+            return original(self, *args)
+
+        monkeypatch.setattr(_FieldSystem, "reconstruct_P", counted)
+        K = 32
+        dx = 2.0 * np.pi / K
+        config = SolverConfig(dt=dx / 4.0, t_final=0.2, K=K, dx=dx, p_reconstruction="newton")
+        x = dx * np.arange(K)
+        traj = evolve_field(WaveModel(), config, np.sin(x)[None, :], -np.cos(x)[None, :])
+        steps = len(traj) - 1
+        assert len(calls) == 4 * steps + 1
