@@ -20,14 +20,17 @@ from .bundle import Chart, Current, DensityCoefficient, HamiltonianSection
 from .expr import DomainError, ExprError, ParseError, parse, simplify
 from .models import (ContinuumSpec, GasConstants, PerfectGasModel, WaveModel,
                      model_td_mechanics)
-from .solver import NewtonError, OdeState, SolverConfig, evolve_field, \
-    hdw_residual, integrate_ode
+from .solver import GridSection, NewtonError, OdeState, SolverConfig, \
+    evolve_field, hdw_residual, integrate_ode
 from .verify import run_suites, SUITES
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+
+# a simulation stores (steps + 1) x columns doubles (512 MiB at this limit)
+MAX_STORED_VALUES = 2 ** 26
 
 
 class ModelFileError(Exception):
@@ -220,11 +223,50 @@ def _json(obj, allow_nan: bool = True) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=allow_nan) + "\n"
 
 
+def _write_csv(path: Path, header: list[str], blocks) -> None:
+    """Write a CSV file block by block, so its full text is never in memory.
+
+    Each block is a ``%`` template and the flat list of the floats it
+    formats; ``"%.17g" % v`` gives the bytes of ``format(v, ".17g")``.
+    """
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        for template, values in blocks:
+            f.write(template % tuple(values))
+
+
+def _ode_blocks(traj: list[OdeState]):
+    """Blocks of up to 1024 rows t, u..., p..."""
+    table = np.column_stack(([s.t for s in traj], [s.u for s in traj],
+                             [s.p for s in traj]))
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    for i in range(0, len(table), 1024):
+        block = table[i:i + 1024]
+        yield line * len(block), block.ravel().tolist()
+
+
+def _field_blocks(traj: list[GridSection]):
+    """One block per snapshot: rows t, x, then u, M, P of each fiber
+    coordinate; t and the shared grid x are formatted once."""
+    n = traj[0].u.shape[0]
+    tails = ["," + "%.17g" % x + ",%.17g" * (3 * n) for x in traj[0].x.tolist()]
+    for s in traj:
+        t = "%.17g" % s.t
+        values = np.stack([s.u, s.M, s.P], axis=1).reshape(3 * n, -1)
+        yield t + ("\n" + t).join(tails) + "\n", values.T.ravel().tolist()
+
+
+def _check_size(config: SolverConfig, columns: int) -> None:
+    steps = int(round(config.t_final / config.dt))
+    size = (steps + 1) * columns
+    if size > MAX_STORED_VALUES:
+        raise ModelFileError(f"request stores {size} values ({steps + 1} snapshots "
+                             f"x {columns}), above the limit of {MAX_STORED_VALUES}")
+
+
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
     config = model.solver_config()
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
     chart = model.chart
 
     if chart.m == 1:
@@ -233,12 +275,10 @@ def cmd_simulate(args) -> int:
         if u0.shape != (chart.n,) or p0.shape != (chart.n,):
             raise ModelFileError(f"mechanics initial data needs {chart.n} 'u' "
                                  f"and {chart.n} 'p' entries")
+        _check_size(config, 2 * chart.n)
         traj = integrate_ode(model.hamiltonian, OdeState(t=0.0, u=u0, p=p0), config)
         header = ["t"] + list(chart.u_names) + list(chart.p_names)
-        lines = [",".join(header)]
-        for s in traj:
-            lines.append(",".join([_fmt(s.t)] + [_fmt(v) for v in s.u]
-                                  + [_fmt(v) for v in s.p]))
+        blocks = _ode_blocks(traj)
         norms = hdw_residual(traj, model.hamiltonian, config.dt)
     elif chart.m == 2:
         if model.field_model is None:
@@ -246,6 +286,7 @@ def cmd_simulate(args) -> int:
                                  "(closed-form stress reconstruction)")
         if not config.K or not config.dx:
             raise ModelFileError("field simulation needs solver.K and solver.dx")
+        _check_size(config, 3 * chart.n * config.K)
         x = config.x0 + config.dx * np.arange(config.K)
         u0 = _eval_profile(model.initial.get("u", []), x, chart)
         M0 = _eval_profile(model.initial.get("M", []), x, chart)
@@ -253,13 +294,7 @@ def cmd_simulate(args) -> int:
         header = ["t", "x"]
         for a in range(1, chart.n + 1):
             header += [f"u{a}", f"M{a}", f"P{a}"]
-        lines = [",".join(header)]
-        for s in traj:
-            for k in range(len(s.x)):
-                row = [_fmt(s.t), _fmt(s.x[k])]
-                for a in range(chart.n):
-                    row += [_fmt(s.u[a, k]), _fmt(s.M[a, k]), _fmt(s.P[a, k])]
-                lines.append(",".join(row))
+        blocks = _field_blocks(traj)
         norms = hdw_residual(traj, model.hamiltonian, config.dt, dx=config.dx,
                              boundary=config.boundary)
     else:
@@ -274,7 +309,9 @@ def cmd_simulate(args) -> int:
         }, allow_nan=False)
     except ValueError as exc:
         raise FloatingPointError(f"non-finite residual norm ({exc})") from None
-    (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
+    out = Path(args.out or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(out / "trajectory.csv", header, blocks)
     (out / "manifest.json").write_text(manifest)
     print(f"wrote {out / 'trajectory.csv'} ({len(traj)} snapshots)")
     return EXIT_OK

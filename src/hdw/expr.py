@@ -103,14 +103,23 @@ class Expression:
         return NormalForm.of(self).diff(var).to_expr()
 
     def variables(self) -> frozenset[str]:
-        """Names of the variables the expression mentions."""
-        try:
-            return self._nf.variables()
-        except AttributeError:
-            return self._variables()
+        """Names of the variables the expression mentions.
 
-    def _variables(self) -> frozenset[str]:
-        raise NotImplementedError
+        Walks the tree without recursion, so a deep parsed tree is fine; a
+        node that carries its normal form answers from it.
+        """
+        names: set[str] = set()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            nf = getattr(node, "_nf", None)
+            if nf is not None:
+                names |= nf.variables()
+            elif type(node) is Var:
+                names.add(node.name)
+            elif type(node) is not Const:
+                stack += _children(node)
+        return frozenset(names)
 
     def substitute(self, mapping: Mapping[str, "Expression | float"]) -> "Expression":
         raise NotImplementedError
@@ -183,9 +192,6 @@ class Const(Expression):
     def eval_many(self, binding):
         return np.float64(self.value)
 
-    def _variables(self):
-        return frozenset()
-
     def substitute(self, mapping):
         return self
 
@@ -214,9 +220,6 @@ class Var(Expression):
         except KeyError:
             raise UnboundVariableError(self.name) from None
 
-    def _variables(self):
-        return frozenset((self.name,))
-
     def substitute(self, mapping):
         if self.name in mapping:
             return _coerce(mapping[self.name])
@@ -239,9 +242,6 @@ class Neg(Expression):
     def eval_many(self, binding):
         return -self.arg.eval_many(binding)
 
-    def _variables(self):
-        return self.arg.variables()
-
     def substitute(self, mapping):
         return Neg(self.arg.substitute(mapping))
 
@@ -262,9 +262,6 @@ class Add(Expression):
 
     def eval_many(self, binding):
         return self.left.eval_many(binding) + self.right.eval_many(binding)
-
-    def _variables(self):
-        return self.left.variables() | self.right.variables()
 
     def substitute(self, mapping):
         return Add(self.left.substitute(mapping), self.right.substitute(mapping))
@@ -287,9 +284,6 @@ class Sub(Expression):
     def eval_many(self, binding):
         return self.left.eval_many(binding) - self.right.eval_many(binding)
 
-    def _variables(self):
-        return self.left.variables() | self.right.variables()
-
     def substitute(self, mapping):
         return Sub(self.left.substitute(mapping), self.right.substitute(mapping))
 
@@ -310,9 +304,6 @@ class Mul(Expression):
 
     def eval_many(self, binding):
         return self.left.eval_many(binding) * self.right.eval_many(binding)
-
-    def _variables(self):
-        return self.left.variables() | self.right.variables()
 
     def substitute(self, mapping):
         return Mul(self.left.substitute(mapping), self.right.substitute(mapping))
@@ -341,9 +332,6 @@ class Div(Expression):
             raise DomainError("division by zero")
         return self.left.eval_many(binding) / den
 
-    def _variables(self):
-        return self.left.variables() | self.right.variables()
-
     def substitute(self, mapping):
         return Div(self.left.substitute(mapping), self.right.substitute(mapping))
 
@@ -370,9 +358,6 @@ class Pow(Expression):
         if self.exponent <= 0 and np.any(b == 0.0):
             raise DomainError(f"0^{self.exponent} is undefined")
         return b ** float(self.exponent)
-
-    def _variables(self):
-        return self.base.variables()
 
     def substitute(self, mapping):
         return Pow(self.base.substitute(mapping), self.exponent)
@@ -419,9 +404,6 @@ class Func(Expression):
                 raise DomainError("sqrt of negative value")
             return np.sqrt(x)
         return getattr(np, self.name)(x)
-
-    def _variables(self):
-        return self.arg.variables()
 
     def substitute(self, mapping):
         return Func(self.name, self.arg.substitute(mapping))

@@ -223,6 +223,8 @@ class _FieldSystem:
     def __init__(self, model, config: SolverConfig):
         if model.chart.m != 2:
             raise ValueError("the field solver handles a 1+1-dimensional base")
+        if config.p_reconstruction == "newton" and model.chart.n != 1:
+            raise ValueError("Newton reconstruction implemented for scalar fibers")
         self.model = model
         self.n = model.chart.n
         self.config = config
@@ -231,7 +233,8 @@ class _FieldSystem:
 
     @staticmethod
     def _args(t: float, x: np.ndarray, u: np.ndarray, M: np.ndarray, P: np.ndarray):
-        return (np.full_like(x, t), x, *u, *M, *P)
+        # the kernels broadcast the scalar time against the grid
+        return (t, x, *u, *M, *P)
 
     def reconstruct_P(self, t: float, x: np.ndarray, u: np.ndarray,
                       M: np.ndarray) -> np.ndarray:
@@ -241,8 +244,6 @@ class _FieldSystem:
         return self._newton_P(t, x, u, M, du_dx)
 
     def _newton_P(self, t, x, u, M, du_dx) -> np.ndarray:
-        if self.n != 1:
-            raise ValueError("Newton reconstruction implemented for scalar fibers")
         cfg = self.config
         if self._prev_P is not None:
             P = self._prev_P.copy()
@@ -282,7 +283,9 @@ def evolve_field(model, config: SolverConfig, u0: np.ndarray,
 
     Deterministic: identical configs produce bit-identical output.  Each
     step's first stage reuses the stress of the snapshot it starts from.
-    Raises FloatingPointError at the first non-finite state.
+    Raises FloatingPointError at the first non-finite state, and at the
+    first state outside the model's stress relation (a ValueError of its
+    ``reconstruct_P``, such as a non-positive gas deformation gradient).
     """
     config.warn_cfl()
     system = _FieldSystem(model, config)
@@ -292,21 +295,25 @@ def evolve_field(model, config: SolverConfig, u0: np.ndarray,
     M = np.atleast_2d(np.asarray(M0, dtype=float)).copy()
     t = 0.0
     dt = config.dt
-    P = system.reconstruct_P(t, x, u, M)
-    traj = [GridSection(t=t, x=x, u=u, M=M, P=P)]
-    steps = int(round(config.t_final / dt))
-    for k in range(1, steps + 1):
-        k1u, k1M, _ = system.rhs(t, x, u, M, P)
-        k2u, k2M, _ = system.rhs(t + dt / 2, x, u + dt / 2 * k1u, M + dt / 2 * k1M)
-        k3u, k3M, _ = system.rhs(t + dt / 2, x, u + dt / 2 * k2u, M + dt / 2 * k2M)
-        k4u, k4M, _ = system.rhs(t + dt, x, u + dt * k3u, M + dt * k3M)
-        u = u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        M = M + dt / 6 * (k1M + 2 * k2M + 2 * k3M + k4M)
-        t += dt
-        if not (np.isfinite(u).all() and np.isfinite(M).all()):
-            raise _non_finite(k, t)
+    k = 0
+    try:
         P = system.reconstruct_P(t, x, u, M)
-        traj.append(GridSection(t=t, x=x, u=u, M=M, P=P))
+        traj = [GridSection(t=t, x=x, u=u, M=M, P=P)]
+        steps = int(round(config.t_final / dt))
+        for k in range(1, steps + 1):
+            k1u, k1M, _ = system.rhs(t, x, u, M, P)
+            k2u, k2M, _ = system.rhs(t + dt / 2, x, u + dt / 2 * k1u, M + dt / 2 * k1M)
+            k3u, k3M, _ = system.rhs(t + dt / 2, x, u + dt / 2 * k2u, M + dt / 2 * k2M)
+            k4u, k4M, _ = system.rhs(t + dt, x, u + dt * k3u, M + dt * k3M)
+            u = u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
+            M = M + dt / 6 * (k1M + 2 * k2M + 2 * k3M + k4M)
+            t += dt
+            if not (np.isfinite(u).all() and np.isfinite(M).all()):
+                raise _non_finite(k, t)
+            P = system.reconstruct_P(t, x, u, M)
+            traj.append(GridSection(t=t, x=x, u=u, M=M, P=P))
+    except ValueError as exc:
+        raise FloatingPointError(f"invalid state at step {k} (t = {t}): {exc}") from None
     return traj
 
 

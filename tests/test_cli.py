@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
-from hdw.cli import main
+from hdw import cli
+from hdw.cli import _field_blocks, _ode_blocks, _write_csv, main
+from hdw.solver import GridSection, OdeState
 
 
 def write_model(tmp_path, data, name="model.json"):
@@ -118,6 +121,54 @@ class TestSimulate:
         assert main(["simulate", "--model", path, "--out", str(tmp_path / "run")]) == 3
         assert "ln of non-positive value" in capsys.readouterr().err
 
+    def test_deep_parsed_hamiltonian(self, tmp_path):
+        # a 3000-term sum straight from the parser is far deeper than the
+        # recursion limit
+        path = write_model(tmp_path, {
+            "chart": {"m": 1, "n": 1},
+            "hamiltonian": "p1_1^2/2" + " + u1^2/6000" * 3000,
+            "initial": {"u": ["1"], "p": ["0"]},
+            "solver": {"dt": 0.01, "t_final": 0.1},
+        })
+        out = tmp_path / "run"
+        assert main(["simulate", "--model", path, "--out", str(out)]) == 0
+        assert len((out / "trajectory.csv").read_text().splitlines()) == 12
+
+    def test_invalid_gas_state_exits_3_without_output(self, tmp_path, capsys):
+        # the periodic stencil wraps u = x2 + ...: du/dx < 0 at the grid ends
+        K = 64
+        path = write_model(tmp_path, {
+            "model": "perfect_gas",
+            "initial": {"u": ["x2 + 0.03*sin(6.283185307179586*x2)"], "M": ["0"]},
+            "solver": {"dt": 1 / K / 8, "t_final": 0.1, "K": K, "dx": 1 / K},
+        })
+        out = tmp_path / "run"
+        assert main(["simulate", "--model", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: invalid state at step 0")
+        assert "deformation gradient must be positive" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", [
+        {"chart": {"m": 1, "n": 1}, "hamiltonian": "p1_1^2/2 + u1^2/2",
+         "initial": {"u": ["1"], "p": ["0"]}, "solver": {"dt": 1e-9, "t_final": 2.0}},
+        {"model": "wave", "initial": {"u": ["sin(x2)"], "M": ["-cos(x2)"]},
+         "solver": {"dt": 1e-9, "t_final": 2.0, "K": 32, "dx": 0.2}},
+    ], ids=["ode", "field"])
+    def test_oversized_request_exits_2_before_integrating(self, model, tmp_path, capsys,
+                                                          monkeypatch):
+        def integrate(*args):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr(cli, "integrate_ode", integrate)
+        monkeypatch.setattr(cli, "evolve_field", integrate)
+        path = write_model(tmp_path, model)
+        out = tmp_path / "run"
+        assert main(["simulate", "--model", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "request stores" in err and f"limit of {cli.MAX_STORED_VALUES}" in err
+        assert not out.exists()
+
     def test_missing_solver_block(self, tmp_path):
         path = write_model(tmp_path, {
             "chart": {"m": 1, "n": 1},
@@ -125,6 +176,91 @@ class TestSimulate:
             "initial": {"u": ["0"], "p": ["0"]},
         })
         assert main(["simulate", "--model", path, "--out", str(tmp_path)]) == 2
+
+
+def _per_value_csv(header: list[str], rows) -> str:
+    """Reference rendering: one format(v, ".17g") per value, lines joined."""
+    lines = [",".join(header)]
+    lines += [",".join(format(float(v), ".17g") for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _first_difference(text: str, expected: str):
+    """None, or the first differing line as (number, got, expected); cheaper
+    to report than a diff of two large texts."""
+    got, want = text.split("\n"), expected.split("\n")
+    for i in range(max(len(got), len(want))):
+        line = got[i] if i < len(got) else None
+        if line != (want[i] if i < len(want) else None):
+            return i, line, want[i] if i < len(want) else None
+    return None
+
+
+def _ode_rows(traj):
+    return [[s.t, *s.u, *s.p] for s in traj]
+
+
+def _field_rows(traj):
+    rows = []
+    for s in traj:
+        for k in range(len(s.x)):
+            row = [s.t, s.x[k]]
+            for a in range(s.u.shape[0]):
+                row += [s.u[a, k], s.M[a, k], s.P[a, k]]
+            rows.append(row)
+    return rows
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The trajectories the CLI integrates, in call order."""
+    trajs = []
+    for name in ("integrate_ode", "evolve_field"):
+        def record(*args, _original=getattr(cli, name)):
+            trajs.append(_original(*args))
+            return trajs[-1]
+        monkeypatch.setattr(cli, name, record)
+    return trajs
+
+
+class TestTrajectoryCsv:
+    """``trajectory.csv`` has the bytes of the per-value rendering."""
+
+    @pytest.mark.parametrize("model", [
+        {"chart": {"m": 1, "n": 2},
+         "hamiltonian": "p1_1^2/2 + p1_2^2/2 + u1^2/2 + u2^2/2 + u1^2*u2 - u2^3/3",
+         "initial": {"u": ["0.1", "-0.2"], "p": ["0.3", "0"]},
+         "solver": {"dt": 0.01, "t_final": 25.0}},  # 2501 rows: three blocks
+        {"model": "wave", "initial": {"u": ["sin(x2)"], "M": ["-cos(x2)"]},
+         "solver": {"dt": 0.05, "t_final": 0.5, "K": 32, "dx": 0.19634954084936207}},
+        {"model": "perfect_gas",
+         "initial": {"u": ["x2 + 0.03*sin(6.283185307179586*x2)"], "M": ["0"]},
+         "solver": {"dt": 0.00390625, "t_final": 0.1, "K": 32, "dx": 0.03125,
+                    "boundary": "dirichlet"}},
+    ], ids=["ode", "wave", "perfect_gas"])
+    def test_matches_per_value_rendering(self, model, tmp_path, recorded):
+        out = tmp_path / "run"
+        assert main(["simulate", "--model", write_model(tmp_path, model),
+                     "--out", str(out)]) == 0
+        [traj] = recorded
+        rows = _ode_rows(traj) if isinstance(traj[0], OdeState) else _field_rows(traj)
+        text = (out / "trajectory.csv").read_text()
+        header = text.split("\n", 1)[0].split(",")
+        assert _first_difference(text, _per_value_csv(header, rows)) is None
+
+    def test_edge_values(self, tmp_path):
+        values = [-0.0, 5e-324, 1e308, 0.1, 1 / 3]
+        ode = [OdeState(t=v, u=np.array(values[:2]), p=np.array(values[2:4]))
+               for v in values]
+        x = np.array(values)
+        field = [GridSection(t=v, x=x, u=x[None, :], M=x[::-1][None, :], P=-x[None, :])
+                 for v in values]
+        for name, blocks, rows in [("ode", _ode_blocks(ode), _ode_rows(ode)),
+                                   ("field", _field_blocks(field), _field_rows(field))]:
+            header = ["c"] * len(rows[0])
+            _write_csv(tmp_path / name, header, blocks)
+            text = (tmp_path / name).read_text()
+            assert _first_difference(text, _per_value_csv(header, rows)) is None
 
 
 class TestModelFileValidation:

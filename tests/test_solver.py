@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -310,6 +311,28 @@ class TestHamiltonianSystem:
         with pytest.raises(FloatingPointError, match="non-finite state at step"):
             integrate_ode(h, OdeState(t=0.0, u=np.array([1.0]), p=np.array([0.0])),
                           SolverConfig(dt=1.0, t_final=2000.0))
+
+    def test_scalar_time_is_bit_identical_to_a_time_grid(self, monkeypatch):
+        wave = WaveModel()
+        forced = types.SimpleNamespace(
+            chart=wave.chart, reconstruct_P=wave.reconstruct_P,
+            hamiltonian=HamiltonianSection(
+                wave.chart, simplify(parse(f"{wave.hamiltonian.H} + sin(x1)*u1"))))
+        K = 32
+        dx = 2.0 * np.pi / K
+        x = dx * np.arange(K)
+        config = SolverConfig(dt=dx / 4.0, t_final=0.5, K=K, dx=dx)
+
+        def run():
+            return evolve_field(forced, config, np.sin(x)[None, :], -np.cos(x)[None, :])
+
+        traj = run()
+        monkeypatch.setattr(_FieldSystem, "_args", staticmethod(
+            lambda t, x, u, M, P: (np.full_like(x, t), x, *u, *M, *P)))
+        reference = run()
+        assert len(traj) == len(reference)
+        for s, r in zip(traj, reference):
+            assert s.t == r.t and np.array_equal(s.u, r.u) and np.array_equal(s.M, r.M)
 
     def test_first_stage_reuses_the_snapshot_stress(self, monkeypatch):
         calls = []
