@@ -2,7 +2,10 @@
 
 All operations return symbolic expressions; evaluation is a separate
 step, which enables both simplify-to-zero checks and numeric sampling
-from one implementation.
+from one implementation.  The brackets are composed on normal forms, so
+a nested bracket builds no intermediate tree: each public bracket emits
+its result once, and :func:`representation_residual` evaluates its
+residual form without a tree.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundle import (Chart, Current, CurrentDifferential, DensityCoefficient,
-                     HamiltonianSection, coefficient_derivative, d_current,
-                     require_valid)
+from .bundle import (Chart, Current, CurrentDifferential, CurrentForms,
+                     DensityCoefficient, HamiltonianSection, coefficient_derivative,
+                     d_current, require_valid)
 from .expr import Const, Expression, NormalForm, simplify
 
 
@@ -161,17 +164,10 @@ def bracket_affine(c: Current | DensityCoefficient, h: HamiltonianSection) -> De
     df/dx + df/du dH/dp - df/dp dH/du.
     """
     chart = h.chart
-    if isinstance(c, DensityCoefficient):
-        if chart.m != 1:
-            raise ValueError("plain density observables are only defined for m = 1; "
-                             "supply a Current for m >= 2")
-        explicit = [NormalForm.of(c.F).diff(chart.x_name(1))]
-    else:
-        require_valid(c)
-        explicit = [coefficient_derivative(c, i, chart.x_name(i))
-                    for i in range(1, chart.m + 1)]
-    linear = _linear_form(c, NormalForm.of(h.H))
-    return DensityCoefficient(chart, NormalForm.sum(explicit + [linear]).to_expr())
+    if isinstance(c, DensityCoefficient) and chart.m != 1:
+        raise ValueError("plain density observables are only defined for m = 1; "
+                         "supply a Current for m >= 2")
+    return DensityCoefficient(chart, _affine_form(_forms(c), h).to_expr())
 
 
 def bracket_linear(c: Current | DensityCoefficient,
@@ -182,15 +178,50 @@ def bracket_linear(c: Current | DensityCoefficient,
     argument.  For m = 1 both arguments are density coefficients and the
     result is the canonical Poisson bracket.
     """
+    if isinstance(c, DensityCoefficient) and F.chart.m != 1:
+        raise ValueError("plain density observables are only defined for m = 1")
+    return DensityCoefficient(F.chart, _linear_form(_forms(c), NormalForm.of(F.F)).to_expr())
+
+
+def current_bracket(a: Current, b: Current) -> Current:
+    """Lie bracket on observables: -([Y,Z], i_Y d(beta_b) - i_Z d(beta_a))."""
+    _check_pair(a, b)
+    return _current_bracket_forms(_forms(a), _forms(b)).to_current()
+
+
+def _check_pair(a: Current, b: Current) -> None:
+    if a.chart != b.chart:
+        raise ValueError("currents must share a chart")
+    if a.chart.m < 2:
+        raise ValueError("the current bracket requires m >= 2; "
+                         "use bracket_linear on density coefficients for m = 1")
+
+
+# The brackets on normal forms: a current is a CurrentForms, a plain density
+# observable stays a DensityCoefficient (one form, read with NormalForm.of).
+
+
+def _forms(c: Current | DensityCoefficient) -> CurrentForms | DensityCoefficient:
+    """The forms of a current, checked for momentum dependence; a density as it is."""
     if isinstance(c, DensityCoefficient):
-        if F.chart.m != 1:
-            raise ValueError("plain density observables are only defined for m = 1")
+        return c
+    forms = CurrentForms.of(c)
+    require_valid(forms)
+    return forms
+
+
+def _affine_form(c: CurrentForms | DensityCoefficient, h: HamiltonianSection) -> NormalForm:
+    """Normal form of :func:`bracket_affine` for a valid ``c``."""
+    chart = h.chart
+    if isinstance(c, DensityCoefficient):
+        explicit = [NormalForm.of(c.F).diff(chart.x_name(1))]
     else:
-        require_valid(c)
-    return DensityCoefficient(F.chart, _linear_form(c, NormalForm.of(F.F)).to_expr())
+        explicit = [coefficient_derivative(c, i, chart.x_name(i))
+                    for i in range(1, chart.m + 1)]
+    return NormalForm.sum(explicit + [_linear_form(c, NormalForm.of(h.H))])
 
 
-def _linear_form(c: Current | DensityCoefficient, g: NormalForm) -> NormalForm:
+def _linear_form(c: CurrentForms | DensityCoefficient, g: NormalForm) -> NormalForm:
     """Normal form of the bracket of a valid ``c`` with the density coefficient ``g``."""
     chart = c.chart
     terms: list[NormalForm] = []
@@ -205,35 +236,24 @@ def _linear_form(c: Current | DensityCoefficient, g: NormalForm) -> NormalForm:
             ua = chart.u_name(a)
             for i in range(1, chart.m + 1):
                 terms.append(coefficient_derivative(c, i, ua) * g.diff(chart.p_name(i, a)))
-            terms.append(-(g.diff(ua) * NormalForm.of(c.Y[a - 1])))
+            terms.append(-(g.diff(ua) * c.Y[a - 1]))
     return NormalForm.sum(terms)
 
 
-def current_bracket(a: Current, b: Current) -> Current:
-    """Lie bracket on observables: -([Y,Z], i_Y d(beta_b) - i_Z d(beta_a))."""
+def _current_bracket_forms(a: CurrentForms, b: CurrentForms) -> CurrentForms:
+    """:func:`current_bracket` of valid currents on one chart."""
     chart = a.chart
-    if chart != b.chart:
-        raise ValueError("currents must share a chart")
-    if chart.m < 2:
-        raise ValueError("the current bracket requires m >= 2; "
-                         "use bracket_linear on density coefficients for m = 1")
-    require_valid(a)
-    require_valid(b)
-    Y = [NormalForm.of(e) for e in a.Y]
-    Z = [NormalForm.of(e) for e in b.Y]
 
-    def transport(qa: Expression, qb: Expression) -> Expression:
-        """-(Y^c d(qb)/du^c - Z^c d(qa)/du^c) for matching components qa of a, qb of b."""
-        fa, fb = NormalForm.of(qa), NormalForm.of(qb)
+    def transport(fa: NormalForm, fb: NormalForm) -> NormalForm:
+        """-(Y^c d(fb)/du^c - Z^c d(fa)/du^c) for matching components fa of a, fb of b."""
         terms = []
-        for c, u in enumerate(chart.u_names):
-            terms.append(-(Y[c] * fb.diff(u)))
-            terms.append(Z[c] * fa.diff(u))
-        return NormalForm.sum(terms).to_expr()
+        for Yc, Zc, u in zip(a.Y, b.Y, chart.u_names):
+            terms.append(-(Yc * fb.diff(u)))
+            terms.append(Zc * fa.diff(u))
+        return NormalForm.sum(terms)
 
-    Y_out = [transport(ya, yb) for ya, yb in zip(a.Y, b.Y)]
-    beta_out = [transport(alpha, beta) for alpha, beta in zip(a.beta, b.beta)]
-    return Current(chart, tuple(Y_out), tuple(beta_out))
+    return CurrentForms(chart, tuple(map(transport, a.Y, b.Y)),
+                        tuple(map(transport, a.beta, b.beta)))
 
 
 def hamiltonian_field(c: Current, extended: bool = False) -> VerticalField:
@@ -241,7 +261,6 @@ def hamiltonian_field(c: Current, extended: bool = False) -> VerticalField:
 
     With ``extended=True`` the extended-momentum component is included.
     """
-    require_valid(c)
     dc: CurrentDifferential = d_current(c)
     chart = c.chart
     vu = tuple(simplify(y) for y in c.Y)
@@ -259,11 +278,12 @@ def representation_residual(a: Current, b: Current, h: HamiltonianSection,
 
     residual = {{a,b}, h} - {a, {b,h}}_l + {b, {a,h}}_l  at each sample.
     """
-    lhs = bracket_affine(current_bracket(a, b), h)
-    r1 = bracket_linear(a, bracket_affine(b, h))
-    r2 = bracket_linear(b, bracket_affine(a, h))
-    residual = NormalForm.sum([NormalForm.of(lhs.F), -NormalForm.of(r1.F),
-                               NormalForm.of(r2.F)]).to_expr()
+    _check_pair(a, b)
+    fa, fb = _forms(a), _forms(b)
+    lhs = _affine_form(_current_bracket_forms(fa, fb), h)
+    r1 = _linear_form(fa, _affine_form(fb, h))
+    r2 = _linear_form(fb, _affine_form(fa, h))
+    residual = NormalForm.sum([lhs, -r1, r2])
 
     if isinstance(samples, dict):
         arrays = {k: np.asarray(v, dtype=float) for k, v in samples.items()}

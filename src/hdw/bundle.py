@@ -143,6 +143,27 @@ class Current:
 
 
 @dataclass(frozen=True)
+class CurrentForms:
+    """The normal forms of a current's coefficients ``Y`` and ``beta``.
+
+    Brackets compose these without emitting trees.
+    """
+
+    chart: Chart
+    Y: tuple[NormalForm, ...]
+    beta: tuple[NormalForm, ...]
+
+    @staticmethod
+    def of(c: Current) -> "CurrentForms":
+        return CurrentForms(c.chart, tuple(map(NormalForm.of, c.Y)),
+                            tuple(map(NormalForm.of, c.beta)))
+
+    def to_current(self) -> Current:
+        return Current(self.chart, tuple(f.to_expr() for f in self.Y),
+                       tuple(f.to_expr() for f in self.beta))
+
+
+@dataclass(frozen=True)
 class ValidationReport:
     valid: bool
     offending: dict[str, tuple[str, ...]] = field(default_factory=dict)
@@ -151,8 +172,14 @@ class ValidationReport:
         return self.valid
 
 
-def validate_current(c: Current, chart: Chart | None = None) -> ValidationReport:
-    """Check that no coefficient of ``c`` depends on a momentum variable."""
+def validate_current(c: Current | CurrentForms, chart: Chart | None = None) -> ValidationReport:
+    """Check that no coefficient of ``c`` depends on a momentum variable.
+
+    Reads the variables of the coefficients' normal forms, so a momentum
+    that cancels (``p1_1 - p1_1``) is no dependence.
+    """
+    if isinstance(c, Current):
+        c = CurrentForms.of(c)
     chart = chart or c.chart
     forbidden = frozenset(chart.p_names) | {EXTENDED_MOMENTUM}
     offending: dict[str, tuple[str, ...]] = {}
@@ -164,7 +191,7 @@ def validate_current(c: Current, chart: Chart | None = None) -> ValidationReport
     return ValidationReport(valid=not offending, offending=offending)
 
 
-def require_valid(c: Current) -> None:
+def require_valid(c: Current | CurrentForms) -> None:
     report = validate_current(c)
     if not report:
         raise ValueError(f"invalid current: momentum dependence in {report.offending}")
@@ -181,13 +208,13 @@ def current_coefficients(c: Current) -> tuple[Expression, ...]:
         for i in range(1, chart.m + 1))
 
 
-def coefficient_derivative(c: Current, i: int, var: str) -> NormalForm:
+def coefficient_derivative(c: CurrentForms, i: int, var: str) -> NormalForm:
     """d/d(var) of the i-th component coefficient  Y^a p^i_a + b^i,  for a base
     or fiber coordinate ``var``."""
     chart = c.chart
     return NormalForm.sum(
-        [NormalForm.of(c.beta[i - 1]).diff(var)]
-        + [NormalForm.of(y).diff(var) * NormalForm.atom(chart.p_name(i, a))
+        [c.beta[i - 1].diff(var)]
+        + [y.diff(var) * NormalForm.atom(chart.p_name(i, a))
            for a, y in enumerate(c.Y, start=1)])
 
 
@@ -205,14 +232,16 @@ class CurrentDifferential:
 
 
 def d_current(c: Current) -> CurrentDifferential:
-    require_valid(c)
-    chart = c.chart
+    forms = CurrentForms.of(c)
+    require_valid(forms)
+    chart = forms.chart
     m, n = chart.m, chart.n
 
-    c0 = NormalForm.sum(coefficient_derivative(c, i, chart.x_name(i))
+    c0 = NormalForm.sum(coefficient_derivative(forms, i, chart.x_name(i))
                         for i in range(1, m + 1)).to_expr()
     cu = tuple(
-        tuple(coefficient_derivative(c, i, chart.u_name(b)).to_expr() for i in range(1, m + 1))
+        tuple(coefficient_derivative(forms, i, chart.u_name(b)).to_expr()
+              for i in range(1, m + 1))
         for b in range(1, n + 1)
     )
     cp = tuple(simplify(y) for y in c.Y)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bracket import bracket_affine
 from .bundle import Chart, Current, DensityCoefficient, HamiltonianSection
-from .expr import DomainError, ExprError, ParseError, parse, simplify
+from .expr import DomainError, ExprError, ParseError, compile_exprs, parse, simplify
 from .models import (ContinuumSpec, GasConstants, PerfectGasModel, WaveModel,
                      model_td_mechanics)
 from .solver import GridSection, NewtonError, OdeState, SolverConfig, \
@@ -205,6 +205,11 @@ def cmd_bracket(args) -> int:
     return EXIT_OK
 
 
+def _eval_constant(text: str) -> float:
+    """Value of a constant expression; compiled, so a deep parsed tree is fine."""
+    return compile_exprs([parse(text)], [])()[0]
+
+
 def _eval_profile(exprs: list[str], x: np.ndarray, chart: Chart) -> np.ndarray:
     rows = []
     for text in exprs:
@@ -212,7 +217,9 @@ def _eval_profile(exprs: list[str], x: np.ndarray, chart: Chart) -> np.ndarray:
         extra = e.variables() - {"x2"}
         if extra:
             raise ModelFileError(f"initial profile may only use x2, got {sorted(extra)}")
-        rows.append(np.broadcast_to(np.atleast_1d(e.eval_many({"x2": x})), x.shape))
+        # compiled rather than walked, so a deep parsed tree is fine
+        value = compile_exprs([e], ["x2"], numpy=True)(x)[0]
+        rows.append(np.broadcast_to(np.atleast_1d(value), x.shape))
     if len(rows) != chart.n:
         raise ModelFileError(f"expected {chart.n} initial profiles, got {len(rows)}")
     return np.stack(rows)
@@ -270,8 +277,8 @@ def cmd_simulate(args) -> int:
     chart = model.chart
 
     if chart.m == 1:
-        u0 = np.array([parse(e).eval({}) for e in model.initial.get("u", [])])
-        p0 = np.array([parse(e).eval({}) for e in model.initial.get("p", [])])
+        u0 = np.array([_eval_constant(e) for e in model.initial.get("u", [])])
+        p0 = np.array([_eval_constant(e) for e in model.initial.get("p", [])])
         if u0.shape != (chart.n,) or p0.shape != (chart.n,):
             raise ModelFileError(f"mechanics initial data needs {chart.n} 'u' "
                                  f"and {chart.n} 'p' entries")

@@ -31,7 +31,9 @@ the literal ``Const(0.0)``.
 :func:`simplify` returns the tree of the normal form, and that tree
 carries its normal form: simplifying it again takes O(1), and
 :meth:`Expression.diff` and the bracket builders differentiate, add and
-multiply the normal forms without re-normalizing.  ``simplify`` keeps
+multiply the normal forms without re-normalizing.
+:meth:`NormalForm.eval_many` evaluates a normal form without building
+its tree, with results bit-identical to the tree's ``eval_many``.  ``simplify`` keeps
 the value, up to rounding, wherever both the input and the output are
 defined, and a constant zero denominator raises :class:`DomainError`.
 It does not cancel non-monomial denominators (``(u1^2 - 1)/(u1 - 1)``
@@ -199,9 +201,15 @@ class Const(Expression):
         return _UNARY if self.value < 0 else _ATOM
 
     def _to_str(self):
-        if self.value == int(self.value) and abs(self.value) < 1e16:
-            return str(int(self.value))
-        return repr(self.value)
+        v = self.value
+        if math.isinf(v):
+            # 1e999 overflows to inf when parsed back
+            return "1e999" if v > 0.0 else "-1e999"
+        if v != v:
+            raise ExprError("the constant nan has no printed form")
+        if v == int(v) and abs(v) < 1e16:
+            return str(int(v))
+        return repr(v)
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -394,16 +402,7 @@ class Func(Expression):
         return _FUNC_EVAL[self.name](x)
 
     def eval_many(self, binding):
-        x = self.arg.eval_many(binding)
-        if self.name == "ln":
-            if np.any(x <= 0.0):
-                raise DomainError("ln of non-positive value")
-            return np.log(x)
-        if self.name == "sqrt":
-            if np.any(x < 0.0):
-                raise DomainError("sqrt of negative value")
-            return np.sqrt(x)
-        return getattr(np, self.name)(x)
+        return _func_many(self.name, self.arg.eval_many(binding))
 
     def substitute(self, mapping):
         return Func(self.name, self.arg.substitute(mapping))
@@ -413,6 +412,18 @@ class Func(Expression):
 
     def _to_str(self):
         return f"{self.name}({self.arg._to_str()})"
+
+
+def _func_many(name: str, x: np.ndarray) -> np.ndarray:
+    if name == "ln":
+        if np.any(x <= 0.0):
+            raise DomainError("ln of non-positive value")
+        return np.log(x)
+    if name == "sqrt":
+        if np.any(x < 0.0):
+            raise DomainError("sqrt of negative value")
+        return np.sqrt(x)
+    return getattr(np, name)(x)
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +574,21 @@ class NormalForm:
             except (DomainError, OverflowError):
                 pass
         return NormalForm.atom(_Compound(name, arg))
+
+    @staticmethod
+    def polynomial(terms: Iterable[tuple[Iterable[str], float]]) -> "NormalForm":
+        """The form of the sum of ``c * v1 * v2 * ...`` over (variable names, c).
+
+        Equal to the sum of the forms of those products, built without
+        multiplying forms.
+        """
+        monomials = [(tuple(names), float(c)) for names, c in terms]
+        atoms = tuple(sorted({name for names, _ in monomials for name in names}))
+        unit = {a: 1 << (_W * j) for j, a in enumerate(atoms)}
+        acc: dict[int, list[float]] = {}
+        for names, c in monomials:
+            acc.setdefault(sum(unit[name] for name in names), []).append(c)
+        return NormalForm(atoms, _fold(acc))
 
     @staticmethod
     def of(e: Expression) -> "NormalForm":
@@ -737,15 +763,21 @@ class NormalForm:
 
     def _rows(self) -> tuple[tuple, list[tuple[tuple[int, ...], float]]]:
         """Used atoms and (exponents, coefficient) rows, highest monomial first."""
-        n = len(self.atoms)
-        unpack = _unpacker(n)
-        rows = [(unpack(key), c) for key, c in self.terms.items()]
-        used = [j for j in range(n) if any(row[0][j] for row in rows)]
-        atoms = self.atoms
-        if len(used) < n:
-            atoms = tuple(atoms[j] for j in used)
-            rows = [(tuple(exps[j] for j in used), c) for exps, c in rows]
-        rows.sort(reverse=True)
+        n, atoms, coeffs = len(self.atoms), self.atoms, list(self.terms.values())
+        if n and coeffs:
+            # the keys' biased digits, unpacked as one array
+            bias, size = _bias(n), 4 * n
+            data = b"".join([(key + bias).to_bytes(size, "little") for key in self.terms])
+            exps = np.frombuffer(data, dtype="<u4").reshape(-1, n).astype(np.int64) - _HALF
+            used = exps.any(axis=0)
+            if not used.all():
+                atoms = tuple(a for a, u in zip(atoms, used) if u)
+                exps = exps[:, used]
+        if atoms and coeffs:
+            order = np.lexsort(exps.T[::-1])[::-1].tolist()  # descending, column 0 first
+            rows = list(zip(map(tuple, exps[order].tolist()), [coeffs[k] for k in order]))
+        else:  # a constant: at most one term
+            atoms, rows = (), [((), c) for c in coeffs]
         if self._vars is None:
             self._vars = frozenset().union(*((a,) if type(a) is str else a.variables for a in atoms))
         return atoms, rows
@@ -768,20 +800,72 @@ class NormalForm:
         """The canonical tree; its root carries this normal form."""
         atoms, rows = self._rows()
         factors = [Var(a) if type(a) is str else a.expr() for a in atoms]
-        terms = []
-        for exps, c in rows:
+
+        def term(c: float, exps) -> Expression:
             num, den = [], []
             for factor, e in zip(factors, exps):
                 if e:
                     (num if e > 0 else den).append(factor if abs(e) == 1 else Pow(factor, abs(e)))
-            terms.append((c, num, den))
-        tree = _sum_tree(terms)
+            return _term_tree(c, num, den)
+
+        tree = _sum(rows, term) if rows else Const(0.0)
         if type(tree) is Func:
             # a copy, so that an atom's cached tree never holds a form that
             # refers back to the atom
             tree = Func(tree.name, tree.arg)
         object.__setattr__(tree, "_nf", self)
         return tree
+
+    def eval_many(self, binding: Mapping[str, np.ndarray]) -> np.ndarray:
+        """``self.to_expr().eval_many(binding)``, computed term by term.
+
+        Performs the float operations of that tree walk in its order, with
+        its checks, so values and exceptions are bit-identical to it; each
+        distinct power of an atom is evaluated once per call, and no tree
+        is built.
+        """
+        return self._eval_many(binding, {})
+
+    def _eval_many(self, binding, powers: dict) -> np.ndarray:
+        """``powers`` maps (atom, exponent) to its value; nested forms share it."""
+        atoms, rows = self._rows()
+
+        def power(atom, e: int):
+            value = powers.get((atom, e))
+            if value is None:
+                if e > 1:
+                    value = power(atom, 1) ** float(e)
+                elif type(atom) is str:
+                    value = Var(atom).eval_many(binding)
+                else:
+                    value = atom.arg._eval_many(binding, powers)
+                    if atom.name:
+                        value = _func_many(atom.name, value)
+                powers[(atom, e)] = value
+            return value
+
+        def term(c: float, exps) -> np.ndarray:
+            # _term_tree: c * num[0] * num[1] ... / (den[0] * den[1] ...)
+            den = None
+            if exps and min(exps) < 0:
+                for atom, e in zip(atoms, exps):
+                    if e < 0:
+                        f = power(atom, -e)
+                        den = f if den is None else den * f
+                if np.any(den == 0.0):
+                    raise DomainError("division by zero")
+            top = None if abs(c) == 1.0 else np.float64(c)
+            for atom, e in zip(atoms, exps):
+                if e > 0:
+                    f = power(atom, e)
+                    top = f if top is None else top * f
+            if top is None:
+                top = np.float64(c)
+            elif c == -1.0:
+                top = -top
+            return top if den is None else top / den
+
+        return _sum(rows, term) if rows else np.float64(0.0)
 
 
 def _quotient(num: NormalForm, den: Expression) -> NormalForm:
@@ -843,33 +927,41 @@ def _term_tree(c: float, num: list, den: list) -> Expression:
 _RUN = 32
 
 
-def _sum_tree(terms: list) -> Expression:
-    if not terms:
-        return Const(0.0)
-    runs = []  # (negated, tree) per run of terms
-    for start in range(0, len(terms), _RUN):
-        chunk = terms[start:start + _RUN]
-        negated = chunk[0][0] < 0.0 and start > 0
-        tree = None
-        for c, num, den in chunk:
+def _sum(rows: list, term):
+    """The sum of ``term(c, exps)`` over the (exps, c) rows of a normal form,
+    in the shape of its canonical tree.
+
+    Runs of _RUN terms are folded to the left, a negative term subtracted
+    as ``term(-c, exps)``, and a later run led by a negative term is
+    negated; the runs are joined pairwise into a balanced tree, each pair
+    as soon as it is complete, which is the order a tree walk meets them.
+    ``term`` returns trees or values: ``+`` and ``-`` build the one and
+    compute the other.
+    """
+    def join(left, right):
+        (size, neg_l, a), (size_r, neg_r, b) = left, right
+        return size + size_r, neg_l, a - b if neg_l != neg_r else a + b
+
+    stack = []  # complete subtrees: (runs, negated, sum)
+    for start in range(0, len(rows), _RUN):
+        chunk = rows[start:start + _RUN]
+        negated = chunk[0][1] < 0.0 and start > 0
+        total = None
+        for exps, c in chunk:
             if negated:
                 c = -c
-            if tree is None:
-                tree = _term_tree(c, num, den)
+            if total is None:
+                total = term(c, exps)
             elif c < 0.0:
-                tree = Sub(tree, _term_tree(-c, num, den))
+                total = total - term(-c, exps)
             else:
-                tree = Add(tree, _term_tree(c, num, den))
-        runs.append((negated, tree))
-    while len(runs) > 1:
-        joined = []
-        for k in range(0, len(runs) - 1, 2):
-            (neg_l, left), (neg_r, right) = runs[k], runs[k + 1]
-            joined.append((neg_l, Sub(left, right) if neg_l != neg_r else Add(left, right)))
-        if len(runs) % 2:
-            joined.append(runs[-1])
-        runs = joined
-    return runs[0][1]
+                total = total + term(c, exps)
+        stack.append((1, negated, total))
+        while len(stack) > 1 and stack[-2][0] == stack[-1][0]:
+            stack[-2:] = [join(*stack[-2:])]
+    while len(stack) > 1:
+        stack[-2:] = [join(*stack[-2:])]
+    return stack[0][2]
 
 
 def simplify(e: Expression) -> Expression:

@@ -76,6 +76,10 @@ class SolverConfig:
     cfl_limit: float = 0.5
 
     def __post_init__(self):
+        for key in ("dt", "t_final", "dx", "x0"):
+            value = getattr(self, key)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"solver.{key} must be finite, got {value}")
         if self.dt <= 0.0:
             raise ValueError("time step must be positive")
         if self.boundary not in ("periodic", "dirichlet"):

@@ -12,11 +12,11 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .bracket import (ConnectionCheck, bracket_affine, bracket_linear,
-                      connection_is_hamiltonian, current_bracket, gamma_h,
-                      representation_residual)
-from .bundle import Chart, Current, DensityCoefficient, HamiltonianSection
-from .expr import Const, Expression, Mul, Var, add_all
+from .bracket import (ConnectionCheck, _current_bracket_forms, bracket_affine,
+                      bracket_linear, connection_is_hamiltonian, current_bracket,
+                      gamma_h, representation_residual)
+from .bundle import Chart, Current, CurrentForms, DensityCoefficient, HamiltonianSection
+from .expr import Const, Expression, Mul, NormalForm, Var
 from .models import model_td_mechanics, WaveModel, abelian_algebra, ym_residual
 from .solver import (GridSection, OdeState, SolverConfig, ddx, evolve_field,
                      evolve_ym_abelian, integrate_ode)
@@ -66,15 +66,12 @@ class VerificationReport:
 
 def random_polynomial(rng: np.random.Generator, names: tuple[str, ...],
                       degree: int = 2) -> Expression:
-    """Dense polynomial with coefficients uniform in [-1, 1]."""
-    terms = [Const(float(rng.uniform(-1.0, 1.0)))]
+    """Dense polynomial with coefficients uniform in [-1, 1], in canonical form."""
+    terms = [((), rng.uniform(-1.0, 1.0))]
     for d in range(1, degree + 1):
-        for combo in combinations_with_replacement(names, d):
-            mono: Expression = Const(float(rng.uniform(-1.0, 1.0)))
-            for name in combo:
-                mono = Mul(mono, Var(name))
-            terms.append(mono)
-    return add_all(terms)
+        terms += [(combo, rng.uniform(-1.0, 1.0))
+                  for combo in combinations_with_replacement(names, d)]
+    return NormalForm.polynomial(terms).to_expr()
 
 
 def random_current(rng: np.random.Generator, chart: Chart, degree: int = 2) -> Current:
@@ -88,9 +85,8 @@ def _sample_bindings(rng: np.random.Generator, names, count: int) -> dict[str, n
     return {name: rng.uniform(-1.0, 1.0, count) for name in names}
 
 
-def _eval_max(e: Expression, arrays: dict[str, np.ndarray]) -> float:
-    vals = np.atleast_1d(e.eval_many(arrays))
-    return float(np.max(np.abs(vals)))
+def _max_abs(values: np.ndarray) -> float:
+    return float(np.max(np.abs(np.atleast_1d(values))))
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +113,8 @@ def check_representation(seed: int = 0, trials: int = 20, samples: int = 100,
         sample_count=trials * samples, seed=seed)
 
 
-def _eval_current(c: Current, arrays) -> list[np.ndarray]:
-    out = [np.atleast_1d(e.eval_many(arrays)) for e in c.Y]
-    out += [np.atleast_1d(e.eval_many(arrays)) for e in c.beta]
-    return out
+def _eval_current(c: CurrentForms, arrays) -> list[np.ndarray]:
+    return [np.atleast_1d(f.eval_many(arrays)) for f in c.Y + c.beta]
 
 
 def _fd_current_bracket(a: Current, b: Current, binding: dict[str, float],
@@ -172,21 +166,25 @@ def check_jacobi_currents(seed: int = 1, trials: int = 20, samples: int = 100,
         c = random_current(rng, chart)
         arrays = _sample_bindings(rng, sorted(chart.names), samples)
 
-        ab, bc, ca = current_bracket(a, b), current_bracket(b, c), current_bracket(c, a)
-        cyc1 = _eval_current(current_bracket(ab, c), arrays)
-        cyc2 = _eval_current(current_bracket(bc, a), arrays)
-        cyc3 = _eval_current(current_bracket(ca, b), arrays)
+        # the laws are composed and evaluated on normal forms; the oracle
+        # below checks the public, tree-emitting current_bracket
+        ab_tree = current_bracket(a, b)
+        fa, fb, fc, ab = map(CurrentForms.of, (a, b, c, ab_tree))
+        bc, ca = _current_bracket_forms(fb, fc), _current_bracket_forms(fc, fa)
+        cyc1 = _eval_current(_current_bracket_forms(ab, fc), arrays)
+        cyc2 = _eval_current(_current_bracket_forms(bc, fa), arrays)
+        cyc3 = _eval_current(_current_bracket_forms(ca, fb), arrays)
         for v1, v2, v3 in zip(cyc1, cyc2, cyc3):
-            worst_jacobi = max(worst_jacobi, float(np.max(np.abs(v1 + v2 + v3))))
+            worst_jacobi = max(worst_jacobi, _max_abs(v1 + v2 + v3))
 
-        ba = current_bracket(b, a)
+        ba = _current_bracket_forms(fb, fa)
         for v1, v2 in zip(_eval_current(ab, arrays), _eval_current(ba, arrays)):
-            worst_antisym = max(worst_antisym, float(np.max(np.abs(v1 + v2))))
+            worst_antisym = max(worst_antisym, _max_abs(v1 + v2))
 
         # structural identity against the derivative-free-path oracle
         binding = {name: float(rng.uniform(-1.0, 1.0)) for name in sorted(chart.names)}
         oracle = _fd_current_bracket(a, b, binding)
-        direct = [e.eval(binding) for e in ab.Y] + [e.eval(binding) for e in ab.beta]
+        direct = [e.eval(binding) for e in ab_tree.Y + ab_tree.beta]
         for o, d in zip(oracle, direct):
             worst_oracle = max(worst_oracle, abs(o - d) / (1.0 + abs(d)))
 
@@ -217,13 +215,16 @@ def check_m1_reduction(seed: int = 2, pairs: int = 20, samples: int = 100,
         gd = DensityCoefficient(chart, g)
         h = HamiltonianSection(chart, g)
 
-        canonical = add_all(
-            Mul(f.diff(ua), g.diff(pa)) - Mul(f.diff(pa), g.diff(ua))
-            for ua, pa in zip(chart.u_names, chart.p_names))
-        affine = f.diff("x1") + canonical
+        F, G = NormalForm.of(f), NormalForm.of(g)
+        canonical = NormalForm.sum(
+            NormalForm.sum([F.diff(ua) * G.diff(pa), -(F.diff(pa) * G.diff(ua))])
+            for ua, pa in zip(chart.u_names, chart.p_names)).eval_many(arrays)
+        affine = F.diff("x1").eval_many(arrays) + canonical
 
-        worst = max(worst, _eval_max(bracket_linear(fd, gd).F - canonical, arrays))
-        worst = max(worst, _eval_max(bracket_affine(fd, h).F - affine, arrays))
+        linear = NormalForm.of(bracket_linear(fd, gd).F).eval_many(arrays)
+        worst = max(worst, _max_abs(linear - canonical))
+        worst = max(worst, _max_abs(NormalForm.of(bracket_affine(fd, h).F).eval_many(arrays)
+                                    - affine))
 
         self_bracket = bracket_linear(fd, fd).F
         if self_bracket != Const(0.0):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hdw.bracket import current_bracket
 from hdw.bundle import (EXTENDED_MOMENTUM, Chart, Current, DensityCoefficient,
                         HamiltonianSection, current_coefficients, d_current,
                         extended_density, extract_decomposition,
@@ -170,3 +171,12 @@ class TestExtendedDensity:
 def test_string_coefficients_are_parsed():
     c = Current(Chart(m=2, n=1), ("sin(u1)",), ("0", "x1"))
     assert c.Y[0] == parse("sin(u1)")
+
+
+def test_a_momentum_that_cancels_is_no_dependence():
+    # validation reads the normal forms, as the brackets compose them
+    chart = Chart(m=2, n=1)
+    c = Current(chart, ("p1_1 - p1_1 + u1",), ("0", "x1"))
+    assert validate_current(c)
+    assert current_coefficients(c)[0].variables() == {"u1", "p1_1"}
+    assert current_bracket(c, Current(chart, ("1",), ("0", "0"))).Y[0].variables() == set()

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,3 +337,52 @@ def test_numeric_failure_exit_code(tmp_path):
         "currents": [{"name": "q", "F": "u1"}],
     })
     assert main(["bracket", "--model", path, "--at", "x1=0,u1=1,p1_1=0"]) == 3
+
+
+@pytest.mark.parametrize("key, value", [("t_final", float("inf")), ("dt", float("nan"))])
+def test_non_finite_solver_value_exits_2_without_output(key, value, tmp_path, capsys):
+    solver = {"dt": 0.01, "t_final": 0.1}
+    solver[key] = value
+    path = write_model(tmp_path, {
+        "chart": {"m": 1, "n": 1},
+        "hamiltonian": "p1_1^2/2 + u1^2/2",
+        "initial": {"u": ["1"], "p": ["0"]},
+        "solver": solver,
+    })
+    assert ("Infinity" if value > 0 else "NaN") in Path(path).read_text()
+    out = tmp_path / "run"
+    assert main(["simulate", "--model", path, "--out", str(out)]) == 2
+    assert f"solver.{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_ZEROS = "0 + " * 3000  # a parsed sum far deeper than the recursion limit
+
+
+@pytest.mark.parametrize("model, entry, shallow", [
+    ({"chart": {"m": 1, "n": 1}, "hamiltonian": "p1_1^2/2 + u1^2/2",
+      "initial": {"u": ["0.5"], "p": ["0"]}, "solver": {"dt": 0.01, "t_final": 0.1}},
+     "u", "0.5"),
+    ({"model": "wave", "initial": {"u": ["sin(x2)"], "M": ["-cos(x2)"]},
+      "solver": {"dt": 0.05, "t_final": 0.1, "K": 16, "dx": 0.39269908169872414}},
+     "u", "sin(x2)"),
+], ids=["ode", "field"])
+def test_deep_parsed_initial_data(model, entry, shallow, tmp_path):
+    rows = []
+    for name, text in (("shallow", shallow), ("deep", _ZEROS + shallow)):
+        model["initial"][entry] = [text]
+        out = tmp_path / name
+        assert main(["simulate", "--model", write_model(tmp_path, model, f"{name}.json"),
+                     "--out", str(out)]) == 0
+        rows.append((out / "trajectory.csv").read_text().splitlines()[1])
+    assert rows[0] == rows[1]
+
+
+def test_parse_check_infinite_constant(capsys):
+    assert main(["parse-check", "1e400"]) == 0
+    assert capsys.readouterr().out == "ok: 1e999\n"
+
+
+def test_parse_check_nan_constant_is_usage_error(capsys):
+    assert main(["parse-check", "1e400/1e400"]) == 2
+    assert "the constant nan has no printed form" in capsys.readouterr().err

@@ -58,3 +58,15 @@ def test_output_is_independent_of_hash_seed(tmp_path):
                         (out / "manifest.json").read_bytes()))
     assert b"a: " in outputs[0][0] and b"b: " in outputs[0][0]
     assert outputs[0] == outputs[1]
+
+
+def test_verification_report_is_independent_of_hash_seed(tmp_path):
+    # the residuals are composed and evaluated on normal forms; their order
+    # of evaluation must not follow set or dict hash order
+    reports = []
+    for seed in (0, 1):
+        out = tmp_path / f"verify{seed}"
+        _run(["verify", "--seed", "3", "--out", str(out)], tmp_path, seed)
+        reports.append((out / "verification.json").read_bytes())
+    assert b'"representation_identity"' in reports[0]
+    assert reports[0] == reports[1]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hdw.expr import (Add, Const, DomainError, Mul, Neg, ParseError, Pow,
+from hdw.expr import (Add, Const, DomainError, ExprError, Mul, Neg, ParseError, Pow,
                       UnboundVariableError, Var, parse, simplify)
 
 
@@ -206,3 +206,18 @@ def test_expressions_hashable_and_immutable():
     assert hash(Pow(Var("u1"), 2)) == hash(Pow(Var("u1"), 2))
     with pytest.raises(AttributeError):
         Var("u1").name = "u2"
+
+
+@pytest.mark.parametrize("e", [
+    Const(math.inf), Const(-math.inf), Mul(Var("u1"), Const(-math.inf)),
+    Pow(Const(-math.inf), 2), Add(Const(math.inf), Neg(Var("u1"))),
+], ids=str)
+def test_infinite_constants_print_and_parse_back(e):
+    back = parse(str(e))
+    for u1 in (-2.0, 0.5):
+        assert back.eval({"u1": u1}) == e.eval({"u1": u1})
+
+
+def test_nan_constant_has_no_printed_form():
+    with pytest.raises(ExprError, match="nan"):
+        str(Mul(Var("u1"), Const(math.nan)))

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from hdw.expr import (FUNCTIONS, Add, Const, Div, DomainError, Func, Mul,
-                      Neg, Pow, Sub, Var, compile_exprs, parse, simplify)
+                      NormalForm, Neg, Pow, Sub, UnboundVariableError, Var,
+                      compile_exprs, parse, simplify)
 from hdw.models import PerfectGasModel, WaveModel
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -256,3 +257,56 @@ def test_compiled_kernel_keeps_signed_zero_and_non_finite_constants(numpy):
     u1 = np.array([2.0]) if numpy else 2.0
     expected = [x.eval_many({"u1": u1}) if numpy else x.eval({"u1": u1}) for x in exprs]
     assert _outcome(lambda: kernel(u1)) == _outcome(lambda: expected)
+
+
+def _form_and_tree_outcomes(form, binding):
+    """Outcomes of NormalForm.eval_many and of the tree walk of its tree."""
+    def outcome(compute):
+        try:
+            return _outcome(lambda: [compute()])
+        except UnboundVariableError as exc:
+            return type(exc), str(exc)
+
+    return (outcome(lambda: form.eval_many(binding)),
+            outcome(lambda: form.to_expr().eval_many(binding)))
+
+
+def _bindings():
+    arrays = {n: np.array([b[n] for b in POINTS]) for n in NAMES}
+    return [arrays, {**arrays, "x1": 0.5}, POINTS[0],
+            {n: arrays[n] for n in NAMES[1:]}]  # x1 unbound
+
+
+@given(trees)
+def test_form_eval_many_is_bit_identical_to_the_tree_walk(e):
+    s = _canonical(e)
+    if s is None:
+        return
+    form = NormalForm.of(s)
+    for b in _bindings():
+        got, expected = _form_and_tree_outcomes(form, b)
+        assert got == expected, (str(s), b)
+
+
+@pytest.mark.parametrize("text", [
+    # 136 terms with mixed signs: several runs, some led by a negative term
+    "sin(u1)*(u1 - x1 - 0.5)^15/(1 + p1_1^2)",
+    # a sum atom under a function and a zero denominator at one point
+    "exp(1/(u1 - x1))*(u1 + 2*x1 - p1_1 + 1)^9 - ln(u1^2 + 1)/(u1 - x1)^2",
+    " - ".join(f"{k}*u1^{k}*sqrt(x1^2 + 1)" for k in range(1, 130)),
+])
+def test_long_form_eval_many_is_bit_identical_to_the_tree_walk(text):
+    form = NormalForm.of(parse(text))
+    arrays = {n: np.array([b[n] for b in POINTS]) for n in NAMES}
+    for b in _bindings() + [{**arrays, "u1": arrays["x1"]}]:
+        got, expected = _form_and_tree_outcomes(form, b)
+        assert got == expected, b
+
+
+@pytest.mark.parametrize("numpy", [False, True])
+def test_form_eval_many_keeps_non_finite_coefficients(numpy):
+    # inf and nan coefficients, and a signed zero in the binding
+    form = NormalForm.of(Add(Mul(Const(math.inf), Var("u1")), Mul(Const(math.nan), Var("x1"))))
+    b = {"u1": np.array([2.0, -0.0]), "x1": np.array([1.0, 3.0])} if numpy else POINTS[0]
+    got, expected = _form_and_tree_outcomes(form, b)
+    assert got == expected

@@ -1,6 +1,9 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
+from hdw.expr import Const, Mul, NormalForm, Var, add_all
 from hdw.verify import (SUITES, check_bracket_evolution_converse,
                         check_bracket_evolution_ode, check_connection_class,
                         check_jacobi_currents, check_m1_reduction,
@@ -88,3 +91,34 @@ def test_all_suites_registered():
     assert set(SUITES) == {"representation", "jacobi", "m1-reduction",
                            "connection", "evolution-ode", "evolution-field",
                            "evolution-converse", "yang-mills"}
+
+
+@pytest.mark.parametrize("check, seed, limit", [
+    (check_representation, 0, 18),  # one tree per random polynomial
+    (check_jacobi_currents, 1, 32),  # and the public current_bracket per trial
+])
+def test_brackets_and_residuals_emit_no_intermediate_trees(check, seed, limit, monkeypatch):
+    calls = []
+    to_expr = NormalForm.to_expr
+
+    def counted(self):
+        calls.append(self)
+        return to_expr(self)
+
+    monkeypatch.setattr(NormalForm, "to_expr", counted)
+    assert check(seed=seed, trials=2, samples=20).passed
+    assert len(calls) <= limit
+
+
+def test_random_polynomial_is_the_sum_of_its_monomials():
+    names = ("x1", "u1", "p1_1")
+    e = random_polynomial(np.random.default_rng(3), names, degree=3)
+    rng = np.random.default_rng(3)
+    terms = [Const(rng.uniform(-1.0, 1.0))]
+    for d in (1, 2, 3):
+        for combo in combinations_with_replacement(names, d):
+            mono = Const(rng.uniform(-1.0, 1.0))
+            for name in combo:
+                mono = Mul(mono, Var(name))
+            terms.append(mono)
+    assert e == add_all(terms)
