@@ -390,7 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("parse-check", help="parse expressions and print them back")
-    p.add_argument("expression", nargs="+", help="expression text")
+    p.add_argument("expression", nargs="+",
+                   help="expression text; after --, one may start with a minus: "
+                        "hdw parse-check -- -u1")
     p.set_defaults(func=cmd_parse_check)
 
     return parser

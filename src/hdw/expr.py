@@ -11,9 +11,14 @@ and a recursive-descent parser for the textual grammar:
     func   := 'sin' | 'cos' | 'exp' | 'ln' | 'sqrt'
 
 Whitespace is insignificant.  Exponents are restricted to constant
-integers so differentiation stays closed-form.  Expressions are
-immutable and hashable; printing then re-parsing yields an
-evaluation-equivalent tree.
+integers so differentiation stays closed-form.  Factors nest at most
+:data:`MAX_NESTING` deep: each parenthesis, function call and unary minus
+nests one.  Expressions are immutable and hashable; printing then
+re-parsing yields an evaluation-equivalent tree.
+
+Evaluation, printing, substitution and :func:`compile_exprs` share one
+iterative walk over the tree, driven by one table of operations, so any
+tree that parses also evaluates and prints.
 
 Canonical form.  Every expression has a :class:`NormalForm`: a sparse
 sum of products, mapping monomials to float coefficients.  A monomial
@@ -46,7 +51,8 @@ from __future__ import annotations
 import math
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -95,10 +101,10 @@ class Expression:
     __slots__ = ("_nf",)
 
     def eval(self, binding: Binding) -> float:
-        raise NotImplementedError
+        return _evaluate(self, binding, False)
 
     def eval_many(self, binding: Mapping[str, np.ndarray]) -> np.ndarray:
-        raise NotImplementedError
+        return _evaluate(self, binding, True)
 
     def diff(self, var: str) -> "Expression":
         """Exact derivative with respect to ``var``, in canonical form."""
@@ -120,23 +126,25 @@ class Expression:
             elif type(node) is Var:
                 names.add(node.name)
             elif type(node) is not Const:
-                stack += _children(node)
+                stack += [getattr(node, f) for f in _op(node).operands]
         return frozenset(names)
 
     def substitute(self, mapping: Mapping[str, "Expression | float"]) -> "Expression":
-        raise NotImplementedError
-
-    def _prec(self) -> int:
-        raise NotImplementedError
-
-    def _to_str(self) -> str:
-        raise NotImplementedError
+        """A copy with each variable named in ``mapping`` replaced by its value."""
+        out: list[Expression] = []
+        for node, op in _steps(self):
+            if type(op) is _Op:
+                out.append(replace(node, **dict(zip(op.operands, _pop(out, op)))))
+            elif op is None:
+                out.append(_coerce(mapping[node.name])
+                           if type(node) is Var and node.name in mapping else node)
+        return out[0]
 
     def __str__(self) -> str:
-        return self._to_str()
+        return _print(self, strict=True)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._to_str()!r})"
+        return f"{type(self).__name__}({_print(self, strict=False)!r})"
 
     # Operator sugar; coerces plain numbers to constants.
     def __add__(self, other):
@@ -172,14 +180,6 @@ class Expression:
         return Neg(self)
 
 
-def _paren(child: Expression, minimum: int) -> str:
-    s = child._to_str()
-    return f"({s})" if child._prec() < minimum else s
-
-
-_ADD, _MUL, _UNARY, _POW, _ATOM = 1, 2, 3, 4, 5
-
-
 @dataclass(frozen=True, slots=True, repr=False)
 class Const(Expression):
     value: float
@@ -188,76 +188,15 @@ class Const(Expression):
         if type(self.value) is not float:
             object.__setattr__(self, "value", float(self.value))
 
-    def eval(self, binding):
-        return self.value
-
-    def eval_many(self, binding):
-        return np.float64(self.value)
-
-    def substitute(self, mapping):
-        return self
-
-    def _prec(self):
-        return _UNARY if self.value < 0 else _ATOM
-
-    def _to_str(self):
-        v = self.value
-        if math.isinf(v):
-            # 1e999 overflows to inf when parsed back
-            return "1e999" if v > 0.0 else "-1e999"
-        if v != v:
-            raise ExprError("the constant nan has no printed form")
-        if v == int(v) and abs(v) < 1e16:
-            return str(int(v))
-        return repr(v)
-
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Var(Expression):
     name: str
 
-    def eval(self, binding):
-        try:
-            return float(binding[self.name])
-        except KeyError:
-            raise UnboundVariableError(self.name) from None
-
-    def eval_many(self, binding):
-        try:
-            return np.asarray(binding[self.name], dtype=float)
-        except KeyError:
-            raise UnboundVariableError(self.name) from None
-
-    def substitute(self, mapping):
-        if self.name in mapping:
-            return _coerce(mapping[self.name])
-        return self
-
-    def _prec(self):
-        return _ATOM
-
-    def _to_str(self):
-        return self.name
-
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Neg(Expression):
     arg: Expression
-
-    def eval(self, binding):
-        return -self.arg.eval(binding)
-
-    def eval_many(self, binding):
-        return -self.arg.eval_many(binding)
-
-    def substitute(self, mapping):
-        return Neg(self.arg.substitute(mapping))
-
-    def _prec(self):
-        return _UNARY
-
-    def _to_str(self):
-        return "-" + _paren(self.arg, _UNARY)
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -265,41 +204,11 @@ class Add(Expression):
     left: Expression
     right: Expression
 
-    def eval(self, binding):
-        return self.left.eval(binding) + self.right.eval(binding)
-
-    def eval_many(self, binding):
-        return self.left.eval_many(binding) + self.right.eval_many(binding)
-
-    def substitute(self, mapping):
-        return Add(self.left.substitute(mapping), self.right.substitute(mapping))
-
-    def _prec(self):
-        return _ADD
-
-    def _to_str(self):
-        return f"{_paren(self.left, _ADD)} + {_paren(self.right, _ADD)}"
-
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Sub(Expression):
     left: Expression
     right: Expression
-
-    def eval(self, binding):
-        return self.left.eval(binding) - self.right.eval(binding)
-
-    def eval_many(self, binding):
-        return self.left.eval_many(binding) - self.right.eval_many(binding)
-
-    def substitute(self, mapping):
-        return Sub(self.left.substitute(mapping), self.right.substitute(mapping))
-
-    def _prec(self):
-        return _ADD
-
-    def _to_str(self):
-        return f"{_paren(self.left, _ADD)} - {_paren(self.right, _ADD + 1)}"
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -307,47 +216,11 @@ class Mul(Expression):
     left: Expression
     right: Expression
 
-    def eval(self, binding):
-        return self.left.eval(binding) * self.right.eval(binding)
-
-    def eval_many(self, binding):
-        return self.left.eval_many(binding) * self.right.eval_many(binding)
-
-    def substitute(self, mapping):
-        return Mul(self.left.substitute(mapping), self.right.substitute(mapping))
-
-    def _prec(self):
-        return _MUL
-
-    def _to_str(self):
-        return f"{_paren(self.left, _MUL)}*{_paren(self.right, _MUL + 1)}"
-
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Div(Expression):
     left: Expression
     right: Expression
-
-    def eval(self, binding):
-        den = self.right.eval(binding)
-        if den == 0.0:
-            raise DomainError("division by zero")
-        return self.left.eval(binding) / den
-
-    def eval_many(self, binding):
-        den = self.right.eval_many(binding)
-        if np.any(den == 0.0):
-            raise DomainError("division by zero")
-        return self.left.eval_many(binding) / den
-
-    def substitute(self, mapping):
-        return Div(self.left.substitute(mapping), self.right.substitute(mapping))
-
-    def _prec(self):
-        return _MUL
-
-    def _to_str(self):
-        return f"{_paren(self.left, _MUL)}/{_paren(self.right, _MUL + 1)}"
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -355,75 +228,198 @@ class Pow(Expression):
     base: Expression
     exponent: int
 
-    def eval(self, binding):
-        b = self.base.eval(binding)
-        if b == 0.0 and self.exponent <= 0:
-            raise DomainError(f"0^{self.exponent} is undefined")
-        return b ** self.exponent
-
-    def eval_many(self, binding):
-        b = self.base.eval_many(binding)
-        if self.exponent <= 0 and np.any(b == 0.0):
-            raise DomainError(f"0^{self.exponent} is undefined")
-        return b ** float(self.exponent)
-
-    def substitute(self, mapping):
-        return Pow(self.base.substitute(mapping), self.exponent)
-
-    def _prec(self):
-        return _POW
-
-    def _to_str(self):
-        return f"{_paren(self.base, _ATOM)}^{self.exponent}"
-
-
-_FUNC_EVAL = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-}
-
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Func(Expression):
     name: str
     arg: Expression
 
-    def eval(self, binding):
-        x = self.arg.eval(binding)
-        if self.name == "ln":
-            if x <= 0.0:
-                raise DomainError(f"ln of non-positive value {x}")
-            return math.log(x)
-        if self.name == "sqrt":
-            if x < 0.0:
-                raise DomainError(f"sqrt of negative value {x}")
-            return math.sqrt(x)
-        return _FUNC_EVAL[self.name](x)
 
-    def eval_many(self, binding):
-        return _func_many(self.name, self.arg.eval_many(binding))
+# ---------------------------------------------------------------------------
+# The tree walk
+#
+# Each operation is written once, as Python code over its operands, and
+# each domain check once, as a test.  compile_exprs emits the code inline;
+# the walk runs the same code compiled once per flavour, on floats with
+# math's functions or on arrays with numpy's, so the two compute alike.
 
-    def substitute(self, mapping):
-        return Func(self.name, self.arg.substitute(mapping))
-
-    def _prec(self):
-        return _ATOM
-
-    def _to_str(self):
-        return f"{self.name}({self.arg._to_str()})"
+_NAMESPACES = tuple({"sin": m.sin, "cos": m.cos, "exp": m.exp, "ln": m.log, "sqrt": m.sqrt}
+                    for m in (math, np))
 
 
-def _func_many(name: str, x: np.ndarray) -> np.ndarray:
-    if name == "ln":
-        if np.any(x <= 0.0):
-            raise DomainError("ln of non-positive value")
-        return np.log(x)
-    if name == "sqrt":
-        if np.any(x < 0.0):
-            raise DomainError("sqrt of negative value")
-        return np.sqrt(x)
-    return getattr(np, name)(x)
+class _Check:
+    """A domain check of an operand: where ``test``, a format over the
+    operand, holds (on an array: anywhere), the operation raises
+    :class:`DomainError` with ``message``, a format over the node; with
+    ``shows_value`` a scalar message ends with the operand's value."""
+
+    def __init__(self, test: str, message: str, shows_value: bool = False):
+        self.tests = (test, f"({test}).any()")
+        self.holds = tuple(eval(f"lambda x: {t.format('x')}") for t in self.tests)
+        self.message, self.shows_value = message, shows_value
+
+    def __call__(self, value, numpy: bool, node=None) -> None:
+        if self.holds[numpy](value):
+            message = self.message.format(node)
+            raise DomainError(f"{message} {value}" if self.shows_value and not numpy else message)
+
+    def code(self, x: str, numpy: bool, node) -> str:
+        """The line of a generated function that checks its variable ``x``."""
+        message = self.message.format(node)
+        message = f'f"{message} {{{x}}}"' if self.shows_value and not numpy else repr(message)
+        return f"    if {self.tests[numpy].format(x)}: raise DomainError({message})"
+
+
+class _Op:
+    """One operation: ``form`` prints it and ``code`` computes it, both
+    formats over its operand fields and then its ``params`` fields, which
+    numpy code reads as floats.  ``operands`` are (field, least precedence
+    printed without parentheses) pairs in evaluation order; ``check`` runs
+    on the first operand before any other operand is evaluated."""
+
+    def __init__(self, form: str, prec: int, operands: tuple, code: str | None = None,
+                 params: tuple = (), check: _Check | None = None):
+        self.prec, self.params, self.check = prec, params, check
+        self.operands, self.tight = zip(*operands)
+        self.first = attrgetter(self.operands[0])
+        self.second = attrgetter(self.operands[1]) if len(operands) == 2 else None
+        position = {name: f"{{{j}}}" for j, name in enumerate(self.operands + params)}
+        self.form, self.code = (t.format_map(position) for t in (form, code or form))
+        # the walk runs the code as a function of the operands and the node
+        self.run = tuple(
+            eval(f"lambda {', '.join(self.operands)}, node: "
+                 + self.code.format(*self.operands, *(f"{read}(node.{p})" for p in params)),
+                 dict(ns))
+            for ns, read in zip(_NAMESPACES, ("", "float")))
+
+    def params_of(self, node, numpy: bool) -> list:
+        return [float(getattr(node, p)) if numpy else getattr(node, p) for p in self.params]
+
+    def apply(self, x, numpy: bool):
+        """The operation of its one operand ``x``, checked first."""
+        if self.check is not None:
+            self.check(x, numpy)
+        return self.run[numpy](x, None)
+
+
+_ADD, _MUL, _UNARY, _POW, _ATOM = 1, 2, 3, 4, 5
+_ZERO = _Check("{} == 0.0", "division by zero")
+_POW_ZERO = _Check(_ZERO.tests[0], "0^{0.exponent} is undefined")
+_DOMAINS = {"ln": _Check("{} <= 0.0", "ln of non-positive value", shows_value=True),
+            "sqrt": _Check("{} < 0.0", "sqrt of negative value", shows_value=True)}
+
+
+_OPS = {
+    Neg: _Op("-{arg}", _UNARY, (("arg", _UNARY),)),
+    Add: _Op("{left} + {right}", _ADD, (("left", _ADD), ("right", _ADD))),
+    Sub: _Op("{left} - {right}", _ADD, (("left", _ADD), ("right", _ADD + 1))),
+    Mul: _Op("{left}*{right}", _MUL, (("left", _MUL), ("right", _MUL + 1))),
+    # a quotient checks its denominator before it evaluates its numerator
+    Div: _Op("{left}/{right}", _MUL, (("right", _MUL + 1), ("left", _MUL)), check=_ZERO),
+    # keyed by whether the exponent is <= 0, where a zero base is undefined
+    **{(Pow, checked): _Op("{base}^{exponent}", _POW, (("base", _ATOM),), "{base} ** {exponent}",
+                           ("exponent",), _POW_ZERO if checked else None)
+       for checked in (False, True)},
+    **{name: _Op(name + "({arg})", _ATOM, (("arg", 0),), check=_DOMAINS.get(name))
+       for name in FUNCTIONS},
+}
+
+
+def _op(node) -> _Op | None:
+    """The operation of ``node``; None for a Const or Var."""
+    t = type(node)
+    if t is Func:
+        return _OPS[node.name]
+    if t is Pow:
+        return _OPS[Pow, node.exponent <= 0]
+    return _OPS.get(t)
+
+
+def _steps(root: Expression) -> list[tuple]:
+    """The tree under ``root`` in evaluation order, found without recursion.
+
+    A step (node, op) comes after the steps of the node's operands, in the
+    order of ``op.operands``; ``op`` is None for a Const or Var.  A node
+    whose op has a check also has a step (node, op.check) right after the
+    steps of its first operand.
+    """
+    steps, stack = [], [root]
+    step, visit, pop = steps.append, stack.append, stack.pop
+    while stack:
+        node = pop()
+        t = type(node)
+        if t is Var or t is Const:
+            step((node, None))
+        elif t is tuple:
+            step(node)
+        else:
+            op = _op(node)
+            step((node, op))
+            # pushed in evaluation order, so the first operand is visited
+            # last and comes first in the reversed list
+            visit(op.first(node))
+            if op.check is not None:
+                visit((node, op.check))
+            if op.second is not None:
+                visit(op.second(node))
+    steps.reverse()
+    return steps
+
+
+def _pop(values: list, op: _Op) -> list:
+    """The values of ``op``'s operands, taken off the end of ``values``."""
+    n = len(op.operands)
+    taken = values[-n:]
+    del values[-n:]
+    return taken
+
+
+def _evaluate(root: Expression, binding, numpy: bool):
+    """The value of ``root`` at ``binding``: a float, or with ``numpy`` an array."""
+    values: list = []
+    for node, op in _steps(root):
+        if type(node) is Const:
+            values.append(np.float64(node.value) if numpy else node.value)
+        elif op is None:
+            try:
+                value = binding[node.name]
+            except KeyError:
+                raise UnboundVariableError(node.name) from None
+            values.append(np.asarray(value, dtype=float) if numpy else float(value))
+        elif type(op) is _Check:
+            op(values[-1], numpy, node)
+        elif op.second is None:
+            values[-1] = op.run[numpy](values[-1], node)
+        else:
+            second = values.pop()
+            values[-1] = op.run[numpy](values[-1], second, node)
+    return values[0]
+
+
+def _print(root: Expression, strict: bool) -> str:
+    """The printed form; a nan constant raises if ``strict`` and prints as nan if not."""
+    out: list[tuple[str, int]] = []  # (text, precedence)
+    for node, op in _steps(root):
+        if type(node) is Var:
+            out.append((node.name, _ATOM))
+        elif op is None:
+            out.append((_const_text(node.value, strict), _UNARY if node.value < 0 else _ATOM))
+        elif type(op) is _Op:
+            texts = [t if p >= q else f"({t})" for (t, p), q in zip(_pop(out, op), op.tight)]
+            out.append((op.form.format(*texts, *op.params_of(node, False)), op.prec))
+    return out[0][0]
+
+
+def _const_text(v: float, strict: bool) -> str:
+    if math.isinf(v):
+        # 1e999 overflows to inf when parsed back
+        return "1e999" if v > 0.0 else "-1e999"
+    if v != v:
+        if strict:
+            raise ExprError("the constant nan has no printed form")
+    elif v == int(v) and abs(v) < 1e16:
+        return str(int(v))
+    return repr(v)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +566,7 @@ class NormalForm:
         arg = arg._trimmed()
         if not arg.atoms:
             try:
-                return NormalForm.constant(Func(name, Const(arg.terms.get(0, 0.0))).eval({}))
+                return NormalForm.constant(_OPS[name].apply(arg.terms.get(0, 0.0), False))
             except (DomainError, OverflowError):
                 pass
         return NormalForm.atom(_Compound(name, arg))
@@ -840,7 +836,7 @@ class NormalForm:
                 else:
                     value = atom.arg._eval_many(binding, powers)
                     if atom.name:
-                        value = _func_many(atom.name, value)
+                        value = _OPS[atom.name].apply(value, True)
                 powers[(atom, e)] = value
             return value
 
@@ -852,8 +848,7 @@ class NormalForm:
                     if e < 0:
                         f = power(atom, -e)
                         den = f if den is None else den * f
-                if np.any(den == 0.0):
-                    raise DomainError("division by zero")
+                _ZERO(den, True)
             top = None if abs(c) == 1.0 else np.float64(c)
             for atom, e in zip(atoms, exps):
                 if e > 0:
@@ -923,7 +918,7 @@ def _term_tree(c: float, num: list, den: list) -> Expression:
 
 
 # terms per left-nested run of a sum; runs are joined as a balanced tree, so
-# the depth of a tree stays within the recursion limit of eval and printing
+# comparing and hashing a tree, which recurse, stay within the recursion limit
 _RUN = 32
 
 
@@ -984,48 +979,23 @@ def add_all(terms) -> Expression:
 # ---------------------------------------------------------------------------
 # Compiled evaluation
 
-_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-# (test, default message) of the domain checks: scalar, then numpy
-_CHECKS = {
-    "ln": (("{} <= 0.0", 'f"ln of non-positive value {{{}}}"'),
-           ("({} <= 0.0).any()", '"ln of non-positive value"')),
-    "sqrt": (("{} < 0.0", 'f"sqrt of negative value {{{}}}"'),
-             ("({} < 0.0).any()", '"sqrt of negative value"')),
-    "zero": (("{} == 0.0", '"division by zero"'),
-             ("({} == 0.0).any()", '"division by zero"')),
-}
-
-
 def compile_exprs(exprs: Iterable[Expression], args: Iterable[str], numpy: bool = False):
     """One generated Python function that evaluates all of ``exprs``.
 
     The function takes the values of the variables ``args`` positionally
     and returns a tuple with one value per expression.  Its source is flat:
     one assignment per distinct subtree, where equal subtrees, also across
-    expressions, are computed once.  It performs the float operations of
+    expressions, are computed once.  It is the tree walk of
     :meth:`Expression.eval` (``numpy=False``, arguments are Python floats)
-    or of :meth:`Expression.eval_many` (``numpy=True``) in the order those
-    perform them, with the same :class:`DomainError` checks, so its results
-    are bit-identical to theirs.  Raises :class:`UnboundVariableError` for
-    a variable not in ``args``.
+    or of :meth:`Expression.eval_many` (``numpy=True``) written out: the
+    same operations in the same order, with the same :class:`DomainError`
+    checks, so its results are bit-identical to theirs.  Raises
+    :class:`UnboundVariableError` for a variable not in ``args``.
     """
     params = {name: f"a{j}" for j, name in enumerate(args)}
-    ns = {"DomainError": DomainError, "asarray": np.asarray}
-    mod = np if numpy else math
-    ns.update(sin=mod.sin, cos=mod.cos, exp=mod.exp, ln=mod.log, sqrt=mod.sqrt)
-    lines: list[str] = []
-    operand: dict[int, str] = {}  # id(node) -> name or literal of its value
-    known: dict[tuple, str] = {}  # structural key -> name of its value
-    emitted: set[str] = set()
-
-    def once(line: str) -> None:
-        if line not in emitted:
-            emitted.add(line)
-            lines.append(line)
-
-    def check(kind: str, x: str, message: str | None = None) -> None:
-        test, default = _CHECKS[kind][numpy]
-        once(f"    if {test.format(x)}: raise DomainError({(message or default).format(x)})")
+    ns = {"DomainError": DomainError, "asarray": np.asarray, **_NAMESPACES[numpy]}
+    lines: dict[str, None] = {}  # in order, each once
+    known: dict[str, str] = {}  # code of a value, or repr of a constant -> its name
 
     def leaf(node) -> str:
         if type(node) is Var:
@@ -1033,74 +1003,32 @@ def compile_exprs(exprs: Iterable[Expression], args: Iterable[str], numpy: bool 
                 raise UnboundVariableError(node.name)
             name = params[node.name]
             if numpy:
-                once(f"    {name} = asarray({name}, dtype=float)")
+                lines[f"    {name} = asarray({name}, dtype=float)"] = None
             return name
         if numpy or not math.isfinite(node.value):
-            name = known.setdefault(("const", repr(node.value)), f"c{len(ns)}")
+            name = known.setdefault(repr(node.value), f"c{len(ns)}")
             ns.setdefault(name, np.float64(node.value) if numpy else node.value)
             return name
         return f"({node.value!r})"
 
-    def emit(node) -> str:
-        t = type(node)
-        if t is Neg:
-            key = ("-", operand[id(node.arg)])
-            code = f"-{key[1]}"
-        elif t is Pow:
-            base, e = operand[id(node.base)], node.exponent
-            key, code = ("^", base, e), f"{base} ** {float(e) if numpy else e}"
-            if e <= 0:
-                check("zero", base, f'"0^{e} is undefined"')
-        elif t is Func:
-            arg = operand[id(node.arg)]
-            key, code = (node.name, arg), f"{node.name}({arg})"
-            if node.name in _CHECKS:
-                check(node.name, arg)
-        else:
-            left, right = operand[id(node.left)], operand[id(node.right)]
-            key = (_BINARY[t], left, right)
-            code = f"{left} {key[0]} {right}"
-        if key not in known:
-            known[key] = f"v{len(known)}"
-            lines.append(f"    {known[key]} = {code}")
-        return known[key]
-
     outputs = []
     for root in exprs:
-        # post-order walk in eval's order: a quotient checks its denominator
-        # before it evaluates its numerator
-        stack = [(root, 0)]
-        while stack:
-            node, phase = stack.pop()
-            if phase == 0:
-                if id(node) in operand:
-                    continue
-                t = type(node)
-                if t is Var or t is Const:
-                    operand[id(node)] = leaf(node)
-                elif t is Div:
-                    stack += [(node, 2), (node.left, 0), (node, 1), (node.right, 0)]
-                else:
-                    stack.append((node, 2))
-                    stack += [(child, 0) for child in reversed(_children(node))]
-            elif phase == 1:
-                check("zero", operand[id(node.right)])
+        names: list[str] = []
+        for node, op in _steps(root):
+            if op is None:
+                names.append(leaf(node))
+            elif type(op) is _Check:
+                lines[op.code(names[-1], numpy, node)] = None
             else:
-                operand[id(node)] = emit(node)
-        outputs.append(operand[id(root)])
+                code = op.code.format(*_pop(names, op), *op.params_of(node, numpy))
+                name = known.setdefault(code, f"v{len(known)}")
+                lines[f"    {name} = {code}"] = None
+                names.append(name)
+        outputs.append(names[0])
     source = (f"def kernel({', '.join(params.values())}):\n" + "\n".join(lines)
               + f"\n    return ({''.join(o + ', ' for o in outputs)})\n")
     exec(compile(source, "<compile_exprs>", "exec"), ns)
     return ns["kernel"]
-
-
-def _children(node: Expression) -> tuple:
-    t = type(node)
-    if t is Neg or t is Func:
-        return (node.arg,)
-    if t is Pow:
-        return (node.base,)
-    return (node.left, node.right)
 
 
 # ---------------------------------------------------------------------------
@@ -1137,11 +1065,16 @@ def _tokenize(text: str):
     return tokens
 
 
+# factors nested deeper than this are a ParseError, not a RecursionError
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -1179,13 +1112,20 @@ class _Parser:
         return e
 
     def factor(self) -> Expression:
+        # each parenthesis, function call and unary minus nests one factor
+        if self.depth == MAX_NESTING:
+            raise ParseError("expression nested too deeply", self.peek()[2],
+                             (f"at most {MAX_NESTING} nested factors",))
+        self.depth += 1
         if self.peek()[0] == "-":
             self.advance()
-            return Neg(self.factor())
-        e = self.base()
-        if self.peek()[0] == "^":
-            self.advance()
-            e = Pow(e, self.intlit())
+            e = Neg(self.factor())
+        else:
+            e = self.base()
+            if self.peek()[0] == "^":
+                self.advance()
+                e = Pow(e, self.intlit())
+        self.depth -= 1
         return e
 
     def intlit(self) -> int:

@@ -386,3 +386,17 @@ def test_parse_check_infinite_constant(capsys):
 def test_parse_check_nan_constant_is_usage_error(capsys):
     assert main(["parse-check", "1e400/1e400"]) == 2
     assert "the constant nan has no printed form" in capsys.readouterr().err
+
+
+def test_parse_check_leading_minus_after_double_dash(capsys):
+    assert main(["parse-check", "--", "-u1"]) == 0
+    assert capsys.readouterr().out == "ok: -u1\n"
+
+
+@pytest.mark.parametrize("text", ["(" * 2000 + "u1" + ")" * 2000, "-" * 3000 + "u1"],
+                         ids=["parentheses", "unary-minus"])
+def test_parse_check_too_deeply_nested_is_usage_error(text, capsys):
+    assert main(["parse-check", "--", text]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: expression nested too deeply at offset 100")
+    assert "Traceback" not in err

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hdw.expr import (Add, Const, DomainError, ExprError, Mul, Neg, ParseError, Pow,
-                      UnboundVariableError, Var, parse, simplify)
+from hdw.expr import (MAX_NESTING, Add, Const, Div, DomainError, ExprError, Func, Mul, Neg,
+                      ParseError, Pow, Sub, UnboundVariableError, Var, parse, simplify)
 
 
 class TestParse:
@@ -65,6 +65,15 @@ class TestParse:
     def test_error_unclosed_paren(self):
         with pytest.raises(ParseError):
             parse("sin(u1")
+
+    @pytest.mark.parametrize("open_, close", [("(", ")"), ("sin(", ")"), ("-", "")])
+    def test_nesting_limit(self, open_, close):
+        depth = MAX_NESTING - 1  # the outermost factor is the first level
+        e = parse(open_ * depth + "u1" + close * depth)
+        assert math.isfinite(e.eval({"u1": 0.5}))
+        with pytest.raises(ParseError, match="nested too deeply") as info:
+            parse(open_ * (depth + 1) + "u1" + close * (depth + 1))
+        assert info.value.offset == len(open_) * (depth + 1)
 
 
 class TestEval:
@@ -221,3 +230,28 @@ def test_infinite_constants_print_and_parse_back(e):
 def test_nan_constant_has_no_printed_form():
     with pytest.raises(ExprError, match="nan"):
         str(Mul(Var("u1"), Const(math.nan)))
+
+
+def test_nan_constant_has_a_repr():
+    assert repr(Mul(Var("u1"), Const(math.nan))) == "Mul('u1*nan')"
+
+
+_u, _p, _x = Var("u1"), Var("p1_1"), Var("x1")
+
+
+@pytest.mark.parametrize("e, text", [
+    (Add(_u, Add(_p, _x)), "u1 + p1_1 + x1"),
+    (Sub(_u, Sub(_p, _x)), "u1 - (p1_1 - x1)"),
+    (Sub(Sub(_u, _p), _x), "u1 - p1_1 - x1"),
+    (Mul(Add(_u, _p), _x), "(u1 + p1_1)*x1"),
+    (Mul(_u, Mul(_p, _x)), "u1*(p1_1*x1)"),
+    (Div(Mul(_u, _p), _x), "u1*p1_1/x1"),
+    (Div(_u, Div(_p, _x)), "u1/(p1_1/x1)"),
+    (Neg(Add(_u, _p)), "-(u1 + p1_1)"),
+    (Neg(Pow(_u, 2)), "-u1^2"),
+    (Pow(Neg(_u), 2), "(-u1)^2"),
+    (Pow(Const(-2.0), -3), "(-2)^-3"),
+    (Func("sqrt", Sub(_u, _p)), "sqrt(u1 - p1_1)"),
+])
+def test_printed_parentheses(e, text):
+    assert str(e) == text

@@ -259,6 +259,53 @@ def test_compiled_kernel_keeps_signed_zero_and_non_finite_constants(numpy):
     assert _outcome(lambda: kernel(u1)) == _outcome(lambda: expected)
 
 
+@pytest.mark.parametrize("numpy", [False, True])
+def test_quotient_checks_its_denominator_before_its_numerator(numpy):
+    # at u1 = 0 both the numerator ln(-u1) and the quotient are undefined:
+    # the denominator's check comes first
+    e = Div(Func("ln", Neg(Var("u1"))), Var("u1"))
+    u1 = np.array([1.0, 0.0]) if numpy else 0.0
+    kernel = compile_exprs([e], ["u1"], numpy=numpy)
+    for compute in (lambda: kernel(u1),
+                    lambda: [e.eval_many({"u1": u1}) if numpy else e.eval({"u1": u1})]):
+        assert _outcome(compute) == (DomainError, "division by zero")
+
+
+@given(trees, st.sampled_from(NAMES), st.sampled_from([-1.5, 0.0, 2.0]))
+def test_substitute_agrees_with_binding_the_value(e, var, c):
+    s = e.substitute({var: c})
+    for b in POINTS:
+        assert _outcome(lambda: [s.eval(b)]) == _outcome(lambda: [e.eval({**b, var: c})]), str(e)
+
+
+def test_substitute_copies_a_canonical_tree_without_its_normal_form():
+    s = simplify(parse("u1*x1 + sin(p1_1)/(1 + u1^2)"))
+    copy = s.substitute({})
+    assert hasattr(s, "_nf") and not hasattr(copy, "_nf")
+    assert copy == s and copy is not s
+
+
+@pytest.mark.parametrize("text", [
+    " + ".join(f"{k}*u1" if k % 2 else f"x1/{k}" for k in range(1, 3001)),
+    "*".join("u1" if k % 3 else "x1" for k in range(3000)),
+    " - ".join(f"u1^{k % 4}" if k % 2 else f"sin(x1*{k})" for k in range(3000)),
+], ids=["sum", "product", "difference"])
+def test_deep_parsed_trees_evaluate_print_and_substitute(text):
+    e = parse(text)
+    b = {"u1": 1.0001, "x1": 0.999}
+    arrays = {"u1": np.array([1.0001, -0.5]), "x1": np.array([0.999, 1.0])}
+    value, many = e.eval(b), e.eval_many(arrays)
+    assert math.isfinite(value)
+    kernels = [compile_exprs([e], ["u1", "x1"], numpy=numpy) for numpy in (False, True)]
+    compiled = kernels[0](b["u1"], b["x1"]) + kernels[1](arrays["u1"], arrays["x1"])
+    assert _outcome(lambda: compiled) == _outcome(lambda: [value, many])
+    back = parse(str(e))
+    assert _outcome(lambda: [back.eval(b), back.eval_many(arrays)]) == _outcome(lambda: compiled)
+    assert repr(e).startswith(f"{type(e).__name__}('")
+    s = e.substitute({"x1": b["x1"]})
+    assert _outcome(lambda: [s.eval({"u1": b["u1"]})]) == _outcome(lambda: [value])
+
+
 def _form_and_tree_outcomes(form, binding):
     """Outcomes of NormalForm.eval_many and of the tree walk of its tree."""
     def outcome(compute):
