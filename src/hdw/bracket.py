@@ -167,7 +167,7 @@ def bracket_affine(c: Current | DensityCoefficient, h: HamiltonianSection) -> De
     if isinstance(c, DensityCoefficient) and chart.m != 1:
         raise ValueError("plain density observables are only defined for m = 1; "
                          "supply a Current for m >= 2")
-    return DensityCoefficient(chart, _affine_form(_forms(c), h).to_expr())
+    return DensityCoefficient(chart, _affine_form(_forms(c), NormalForm.of(h.H)).to_expr())
 
 
 def bracket_linear(c: Current | DensityCoefficient,
@@ -210,50 +210,77 @@ def _forms(c: Current | DensityCoefficient) -> CurrentForms | DensityCoefficient
     return forms
 
 
-def _affine_form(c: CurrentForms | DensityCoefficient, h: HamiltonianSection) -> NormalForm:
-    """Normal form of :func:`bracket_affine` for a valid ``c``."""
-    chart = h.chart
-    if isinstance(c, DensityCoefficient):
-        explicit = [NormalForm.of(c.F).diff(chart.x_name(1))]
-    else:
-        explicit = [coefficient_derivative(c, i, chart.x_name(i))
-                    for i in range(1, chart.m + 1)]
-    return NormalForm.sum(explicit + [_linear_form(c, NormalForm.of(h.H))])
-
-
-def _linear_form(c: CurrentForms | DensityCoefficient, g: NormalForm) -> NormalForm:
-    """Normal form of the bracket of a valid ``c`` with the density coefficient ``g``."""
+def _explicit_forms(c: CurrentForms | DensityCoefficient) -> list[NormalForm]:
+    """The explicit base-derivative terms of :func:`bracket_affine` for a valid ``c``."""
     chart = c.chart
-    terms: list[NormalForm] = []
+    if isinstance(c, DensityCoefficient):
+        return [NormalForm.of(c.F).diff(chart.x_name(1))]
+    return [coefficient_derivative(c, i, chart.x_name(i)) for i in range(1, chart.m + 1)]
+
+
+def _affine_form(c: CurrentForms | DensityCoefficient, H: NormalForm) -> NormalForm:
+    """Normal form of :func:`bracket_affine` for a valid ``c`` and the form ``H``
+    of the Hamiltonian."""
+    return NormalForm.sum(_explicit_forms(c) + [_linear_form(c, H)])
+
+
+def _linear_pairs(c: CurrentForms | DensityCoefficient,
+                  g: NormalForm) -> list[tuple[NormalForm, NormalForm]]:
+    """The (x, y) pairs whose products x*y sum to the bracket of a valid ``c``
+    with the density coefficient ``g``."""
+    chart = c.chart
+    pairs = []
     if isinstance(c, DensityCoefficient):
         f = NormalForm.of(c.F)
         for a in range(1, chart.n + 1):
             ua, pa = chart.u_name(a), chart.p_name(1, a)
-            terms.append(f.diff(ua) * g.diff(pa))
-            terms.append(-(f.diff(pa) * g.diff(ua)))
+            pairs.append((f.diff(ua), g.diff(pa)))
+            pairs.append((-f.diff(pa), g.diff(ua)))
     else:
         for a in range(1, chart.n + 1):
             ua = chart.u_name(a)
             for i in range(1, chart.m + 1):
-                terms.append(coefficient_derivative(c, i, ua) * g.diff(chart.p_name(i, a)))
-            terms.append(-(g.diff(ua) * c.Y[a - 1]))
-    return NormalForm.sum(terms)
+                pairs.append((coefficient_derivative(c, i, ua), g.diff(chart.p_name(i, a))))
+            pairs.append((-g.diff(ua), c.Y[a - 1]))
+    return pairs
+
+
+def _linear_form(c: CurrentForms | DensityCoefficient, g: NormalForm) -> NormalForm:
+    """Normal form of the bracket of a valid ``c`` with the density coefficient ``g``."""
+    return NormalForm.dot(_linear_pairs(c, g))
+
+
+def _current_bracket_pairs(a: CurrentForms,
+                           b: CurrentForms) -> list[list[tuple[NormalForm, NormalForm]]]:
+    """Per coefficient of :func:`current_bracket` (Y, then beta), the pairs whose
+    products sum to it: -(Y^c d(fb)/du^c - Z^c d(fa)/du^c) for the matching
+    coefficients fa of a and fb of b."""
+    u_names = a.chart.u_names
+    return [[pair for Yc, Zc, u in zip(a.Y, b.Y, u_names)
+             for pair in ((-Yc, fb.diff(u)), (Zc, fa.diff(u)))]
+            for fa, fb in zip(a.Y + a.beta, b.Y + b.beta)]
 
 
 def _current_bracket_forms(a: CurrentForms, b: CurrentForms) -> CurrentForms:
     """:func:`current_bracket` of valid currents on one chart."""
-    chart = a.chart
+    forms = tuple(map(NormalForm.dot, _current_bracket_pairs(a, b)))
+    n = a.chart.n
+    return CurrentForms(a.chart, forms[:n], forms[n:])
 
-    def transport(fa: NormalForm, fb: NormalForm) -> NormalForm:
-        """-(Y^c d(fb)/du^c - Z^c d(fa)/du^c) for matching components fa of a, fb of b."""
-        terms = []
-        for Yc, Zc, u in zip(a.Y, b.Y, chart.u_names):
-            terms.append(-(Yc * fb.diff(u)))
-            terms.append(Zc * fa.diff(u))
-        return NormalForm.sum(terms)
 
-    return CurrentForms(chart, tuple(map(transport, a.Y, b.Y)),
-                        tuple(map(transport, a.beta, b.beta)))
+def _representation_form(a: CurrentForms, b: CurrentForms, H: NormalForm) -> NormalForm:
+    """{{a,b},h} - {a,{b,h}}_l + {b,{a,h}}_l for valid currents and the form ``H``
+    of the Hamiltonian: empty when the identity holds.
+
+    The three brackets are summed as one :meth:`NormalForm.dot`, so each
+    coefficient is rounded once.
+    """
+    ab = _current_bracket_forms(a, b)
+    one = NormalForm.constant(1.0)
+    return NormalForm.dot([(e, one) for e in _explicit_forms(ab)]
+                          + _linear_pairs(ab, H)
+                          + _linear_pairs(a, -_affine_form(b, H))
+                          + _linear_pairs(b, _affine_form(a, H)))
 
 
 def hamiltonian_field(c: Current, extended: bool = False) -> VerticalField:
@@ -279,11 +306,7 @@ def representation_residual(a: Current, b: Current, h: HamiltonianSection,
     residual = {{a,b}, h} - {a, {b,h}}_l + {b, {a,h}}_l  at each sample.
     """
     _check_pair(a, b)
-    fa, fb = _forms(a), _forms(b)
-    lhs = _affine_form(_current_bracket_forms(fa, fb), h)
-    r1 = _linear_form(fa, _affine_form(fb, h))
-    r2 = _linear_form(fb, _affine_form(fa, h))
-    residual = NormalForm.sum([lhs, -r1, r2])
+    residual = _representation_form(_forms(a), _forms(b), NormalForm.of(h.H))
 
     if isinstance(samples, dict):
         arrays = {k: np.asarray(v, dtype=float) for k, v in samples.items()}

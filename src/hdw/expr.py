@@ -13,8 +13,9 @@ and a recursive-descent parser for the textual grammar:
 Whitespace is insignificant.  Exponents are restricted to constant
 integers so differentiation stays closed-form.  Factors nest at most
 :data:`MAX_NESTING` deep: each parenthesis, function call and unary minus
-nests one.  Expressions are immutable and hashable; printing then
-re-parsing yields an evaluation-equivalent tree.
+nests one.  Expressions are immutable and hashable, compared and hashed
+by structure without recursion; printing then re-parsing yields an
+evaluation-equivalent tree.
 
 Evaluation, printing, substitution and :func:`compile_exprs` share one
 iterative walk over the tree, driven by one table of operations, so any
@@ -51,6 +52,7 @@ from __future__ import annotations
 import math
 import re
 import struct
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Iterable, Mapping
@@ -140,6 +142,36 @@ class Expression:
                            if type(node) is Var and node.name in mapping else node)
         return out[0]
 
+    def __eq__(self, other):
+        """Structural equality: same node types and equal fields, compared
+        without recursion, so a deep parsed tree is fine."""
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            for name in a.__match_args__:
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, Expression):
+                    stack.append((x, y))
+                elif not (x is y or x == y):
+                    return False
+        return True
+
+    def __hash__(self) -> int:
+        """Equal for equal trees; computed by the tree walk, without recursion."""
+        hashes: list[int] = []
+        for node, op in _steps(self):
+            if op is None:
+                hashes.append(hash(node.value if type(node) is Const else node.name))
+            elif type(op) is _Op:
+                hashes.append(hash((op.form, *_pop(hashes, op), *op.params_of(node, False))))
+        return hashes[0]
+
     def __str__(self) -> str:
         return _print(self, strict=True)
 
@@ -180,7 +212,7 @@ class Expression:
         return Neg(self)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Const(Expression):
     value: float
 
@@ -189,47 +221,47 @@ class Const(Expression):
             object.__setattr__(self, "value", float(self.value))
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Var(Expression):
     name: str
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Neg(Expression):
     arg: Expression
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Add(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Sub(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Mul(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Div(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Pow(Expression):
     base: Expression
     exponent: int
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Func(Expression):
     name: str
     arg: Expression
@@ -627,16 +659,27 @@ class NormalForm:
         if mine is atoms or mine == atoms:
             return self.terms
         index = {a: j for j, a in enumerate(atoms)}
-        pos = [index[a] for a in mine]
-        if pos == list(range(len(pos))):
-            return self.terms
-        bias, out = _bias(len(pos)), {}
+        runs: list[list[int]] = []  # [first digit here, first digit there, length]
+        for j, a in enumerate(mine):
+            p = index[a]
+            if runs and runs[-1][1] + runs[-1][2] == p:
+                runs[-1][2] += 1
+            else:
+                runs.append([j, p, 1])
+        if len(runs) <= 1:
+            # the digits keep their order and move up together
+            shift = _W * runs[0][1] if runs else 0
+            return {key << shift: c for key, c in self.terms.items()} if shift else self.terms
+        # each run of digits moves as one block of the biased key
+        bias = _bias(len(mine))
+        unbias = sum(_HALF << (_W * index[a]) for a in mine)
+        blocks = [(_W * j, (1 << (_W * n)) - 1, _W * p) for j, p, n in runs]
+        out = {}
         for key, c in self.terms.items():
             key += bias
-            new = 0
-            for p in pos:
-                new += ((key & _MASK) - _HALF) << (_W * p)
-                key >>= _W
+            new = -unbias
+            for src, mask, dst in blocks:
+                new += ((key >> src) & mask) << dst
             out[new] = c
         return out
 
@@ -660,6 +703,27 @@ class NormalForm:
         for f in forms:
             for key, c in f._terms_on(atoms).items():
                 acc.setdefault(key, []).append(c)
+        return NormalForm(atoms, _fold(acc))
+
+    @staticmethod
+    def dot(pairs: Iterable[tuple["NormalForm", "NormalForm"]]) -> "NormalForm":
+        """The sum of ``x * y`` over the (x, y) pairs.
+
+        Every product of two coefficients goes straight into one list per
+        monomial, so each coefficient of the result is one ``math.fsum`` of
+        all its float contributions: one rounding, where
+        ``NormalForm.sum([x * y, ...])`` rounds each product and then the sum.
+        """
+        pairs = [(x, y) for x, y in pairs if x.terms and y.terms]
+        if not pairs:
+            return NormalForm()
+        atoms = NormalForm._common_atoms([f for pair in pairs for f in pair])
+        acc: defaultdict[int, list[float]] = defaultdict(list)
+        for x, y in pairs:
+            a, b = x._terms_on(atoms), y._terms_on(atoms)
+            for kb, cb in b.items():
+                for ka, ca in a.items():
+                    acc[ka + kb].append(ca * cb)
         return NormalForm(atoms, _fold(acc))
 
     def __neg__(self) -> "NormalForm":
@@ -917,8 +981,8 @@ def _term_tree(c: float, num: list, den: list) -> Expression:
     return Div(top, _product(den)) if den else top
 
 
-# terms per left-nested run of a sum; runs are joined as a balanced tree, so
-# comparing and hashing a tree, which recurse, stay within the recursion limit
+# terms per left-nested run of a sum; runs are joined as a balanced tree, which
+# keeps a canonical tree shallow
 _RUN = 32
 
 

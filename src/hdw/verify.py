@@ -12,9 +12,9 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .bracket import (ConnectionCheck, _current_bracket_forms, bracket_affine,
-                      bracket_linear, connection_is_hamiltonian, current_bracket,
-                      gamma_h, representation_residual)
+from .bracket import (ConnectionCheck, _current_bracket_forms, _current_bracket_pairs,
+                      _representation_form, bracket_affine, bracket_linear,
+                      connection_is_hamiltonian, current_bracket, gamma_h)
 from .bundle import Chart, Current, CurrentForms, DensityCoefficient, HamiltonianSection
 from .expr import Const, Expression, Mul, NormalForm, Var
 from .models import model_td_mechanics, WaveModel, abelian_algebra, ym_residual
@@ -63,22 +63,39 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 # Randomized inputs
 
+# a drawn coefficient is k/_DENOMINATOR, k uniform among the _DRAWS integers
+# in [-_DENOMINATOR, _DENOMINATOR]
+_DENOMINATOR = 64
+_DRAWS = 2 * _DENOMINATOR + 1
+
 
 def random_polynomial(rng: np.random.Generator, names: tuple[str, ...],
                       degree: int = 2) -> Expression:
-    """Dense polynomial with coefficients uniform in [-1, 1], in canonical form."""
-    terms = [((), rng.uniform(-1.0, 1.0))]
-    for d in range(1, degree + 1):
-        terms += [(combo, rng.uniform(-1.0, 1.0))
-                  for combo in combinations_with_replacement(names, d)]
-    return NormalForm.polynomial(terms).to_expr()
+    """Dense polynomial with coefficients k/64, k uniform in [-64, 64], in canonical form."""
+    return _random_form(rng, names, degree).to_expr()
 
 
 def random_current(rng: np.random.Generator, chart: Chart, degree: int = 2) -> Current:
+    return _random_forms(rng, chart, degree).to_current()
+
+
+def _random_form(rng: np.random.Generator, names: tuple[str, ...], degree: int) -> NormalForm:
+    """The normal form :func:`random_polynomial` draws, without its tree."""
+    def draw() -> float:
+        return int(rng.integers(-_DENOMINATOR, _DENOMINATOR + 1)) / _DENOMINATOR
+
+    terms = [((), draw())]
+    for d in range(1, degree + 1):
+        terms += [(combo, draw()) for combo in combinations_with_replacement(names, d)]
+    return NormalForm.polynomial(terms)
+
+
+def _random_forms(rng: np.random.Generator, chart: Chart, degree: int = 2) -> CurrentForms:
+    """The forms of the current :func:`random_current` draws, without its trees."""
     names = chart.x_names + chart.u_names
-    Y = tuple(random_polynomial(rng, names, degree) for _ in range(chart.n))
-    beta = tuple(random_polynomial(rng, names, degree) for _ in range(chart.m))
-    return Current(chart, Y, beta)
+    Y = tuple(_random_form(rng, names, degree) for _ in range(chart.n))
+    beta = tuple(_random_form(rng, names, degree) for _ in range(chart.m))
+    return CurrentForms(chart, Y, beta)
 
 
 def _sample_bindings(rng: np.random.Generator, names, count: int) -> dict[str, np.ndarray]:
@@ -91,30 +108,81 @@ def _max_abs(values: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # Algebraic checks
+#
+# Each trial builds the residual of an identity as normal forms, one per
+# coefficient, from freshly drawn coefficients.  Every coefficient any step
+# forms is an integer polynomial of degree at most 3 in the drawn ones, so when
+# each drawn coefficient is k/64 with |k| <= 64, it is a multiple of 2^-18; on
+# the suites' charts and degree it is also below 2^30 in magnitude (the sum of
+# absolute coefficients bounds it, and a product at most multiplies that sum,
+# a derivative at most multiplies it by the degree).  Such values are doubles,
+# so every product and math.fsum is exact, and a residual form is empty iff
+# the residual polynomial vanishes at the draw.  A nonzero polynomial of degree
+# d vanishes at a uniform draw from 129 values per coefficient with probability
+# at most d/129 (Schwartz 1980, Zippel 1979), so an identity that fails passes
+# all trials with probability at most (d/129)^trials.
+
+
+def _exact_draws(forms) -> bool:
+    """True when every coefficient of ``forms`` is k/64 with |k| <= 64."""
+    return all(abs(c) <= 1.0 and (c * _DENOMINATOR).is_integer()
+               for f in forms for c in f.terms.values())
+
+
+def _coefficients(c: CurrentForms) -> tuple[NormalForm, ...]:
+    return c.Y + c.beta
+
+
+@dataclass
+class _Residuals:
+    """The residual forms of one identity over the trials of a suite.
+
+    A trial whose draws are exact passes iff its residual forms are all
+    empty; an empty form counts as residual 0.0 and is not evaluated.  Any
+    other trial falls back to the sampled check: its residual forms are
+    evaluated at the trial's samples and must stay within ``tol``.
+    """
+
+    tol: float
+    worst: float = 0.0
+    terms: int = 0
+    exact: bool = True
+    passed: bool = True
+
+    def add(self, exact: bool, forms, arrays: dict[str, np.ndarray]) -> None:
+        self.exact &= exact
+        for f in forms:
+            if f.terms:
+                self.terms += len(f.terms)
+                value = _max_abs(f.eval_many(arrays))
+                self.worst = max(self.worst, value)
+                self.passed &= not exact and value <= self.tol
+
+    def details(self, degree: int, trials: int) -> dict:
+        bound = (degree / _DRAWS) ** trials if self.exact else None
+        return {"exact": self.exact, "residual_terms": self.terms, "false_pass_bound": bound}
 
 
 def check_representation(seed: int = 0, trials: int = 20, samples: int = 100,
                          tol: float = 1e-9) -> VerificationReport:
-    """Defect of the affine-representation identity for random data."""
+    """Affine-representation identity on random polynomial currents and Hamiltonians."""
     rng = np.random.default_rng(seed)
     chart = Chart(m=2, n=2)
-    worst = 0.0
+    names = tuple(sorted(chart.names))
+    residuals = _Residuals(tol)
     for _ in range(trials):
-        a = random_current(rng, chart)
-        b = random_current(rng, chart)
-        h = HamiltonianSection(chart, random_polynomial(rng, tuple(sorted(chart.names))))
-        arrays = _sample_bindings(rng, sorted(chart.names), samples)
-        worst = max(worst, representation_residual(a, b, h, arrays))
+        a, b = _random_forms(rng, chart), _random_forms(rng, chart)
+        H = _random_form(rng, names, 2)
+        arrays = _sample_bindings(rng, names, samples)
+        residuals.add(_exact_draws(_coefficients(a) + _coefficients(b) + (H,)),
+                      [_representation_form(a, b, H)], arrays)
     return VerificationReport(
         name="representation_identity",
         certifies="the linear-affine bracket represents the current algebra on "
                   "the affine space of Hamiltonian sections",
-        passed=worst <= tol, max_residual=worst, tolerance=tol,
-        sample_count=trials * samples, seed=seed)
-
-
-def _eval_current(c: CurrentForms, arrays) -> list[np.ndarray]:
-    return [np.atleast_1d(f.eval_many(arrays)) for f in c.Y + c.beta]
+        passed=residuals.passed, max_residual=residuals.worst, tolerance=tol,
+        sample_count=trials * samples, seed=seed,
+        details=residuals.details(3, trials))
 
 
 def _fd_current_bracket(a: Current, b: Current, binding: dict[str, float],
@@ -151,52 +219,57 @@ def _fd_current_bracket(a: Current, b: Current, binding: dict[str, float],
     return out
 
 
+def _jacobi_forms(a: CurrentForms, b: CurrentForms, c: CurrentForms,
+                  ab: CurrentForms) -> list[NormalForm]:
+    """The coefficients of [[a,b],c] + [[b,c],a] + [[c,a],b], given ab = [a,b],
+    each summed as one dot product: all empty when the Jacobi identity holds."""
+    bc, ca = _current_bracket_forms(b, c), _current_bracket_forms(c, a)
+    cyclic = zip(*(_current_bracket_pairs(x, y) for x, y in ((ab, c), (bc, a), (ca, b))))
+    return [NormalForm.dot(p + q + r) for p, q, r in cyclic]
+
+
 def check_jacobi_currents(seed: int = 1, trials: int = 20, samples: int = 100,
                           tol: float = 1e-9, antisym_tol: float = 1e-12,
                           oracle_tol: float = 1e-5) -> VerificationReport:
     """Lie algebra laws of the current bracket on random polynomial currents."""
     rng = np.random.default_rng(seed)
     chart = Chart(m=2, n=2)
-    worst_jacobi = 0.0
-    worst_antisym = 0.0
+    names = tuple(sorted(chart.names))
+    jacobi, antisym = _Residuals(tol), _Residuals(antisym_tol)
     worst_oracle = 0.0
     for _ in range(trials):
         a = random_current(rng, chart)
         b = random_current(rng, chart)
-        c = random_current(rng, chart)
-        arrays = _sample_bindings(rng, sorted(chart.names), samples)
+        fc = _random_forms(rng, chart)
+        arrays = _sample_bindings(rng, names, samples)
 
-        # the laws are composed and evaluated on normal forms; the oracle
-        # below checks the public, tree-emitting current_bracket
+        # the laws are composed on normal forms; the oracle below checks the
+        # public, tree-emitting current_bracket
         ab_tree = current_bracket(a, b)
-        fa, fb, fc, ab = map(CurrentForms.of, (a, b, c, ab_tree))
-        bc, ca = _current_bracket_forms(fb, fc), _current_bracket_forms(fc, fa)
-        cyc1 = _eval_current(_current_bracket_forms(ab, fc), arrays)
-        cyc2 = _eval_current(_current_bracket_forms(bc, fa), arrays)
-        cyc3 = _eval_current(_current_bracket_forms(ca, fb), arrays)
-        for v1, v2, v3 in zip(cyc1, cyc2, cyc3):
-            worst_jacobi = max(worst_jacobi, _max_abs(v1 + v2 + v3))
-
+        fa, fb, ab = map(CurrentForms.of, (a, b, ab_tree))
+        exact = _exact_draws(_coefficients(fa) + _coefficients(fb) + _coefficients(fc))
+        jacobi.add(exact, _jacobi_forms(fa, fb, fc, ab), arrays)
         ba = _current_bracket_forms(fb, fa)
-        for v1, v2 in zip(_eval_current(ab, arrays), _eval_current(ba, arrays)):
-            worst_antisym = max(worst_antisym, _max_abs(v1 + v2))
+        antisym.add(exact, [NormalForm.sum(parts) for parts in
+                            zip(_coefficients(ab), _coefficients(ba))], arrays)
 
         # structural identity against the derivative-free-path oracle
-        binding = {name: float(rng.uniform(-1.0, 1.0)) for name in sorted(chart.names)}
+        binding = {name: float(rng.uniform(-1.0, 1.0)) for name in names}
         oracle = _fd_current_bracket(a, b, binding)
         direct = [e.eval(binding) for e in ab_tree.Y + ab_tree.beta]
         for o, d in zip(oracle, direct):
             worst_oracle = max(worst_oracle, abs(o - d) / (1.0 + abs(d)))
 
-    passed = (worst_jacobi <= tol and worst_antisym <= antisym_tol
-              and worst_oracle <= oracle_tol)
+    details = jacobi.details(3, trials)
+    details["residual_terms"] += antisym.terms
     return VerificationReport(
         name="current_lie_algebra",
         certifies="the current bracket is an antisymmetric Lie bracket matching "
                   "the commutator/contraction form",
-        passed=passed, max_residual=worst_jacobi, tolerance=tol,
+        passed=jacobi.passed and antisym.passed and worst_oracle <= oracle_tol,
+        max_residual=jacobi.worst, tolerance=tol,
         sample_count=trials * samples, seed=seed,
-        details={"antisymmetry": worst_antisym, "oracle_mismatch": worst_oracle})
+        details={"antisymmetry": antisym.worst, "oracle_mismatch": worst_oracle, **details})
 
 
 def check_m1_reduction(seed: int = 2, pairs: int = 20, samples: int = 100,
@@ -205,7 +278,7 @@ def check_m1_reduction(seed: int = 2, pairs: int = 20, samples: int = 100,
     rng = np.random.default_rng(seed)
     chart = Chart(m=1, n=2)
     names = tuple(sorted(chart.names))
-    worst = 0.0
+    residuals = _Residuals(tol)
     for _ in range(pairs):
         f = random_polynomial(rng, names)
         g = random_polynomial(rng, names)
@@ -216,15 +289,14 @@ def check_m1_reduction(seed: int = 2, pairs: int = 20, samples: int = 100,
         h = HamiltonianSection(chart, g)
 
         F, G = NormalForm.of(f), NormalForm.of(g)
-        canonical = NormalForm.sum(
-            NormalForm.sum([F.diff(ua) * G.diff(pa), -(F.diff(pa) * G.diff(ua))])
-            for ua, pa in zip(chart.u_names, chart.p_names)).eval_many(arrays)
-        affine = F.diff("x1").eval_many(arrays) + canonical
-
-        linear = NormalForm.of(bracket_linear(fd, gd).F).eval_many(arrays)
-        worst = max(worst, _max_abs(linear - canonical))
-        worst = max(worst, _max_abs(NormalForm.of(bracket_affine(fd, h).F).eval_many(arrays)
-                                    - affine))
+        canonical = NormalForm.dot(
+            pair for ua, pa in zip(chart.u_names, chart.p_names)
+            for pair in ((F.diff(ua), G.diff(pa)), (-F.diff(pa), G.diff(ua))))
+        linear = NormalForm.of(bracket_linear(fd, gd).F)
+        affine = NormalForm.of(bracket_affine(fd, h).F)
+        residuals.add(_exact_draws((F, G)),
+                      [NormalForm.sum([linear, -canonical]),
+                       NormalForm.sum([affine, -F.diff("x1"), -canonical])], arrays)
 
         self_bracket = bracket_linear(fd, fd).F
         if self_bracket != Const(0.0):
@@ -238,8 +310,9 @@ def check_m1_reduction(seed: int = 2, pairs: int = 20, samples: int = 100,
     return VerificationReport(
         name="mechanics_reduction",
         certifies="1-D base brackets equal the canonical time-dependent Poisson bracket",
-        passed=worst <= tol, max_residual=worst, tolerance=tol,
-        sample_count=pairs * samples, seed=seed)
+        passed=residuals.passed, max_residual=residuals.worst, tolerance=tol,
+        sample_count=pairs * samples, seed=seed,
+        details=residuals.details(2, pairs))
 
 
 def check_connection_class(seed: int = 3) -> VerificationReport:

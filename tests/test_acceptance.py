@@ -6,14 +6,16 @@ goes to the real stdout so it is visible even under pytest capture.
 
 import sys
 import time
+from itertools import combinations_with_replacement
 
 import numpy as np
 
-from hdw.bracket import PhaseComponents, a_hat, bracket_linear, sharp_aff
-from hdw.bundle import Chart, DensityCoefficient
-from hdw.expr import Const, Func
+from hdw.bracket import (PhaseComponents, _current_bracket_forms, _representation_form,
+                         a_hat, bracket_linear, sharp_aff)
+from hdw.bundle import Chart, CurrentForms, DensityCoefficient
+from hdw.expr import Const, Func, NormalForm
 from hdw.models import model_perfect_gas
-from hdw.verify import (check_bracket_evolution_converse,
+from hdw.verify import (_jacobi_forms, check_bracket_evolution_converse,
                         check_bracket_evolution_field,
                         check_bracket_evolution_ode, check_connection_class,
                         check_jacobi_currents, check_m1_reduction,
@@ -177,3 +179,36 @@ def test_11_perfect_gas():
     _report(11, "state-relation round trip <= 1e-10 and pressure-energy "
                 f"identity <= 1e-12 (got {round_trip:.2e}, {identity:.2e})",
             round_trip <= 1e-10 and identity <= 1e-12)
+
+
+def _generic_polynomial(prefix: str, names: tuple[str, ...]) -> NormalForm:
+    """A polynomial of degree <= 2 in ``names`` whose every coefficient is its own symbol."""
+    monomials = [()] + [combo for d in (1, 2) for combo in combinations_with_replacement(names, d)]
+    return NormalForm.polynomial([((f"{prefix}{k}",) + combo, 1.0)
+                                  for k, combo in enumerate(monomials)])
+
+
+def _generic_current(prefix: str, chart: Chart) -> CurrentForms:
+    names = chart.x_names + chart.u_names
+    return CurrentForms(chart,
+                        tuple(_generic_polynomial(f"{prefix}Y{a}_", names)
+                              for a in range(1, chart.n + 1)),
+                        tuple(_generic_polynomial(f"{prefix}b{i}_", names)
+                              for i in range(1, chart.m + 1)))
+
+
+def test_12_generic_certificate():
+    # the coefficients are symbols, so an empty residual proves the identity
+    # for every current and Hamiltonian of degree <= 2 on the chart
+    chart = Chart(m=2, n=2)
+    a, b, c = (_generic_current(prefix, chart) for prefix in ("a", "b", "c"))
+    H = _generic_polynomial("h", tuple(sorted(chart.names)))
+    start = time.perf_counter()
+    representation = _representation_form(a, b, H)
+    jacobi = _jacobi_forms(a, b, c, _current_bracket_forms(a, b))
+    elapsed = time.perf_counter() - start
+    terms = [len(representation.terms)] + [len(f.terms) for f in jacobi]
+    _report(12, "generic degree-2 currents and Hamiltonian on m=2, n=2: the "
+                f"representation and the four Jacobi residuals are empty "
+                f"(terms {terms}, {elapsed:.1f}s)",
+            len(jacobi) == 4 and not any(terms))

@@ -217,6 +217,17 @@ def test_expressions_hashable_and_immutable():
         Var("u1").name = "u2"
 
 
+def test_deep_trees_compare_and_hash_without_recursion():
+    text = " + ".join(f"{k}*u1" for k in range(3000))
+    a, b = parse(text), parse(text)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != parse(text + " + 1") and a != parse(text.replace("2999*", "2998*"))
+    # one node type for another, or an expression for a number, is not equal
+    assert Add(_u, _p) != Sub(_u, _p) and Var("u1") != "u1" and Const(1.0) != 1.0
+    assert Const(0.0) == Const(-0.0) and hash(Const(0.0)) == hash(Const(-0.0))
+
+
 @pytest.mark.parametrize("e", [
     Const(math.inf), Const(-math.inf), Mul(Var("u1"), Const(-math.inf)),
     Pow(Const(-math.inf), 2), Add(Const(math.inf), Neg(Var("u1"))),

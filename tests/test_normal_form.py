@@ -7,6 +7,7 @@ reach, so that cancellation in either form does not read as a bug.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -357,3 +358,49 @@ def test_form_eval_many_keeps_non_finite_coefficients(numpy):
     b = {"u1": np.array([2.0, -0.0]), "x1": np.array([1.0, 3.0])} if numpy else POINTS[0]
     got, expected = _form_and_tree_outcomes(form, b)
     assert got == expected
+
+
+def _monomials(form):
+    """{monomial: coefficient}, a monomial being the frozenset of its (atom, exponent)."""
+    atoms, rows = form._rows()
+    return {frozenset((a, e) for a, e in zip(atoms, exps) if e): c for exps, c in rows}
+
+
+# dense polynomials with arbitrary float coefficients give monomials many
+# contributions each, and the canonical forms of trees give every kind of atom
+dense_forms = st.lists(st.tuples(st.lists(st.sampled_from(NAMES[:2]), max_size=2),
+                                 st.floats(-4.0, 4.0, allow_subnormal=False)),
+                       min_size=2, max_size=6).map(NormalForm.polynomial)
+tree_forms = trees.map(_canonical).filter(lambda e: e is not None).map(NormalForm.of)
+forms = st.one_of(dense_forms, tree_forms)
+
+
+@given(st.lists(st.tuples(forms, forms), min_size=2, max_size=4))
+def test_dot_rounds_each_coefficient_once(pairs):
+    # the oracle: every float product of two coefficients, summed exactly
+    contributions = {}
+    for x, y in pairs:
+        for mx, cx in _monomials(x).items():
+            for my, cy in _monomials(y).items():
+                exps = dict(mx)
+                for a, e in my:
+                    exps[a] = exps.get(a, 0) + e
+                key = frozenset((a, e) for a, e in exps.items() if e)
+                contributions.setdefault(key, []).append(cx * cy)
+    hypothesis.assume(all(math.isfinite(c) for parts in contributions.values() for c in parts))
+    expected = {key: float(sum(map(Fraction, parts))) for key, parts in contributions.items()}
+    assert _monomials(NormalForm.dot(pairs)) == {k: c for k, c in expected.items() if c != 0.0}
+
+
+dyadic_trees = _trees((-2.0, -0.75, 0.0, 0.25, 1.0, 1.5, 3.0),
+                      POLYNOMIAL + (lambda c: st.builds(Div, c, st.sampled_from(
+                          [Const(2.0), Const(-4.0)])),))
+
+
+@given(st.lists(st.tuples(dyadic_trees, dyadic_trees), min_size=1, max_size=3))
+def test_dot_is_the_sum_of_the_products_on_dyadic_forms(pairs):
+    forms = [(NormalForm.of(simplify(x)), NormalForm.of(simplify(y))) for x, y in pairs]
+    # multiples of 2^-8 below 2^16: every product and sum of products is exact
+    hypothesis.assume(all((c * 256.0).is_integer() and abs(c) <= 2.0 ** 16
+                          for pair in forms for f in pair for c in f.terms.values()))
+    assert NormalForm.dot(forms).key == NormalForm.sum([x * y for x, y in forms]).key

@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
+from hdw import bracket, verify
 from hdw.expr import Const, Mul, NormalForm, Var, add_all
 from hdw.verify import (SUITES, check_bracket_evolution_converse,
                         check_bracket_evolution_ode, check_connection_class,
@@ -114,11 +115,66 @@ def test_random_polynomial_is_the_sum_of_its_monomials():
     names = ("x1", "u1", "p1_1")
     e = random_polynomial(np.random.default_rng(3), names, degree=3)
     rng = np.random.default_rng(3)
-    terms = [Const(rng.uniform(-1.0, 1.0))]
+    terms = [Const(rng.integers(-64, 65) / 64)]
     for d in (1, 2, 3):
         for combo in combinations_with_replacement(names, d):
-            mono = Const(rng.uniform(-1.0, 1.0))
+            mono = Const(rng.integers(-64, 65) / 64)
             for name in combo:
                 mono = Mul(mono, Var(name))
             terms.append(mono)
     assert e == add_all(terms)
+
+
+@pytest.mark.parametrize("check, degree", [
+    (check_representation, 3), (check_jacobi_currents, 3), (check_m1_reduction, 2)])
+def test_algebraic_suites_are_exact_on_dyadic_draws(check, degree):
+    report = check(seed=4, samples=20)
+    assert report.passed and report.max_residual == 0.0
+    assert report.details["exact"] and report.details["residual_terms"] == 0
+    assert report.details["false_pass_bound"] == (degree / 129) ** 20
+
+
+def test_a_wrong_transport_sign_leaves_residual_terms(monkeypatch):
+    pairs = bracket._current_bracket_pairs
+
+    def wrong_sign(a, b):
+        # -(Y^c d(fb)/du^c + Z^c d(fa)/du^c): the second term's sign flipped
+        return [[(x, -y) if k % 2 else (x, y) for k, (x, y) in enumerate(coefficient)]
+                for coefficient in pairs(a, b)]
+
+    monkeypatch.setattr(bracket, "_current_bracket_pairs", wrong_sign)
+    monkeypatch.setattr(verify, "_current_bracket_pairs", wrong_sign)
+    for check in (check_representation, check_jacobi_currents):
+        report = check(seed=0, trials=2, samples=20)
+        assert not report.passed, check.__name__
+        assert report.details["exact"] and report.details["residual_terms"] > 0
+        assert report.max_residual > 0.0
+
+
+def test_an_exact_residual_below_the_tolerance_still_fails(monkeypatch):
+    # exact draws pass only on an empty residual form, not on a small one
+    representation_form = verify._representation_form
+
+    def off_by_a_little(a, b, H):
+        tiny = NormalForm.polynomial([(("u1",), 2.0 ** -60)])
+        return NormalForm.sum([representation_form(a, b, H), tiny])
+
+    monkeypatch.setattr(verify, "_representation_form", off_by_a_little)
+    report = check_representation(seed=0, trials=2, samples=20)
+    assert not report.passed and 0.0 < report.max_residual <= report.tolerance
+    assert report.details["exact"] and report.details["residual_terms"] == 2
+
+
+def _uniform_form(rng, names, degree):
+    terms = [(combo, rng.uniform(-1.0, 1.0)) for d in range(degree + 1)
+             for combo in combinations_with_replacement(names, d)]
+    return NormalForm.polynomial(terms)
+
+
+@pytest.mark.parametrize("check", [check_representation, check_jacobi_currents,
+                                   check_m1_reduction])
+def test_uniform_draws_take_the_sampled_check(check, monkeypatch):
+    monkeypatch.setattr(verify, "_random_form", _uniform_form)
+    report = check(seed=0, samples=20)
+    assert report.passed and report.max_residual <= report.tolerance
+    assert not report.details["exact"] and report.details["false_pass_bound"] is None
