@@ -4,14 +4,16 @@ All operations return symbolic expressions; evaluation is a separate
 step, which enables both simplify-to-zero checks and numeric sampling
 from one implementation.  The brackets are composed on normal forms, so
 a nested bracket builds no intermediate tree: each public bracket emits
-its result once, and :func:`representation_residual` evaluates its
-residual form without a tree.
+its result once.  A sampled residual is a list of normal forms, and
+:func:`_max_abs_at` evaluates each non-empty one through the tree walk.
+The derivatives of a Hamiltonian section are read from ``h.system``,
+which derives them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -67,14 +69,8 @@ def _neg(x):
 
 
 def dh_components(h: HamiltonianSection) -> PhaseComponents:
-    """Vertical differential of a Hamiltonian section: (dH/du, dH/dp)."""
-    chart = h.chart
-    Au = tuple(h.H.diff(chart.u_name(a)) for a in range(1, chart.n + 1))
-    Ap = tuple(
-        tuple(h.H.diff(chart.p_name(i, a)) for a in range(1, chart.n + 1))
-        for i in range(1, chart.m + 1)
-    )
-    return PhaseComponents(Au=Au, Ap=Ap)
+    """Vertical differential of a Hamiltonian section: (dH/du, dH/dp), from ``h.system``."""
+    return PhaseComponents(Au=h.system.dH_du, Ap=h.system.dH_dp)
 
 
 def sharp_aff(pc: PhaseComponents) -> GammaSection:
@@ -102,16 +98,28 @@ class ConnectionCheck:
     max_residual: float
 
 
-def _default_samples(chart: Chart, count: int = 20, seed: int = 0) -> list[dict[str, float]]:
-    rng = np.random.default_rng(seed)
+def _default_samples(chart: Chart, count: int = 20, seed: int = 0) -> dict[str, np.ndarray]:
     names = sorted(chart.names)
-    return [{name: float(v) for name, v in zip(names, rng.uniform(-1.0, 1.0, len(names)))}
-            for _ in range(count)]
+    points = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, len(names)))
+    return dict(zip(names, points.T))
+
+
+def _max_abs_at(forms: Iterable[NormalForm], samples: Sequence[dict] | dict) -> float:
+    """Largest absolute value of the non-empty ``forms`` at ``samples``, a list
+    of points or a dict of arrays; 0.0 when every form is empty.
+
+    Each non-empty form is evaluated by the tree walk of its tree
+    (:meth:`Expression.eval_many`), and a nan value is returned as nan.
+    """
+    if not isinstance(samples, dict):
+        samples = {name: [s[name] for s in samples] for name in set().union(*samples)}
+    return float(np.max([np.max(np.abs(f.to_expr().eval_many(samples)), initial=0.0)
+                         for f in forms if f.terms], initial=0.0))
 
 
 def connection_is_hamiltonian(Hu: Sequence[Sequence], Hp: Sequence[Sequence[Sequence]],
                               h: HamiltonianSection,
-                              samples: Sequence[dict] | None = None,
+                              samples: Sequence[dict] | dict | None = None,
                               tol: float = 1e-9) -> ConnectionCheck:
     """Decide whether connection coefficients define an evolution operator for ``h``.
 
@@ -119,7 +127,8 @@ def connection_is_hamiltonian(Hu: Sequence[Sequence], Hp: Sequence[Sequence[Sequ
     ``Hp[i][a][j]`` its p^j_a coefficient.  Only the u-coefficients and
     the momentum trace are constrained: Hu must equal dH/dp and the
     trace sum_i Hp[i][a][i] must equal -dH/du.  Trace-free momentum
-    perturbations are accepted.
+    perturbations are accepted.  ``samples`` is a list of points or a dict
+    of arrays, 20 uniform points in [-1, 1] by default.
     """
     chart = h.chart
     m, n = chart.m, chart.n
@@ -132,25 +141,12 @@ def connection_is_hamiltonian(Hu: Sequence[Sequence], Hp: Sequence[Sequence[Sequ
     def as_form(v) -> NormalForm:
         return NormalForm.of(v if isinstance(v, Expression) else Const(float(v)))
 
-    H = NormalForm.of(h.H)
-    forms: list[NormalForm] = []
-    for i in range(1, m + 1):
-        for a in range(1, n + 1):
-            forms.append(NormalForm.sum([as_form(Hu[i - 1][a - 1]), -H.diff(chart.p_name(i, a))]))
-    for a in range(1, n + 1):
-        forms.append(NormalForm.sum([as_form(Hp[i - 1][a - 1][i - 1]) for i in range(1, m + 1)]
-                                    + [H.diff(chart.u_name(a))]))
-
-    if not any(f.terms for f in forms):
-        return ConnectionCheck(is_hamiltonian=True, max_residual=0.0)
-
-    residuals = [f.to_expr() for f in forms]
-    if samples is None:
-        samples = _default_samples(chart)
-    worst = 0.0
-    for binding in samples:
-        for r in residuals:
-            worst = max(worst, abs(r.eval(binding)))
+    dH_du, dH_dp = h.system.dH_du, h.system.dH_dp
+    forms = [NormalForm.sum([as_form(Hu[i][a]), -NormalForm.of(dH_dp[i][a])])
+             for i in range(m) for a in range(n)]
+    forms += [NormalForm.sum([as_form(Hp[i][a][i]) for i in range(m)] + [NormalForm.of(dH_du[a])])
+              for a in range(n)]
+    worst = _max_abs_at(forms, _default_samples(chart) if samples is None else samples)
     return ConnectionCheck(is_hamiltonian=worst <= tol, max_residual=worst)
 
 
@@ -306,13 +302,4 @@ def representation_residual(a: Current, b: Current, h: HamiltonianSection,
     residual = {{a,b}, h} - {a, {b,h}}_l + {b, {a,h}}_l  at each sample.
     """
     _check_pair(a, b)
-    residual = _representation_form(_forms(a), _forms(b), NormalForm.of(h.H))
-
-    if isinstance(samples, dict):
-        arrays = {k: np.asarray(v, dtype=float) for k, v in samples.items()}
-    else:
-        names = sorted(set().union(*(s.keys() for s in samples)))
-        arrays = {name: np.array([s[name] for s in samples], dtype=float)
-                  for name in names}
-    values = np.atleast_1d(residual.eval_many(arrays))
-    return float(np.max(np.abs(values))) if values.size else 0.0
+    return _max_abs_at([_representation_form(_forms(a), _forms(b), NormalForm.of(h.H))], samples)

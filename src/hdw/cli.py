@@ -196,8 +196,7 @@ def cmd_bracket(args) -> int:
 
     points = [_parse_point(p) for p in args.at or []]
     for name in names:
-        result = bracket_affine(model.currents[name], model.hamiltonian)
-        expr = simplify(result.F)
+        expr = bracket_affine(model.currents[name], model.hamiltonian).F
         print(f"{name}: {expr}")
         for point in points:
             spec = ", ".join(f"{k}={_fmt(v)}" for k, v in sorted(point.items()))

@@ -37,9 +37,10 @@ the literal ``Const(0.0)``.
 :func:`simplify` returns the tree of the normal form, and that tree
 carries its normal form: simplifying it again takes O(1), and
 :meth:`Expression.diff` and the bracket builders differentiate, add and
-multiply the normal forms without re-normalizing.
-:meth:`NormalForm.eval_many` evaluates a normal form without building
-its tree, with results bit-identical to the tree's ``eval_many``.  ``simplify`` keeps
+multiply the normal forms without re-normalizing.  A normal form is
+evaluated through its tree: there are two evaluators, the tree walk
+(:meth:`Expression.eval`, :meth:`Expression.eval_many`) and the kernels
+of :func:`compile_exprs`, which are bit-identical to it.  ``simplify`` keeps
 the value, up to rounding, wherever both the input and the output are
 defined, and a constant zero denominator raises :class:`DomainError`.
 It does not cancel non-monomial denominators (``(u1^2 - 1)/(u1 - 1)``
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import math
 import re
-import struct
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -474,16 +474,10 @@ def _bias(n: int) -> int:
     return _HALF * ((1 << (_W * n)) - 1) // _MASK
 
 
-def _unpacker(n: int):
-    """A function from a key to the tuple of its n exponents."""
-    # "I" reads the unsigned 32-bit digits of the biased key
-    bias, size, digits = _bias(n), 4 * n, struct.Struct(f"<{n}I").unpack
-    offsets = (_HALF,) * n
-
-    def unpack(key: int) -> tuple[int, ...]:
-        return tuple(map(int.__sub__, digits((key + bias).to_bytes(size, "little")), offsets))
-
-    return unpack
+def _exponents(keys: Iterable[int], j: int, n: int) -> list[int]:
+    """The exponent of the j-th atom in each of ``keys``, keys over n atoms."""
+    bias, shift = _bias(n), _W * j
+    return [(((key + bias) >> shift) & _MASK) - _HALF for key in keys]
 
 
 def _pack(exps: Iterable[int]) -> int:
@@ -762,7 +756,8 @@ class NormalForm:
             return NormalForm.constant(1.0)
         if len(self.terms) == 1:
             (key, c), = self.terms.items()
-            exps = [e * n for e in _unpacker(len(self.atoms))(key)]
+            k = len(self.atoms)
+            exps = [_exponents((key,), j, k)[0] * n for j in range(k)]
             # a sum raised to a positive power is expanded, not kept as an atom
             expand = [e > 0 and _is_sum(a) for a, e in zip(self.atoms, exps)]
             result = NormalForm(self.atoms, {_pack(0 if x else e for x, e in zip(expand, exps)):
@@ -791,7 +786,6 @@ class NormalForm:
     def diff(self, var: str) -> "NormalForm":
         """Exact derivative: the product rule per monomial, the chain rule per atom."""
         atoms, n = self.atoms, len(self.atoms)
-        bias = _bias(n)
         parts = []
         for j, atom in enumerate(atoms):
             if type(atom) is str:
@@ -802,13 +796,10 @@ class NormalForm:
                 inner = atom.derivative(var)
             else:
                 continue
-            shift, unit = _W * j, 1 << (_W * j)
+            unit = 1 << (_W * j)
             # d(c * atom^e * rest) = c*e * atom^(e-1) * rest * d(atom)
-            terms = {}
-            for key, c in self.terms.items():
-                e = (((key + bias) >> shift) & _MASK) - _HALF
-                if e:
-                    terms[key - unit] = c * e
+            terms = {key - unit: c * e for key, c, e in
+                     zip(self.terms, self.terms.values(), _exponents(self.terms, j, n)) if e}
             if terms:
                 part = NormalForm(atoms, terms)
                 parts.append(part if inner is None else part * inner)
@@ -875,56 +866,6 @@ class NormalForm:
             tree = Func(tree.name, tree.arg)
         object.__setattr__(tree, "_nf", self)
         return tree
-
-    def eval_many(self, binding: Mapping[str, np.ndarray]) -> np.ndarray:
-        """``self.to_expr().eval_many(binding)``, computed term by term.
-
-        Performs the float operations of that tree walk in its order, with
-        its checks, so values and exceptions are bit-identical to it; each
-        distinct power of an atom is evaluated once per call, and no tree
-        is built.
-        """
-        return self._eval_many(binding, {})
-
-    def _eval_many(self, binding, powers: dict) -> np.ndarray:
-        """``powers`` maps (atom, exponent) to its value; nested forms share it."""
-        atoms, rows = self._rows()
-
-        def power(atom, e: int):
-            value = powers.get((atom, e))
-            if value is None:
-                if e > 1:
-                    value = power(atom, 1) ** float(e)
-                elif type(atom) is str:
-                    value = Var(atom).eval_many(binding)
-                else:
-                    value = atom.arg._eval_many(binding, powers)
-                    if atom.name:
-                        value = _OPS[atom.name].apply(value, True)
-                powers[(atom, e)] = value
-            return value
-
-        def term(c: float, exps) -> np.ndarray:
-            # _term_tree: c * num[0] * num[1] ... / (den[0] * den[1] ...)
-            den = None
-            if exps and min(exps) < 0:
-                for atom, e in zip(atoms, exps):
-                    if e < 0:
-                        f = power(atom, -e)
-                        den = f if den is None else den * f
-                _ZERO(den, True)
-            top = None if abs(c) == 1.0 else np.float64(c)
-            for atom, e in zip(atoms, exps):
-                if e > 0:
-                    f = power(atom, e)
-                    top = f if top is None else top * f
-            if top is None:
-                top = np.float64(c)
-            elif c == -1.0:
-                top = -top
-            return top if den is None else top / den
-
-        return _sum(rows, term) if rows else np.float64(0.0)
 
 
 def _quotient(num: NormalForm, den: Expression) -> NormalForm:
@@ -993,9 +934,7 @@ def _sum(rows: list, term):
     Runs of _RUN terms are folded to the left, a negative term subtracted
     as ``term(-c, exps)``, and a later run led by a negative term is
     negated; the runs are joined pairwise into a balanced tree, each pair
-    as soon as it is complete, which is the order a tree walk meets them.
-    ``term`` returns trees or values: ``+`` and ``-`` build the one and
-    compute the other.
+    as soon as it is complete.
     """
     def join(left, right):
         (size, neg_l, a), (size_r, neg_r, b) = left, right

@@ -6,9 +6,10 @@ from hdw.bracket import (PhaseComponents, a_hat, bracket_affine,
                          current_bracket, dh_components, gamma_h,
                          hamiltonian_field, representation_residual,
                          sharp_aff)
-from hdw.bundle import (Chart, Current, DensityCoefficient,
+from hdw import bracket
+from hdw.bundle import (Chart, Current, CurrentForms, DensityCoefficient,
                         HamiltonianSection, validate_current)
-from hdw.expr import Const, Var, parse
+from hdw.expr import Const, NormalForm, Var, parse
 
 
 def _bindings(chart, count, seed):
@@ -33,6 +34,28 @@ class TestDhComponents:
         pc = dh_components(HamiltonianSection(Chart(m=1, n=1), "x1*u1"))
         assert pc.Au == (Var("x1"),)
         assert pc.Ap == ((Const(0.0),),)
+
+
+def test_the_derivatives_of_h_are_derived_once(monkeypatch):
+    chart = Chart(m=2, n=1)
+    h = HamiltonianSection(chart, "p1_1^2/2 + p2_1^2/2 + u1^2/2 + x1*u1")
+    system = h.system
+    pc = dh_components(h)
+    assert pc.Au is system.dH_du and pc.Ap is system.dH_dp
+
+    calls = []
+    diff = NormalForm.diff
+
+    def counted(self, var):
+        calls.append(var)
+        return diff(self, var)
+
+    monkeypatch.setattr(NormalForm, "diff", counted)
+    g = gamma_h(h)
+    Hu = [[g.hu[i][0]] for i in range(2)]
+    Hp = [[[g.hp[0], Const(0.0)]], [[Const(0.0), Const(0.0)]]]
+    assert connection_is_hamiltonian(Hu, Hp, h).is_hamiltonian
+    assert calls == []
 
 
 class TestSharpAffAHat:
@@ -118,6 +141,18 @@ class TestConnectionIsHamiltonian:
         h, Hu, Hp = self._setup()
         with pytest.raises(ValueError, match="shape"):
             connection_is_hamiltonian(Hu[:1], Hp, h)
+
+    def test_points_and_arrays_give_the_tree_walk(self):
+        h, Hu, Hp = self._setup()
+        bump = Var("u1") * Var("x2")
+        Hp[0][0][0] = Hp[0][0][0] + bump
+        points = _bindings(h.chart, 30, seed=5)
+        arrays = {n: np.array([p[n] for p in points]) for n in points[0]}
+        walked = max(abs(bump.eval(p)) for p in points)
+        assert walked > 0.0
+        for samples in (points, arrays):
+            check = connection_is_hamiltonian(Hu, Hp, h, samples)
+            assert not check.is_hamiltonian and check.max_residual == walked
 
 
 class TestBracketAffine:
@@ -280,3 +315,21 @@ class TestRepresentationResidual:
         b = Current(chart, ("cos(u1)", "u2"), ("u1*x1", "u2*x2"))
         h = HamiltonianSection(chart, "p1_1*p2_2 + sin(u1)*p2_1 + u2^2/2 + x1*x2")
         assert representation_residual(a, b, h, _bindings(chart, 100, seed=9)) <= 1e-9
+
+    def test_points_and_arrays_give_the_tree_walk(self, monkeypatch):
+        # a wrong transport sign leaves a nonzero residual
+        pairs = bracket._current_bracket_pairs
+        monkeypatch.setattr(bracket, "_current_bracket_pairs", lambda a, b: [
+            [(x, -y) for x, y in coefficient] for coefficient in pairs(a, b)])
+        chart = Chart(m=2, n=2)
+        a = Current(chart, ("u1*u2", "x1 + u1"), ("u2^2", "x2*u1"))
+        b = Current(chart, ("u1", "u2"), ("u1*x1", "u2*x2"))
+        h = HamiltonianSection(chart, "p1_1*p2_2 + u2*p2_1 + u2^2/2 + x1*x2")
+        residual = bracket._representation_form(CurrentForms.of(a), CurrentForms.of(b),
+                                                 NormalForm.of(h.H)).to_expr()
+        points = _bindings(chart, 30, seed=6)
+        arrays = {n: np.array([p[n] for p in points]) for n in points[0]}
+        walked = max(abs(residual.eval(p)) for p in points)
+        assert walked > 0.0
+        assert representation_residual(a, b, h, points) == walked
+        assert representation_residual(a, b, h, arrays) == walked

@@ -307,33 +307,24 @@ def test_deep_parsed_trees_evaluate_print_and_substitute(text):
     assert _outcome(lambda: [s.eval({"u1": b["u1"]})]) == _outcome(lambda: [value])
 
 
-def _form_and_tree_outcomes(form, binding):
-    """Outcomes of NormalForm.eval_many and of the tree walk of its tree."""
+def _tree_and_kernel_outcomes(tree, binding):
+    """Outcomes of the tree walk of ``tree`` and of its compiled numpy kernel."""
     def outcome(compute):
         try:
             return _outcome(lambda: [compute()])
         except UnboundVariableError as exc:
             return type(exc), str(exc)
 
-    return (outcome(lambda: form.eval_many(binding)),
-            outcome(lambda: form.to_expr().eval_many(binding)))
+    def kernel():
+        return compile_exprs([tree], list(binding), numpy=True)(*binding.values())[0]
+
+    return outcome(lambda: tree.eval_many(binding)), outcome(kernel)
 
 
 def _bindings():
     arrays = {n: np.array([b[n] for b in POINTS]) for n in NAMES}
     return [arrays, {**arrays, "x1": 0.5}, POINTS[0],
             {n: arrays[n] for n in NAMES[1:]}]  # x1 unbound
-
-
-@given(trees)
-def test_form_eval_many_is_bit_identical_to_the_tree_walk(e):
-    s = _canonical(e)
-    if s is None:
-        return
-    form = NormalForm.of(s)
-    for b in _bindings():
-        got, expected = _form_and_tree_outcomes(form, b)
-        assert got == expected, (str(s), b)
 
 
 @pytest.mark.parametrize("text", [
@@ -344,20 +335,12 @@ def test_form_eval_many_is_bit_identical_to_the_tree_walk(e):
     " - ".join(f"{k}*u1^{k}*sqrt(x1^2 + 1)" for k in range(1, 130)),
 ])
 def test_long_form_eval_many_is_bit_identical_to_the_tree_walk(text):
-    form = NormalForm.of(parse(text))
+    # the canonical tree of a long form against its compiled numpy kernel
+    tree = simplify(parse(text))
     arrays = {n: np.array([b[n] for b in POINTS]) for n in NAMES}
     for b in _bindings() + [{**arrays, "u1": arrays["x1"]}]:
-        got, expected = _form_and_tree_outcomes(form, b)
-        assert got == expected, b
-
-
-@pytest.mark.parametrize("numpy", [False, True])
-def test_form_eval_many_keeps_non_finite_coefficients(numpy):
-    # inf and nan coefficients, and a signed zero in the binding
-    form = NormalForm.of(Add(Mul(Const(math.inf), Var("u1")), Mul(Const(math.nan), Var("x1"))))
-    b = {"u1": np.array([2.0, -0.0]), "x1": np.array([1.0, 3.0])} if numpy else POINTS[0]
-    got, expected = _form_and_tree_outcomes(form, b)
-    assert got == expected
+        walked, compiled = _tree_and_kernel_outcomes(tree, b)
+        assert walked == compiled, b
 
 
 def _monomials(form):

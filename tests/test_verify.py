@@ -178,3 +178,37 @@ def test_uniform_draws_take_the_sampled_check(check, monkeypatch):
     report = check(seed=0, samples=20)
     assert report.passed and report.max_residual <= report.tolerance
     assert not report.details["exact"] and report.details["false_pass_bound"] is None
+
+
+@pytest.mark.parametrize("check", [check_representation, check_jacobi_currents,
+                                   check_m1_reduction])
+def test_an_exact_pass_evaluates_no_sample(check):
+    report = check(seed=4, samples=20)
+    assert report.passed and report.details["exact"] and report.sample_count == 0
+    assert report.summary().startswith("[PASS] ") and report.summary().endswith(", exact)")
+
+
+@pytest.mark.parametrize("check", [check_representation, check_jacobi_currents,
+                                   check_m1_reduction])
+def test_the_sampled_check_counts_every_evaluated_point(check, monkeypatch):
+    monkeypatch.setattr(verify, "_random_form", _uniform_form)
+    report = check(seed=0, samples=20)
+    assert not report.details["exact"] and report.sample_count == 20 * 20
+    assert report.summary().endswith(", 400 samples)")
+
+
+def test_sample_count_counts_only_the_evaluated_trials(monkeypatch):
+    pairs = bracket._current_bracket_pairs
+    calls = []
+
+    def wrong_sign_once(a, b):
+        # the first trial's bracket only, with the second term's sign flipped
+        calls.append(1)
+        return [[(x, -y) if k % 2 and len(calls) == 1 else (x, y)
+                 for k, (x, y) in enumerate(coefficient)] for coefficient in pairs(a, b)]
+
+    monkeypatch.setattr(verify, "_current_bracket_pairs", wrong_sign_once)
+    monkeypatch.setattr(bracket, "_current_bracket_pairs", wrong_sign_once)
+    report = check_representation(seed=0, trials=3, samples=20)
+    assert not report.passed and report.details["residual_terms"] > 0
+    assert report.sample_count == 20
