@@ -9,7 +9,9 @@ digits and JSON keys are sorted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -20,8 +22,8 @@ from .bundle import Chart, Current, DensityCoefficient, HamiltonianSection
 from .expr import DomainError, ExprError, ParseError, compile_exprs, parse, simplify
 from .models import (ContinuumSpec, GasConstants, PerfectGasModel, WaveModel,
                      model_td_mechanics)
-from .solver import GridSection, NewtonError, OdeState, SolverConfig, \
-    evolve_field, hdw_residual, integrate_ode
+from .solver import NewtonError, OdeState, SolverConfig, _field_sections, \
+    _ode_tables, _ResidualNorms
 from .verify import run_suites, SUITES
 
 EXIT_OK = 0
@@ -29,7 +31,8 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-# a simulation stores (steps + 1) x columns doubles (512 MiB at this limit)
+# a simulation writes (steps + 1) x columns values to trajectory.csv, about
+# 1.5 GB of text at this limit; it holds O(columns) of them at a time
 MAX_STORED_VALUES = 2 ** 26
 
 
@@ -241,25 +244,31 @@ def _write_csv(path: Path, header: list[str], blocks) -> None:
             f.write(template % tuple(values))
 
 
-def _ode_blocks(traj: list[OdeState]):
-    """Blocks of up to 1024 rows t, u..., p..."""
-    table = np.column_stack(([s.t for s in traj], [s.u for s in traj],
-                             [s.p for s in traj]))
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    for i in range(0, len(table), 1024):
-        block = table[i:i + 1024]
-        yield line * len(block), block.ravel().tolist()
+def _ode_blocks(tables):
+    """One block per table of rows t, u..., p..."""
+    for table in tables:
+        line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+        yield line * len(table), table.ravel().tolist()
 
 
-def _field_blocks(traj: list[GridSection]):
+def _field_blocks(sections):
     """One block per snapshot: rows t, x, then u, M, P of each fiber
     coordinate; t and the shared grid x are formatted once."""
-    n = traj[0].u.shape[0]
-    tails = ["," + "%.17g" % x + ",%.17g" * (3 * n) for x in traj[0].x.tolist()]
-    for s in traj:
+    tails = None
+    for s in sections:
+        if tails is None:
+            n = s.u.shape[0]
+            tails = ["," + "%.17g" % x + ",%.17g" * (3 * n) for x in s.x.tolist()]
         t = "%.17g" % s.t
         values = np.stack([s.u, s.M, s.P], axis=1).reshape(3 * n, -1)
         yield t + ("\n" + t).join(tails) + "\n", values.T.ravel().tolist()
+
+
+def _fed(items, add):
+    """The items, each passed to ``add`` as it goes by."""
+    for item in items:
+        add(item)
+        yield item
 
 
 def _check_size(config: SolverConfig, columns: int) -> None:
@@ -282,10 +291,10 @@ def cmd_simulate(args) -> int:
             raise ModelFileError(f"mechanics initial data needs {chart.n} 'u' "
                                  f"and {chart.n} 'p' entries")
         _check_size(config, 2 * chart.n)
-        traj = integrate_ode(model.hamiltonian, OdeState(t=0.0, u=u0, p=p0), config)
+        residual = _ResidualNorms(model.hamiltonian, config.dt)
+        tables = _ode_tables(model.hamiltonian, OdeState(t=0.0, u=u0, p=p0), config)
         header = ["t"] + list(chart.u_names) + list(chart.p_names)
-        blocks = _ode_blocks(traj)
-        norms = hdw_residual(traj, model.hamiltonian, config.dt)
+        blocks = _ode_blocks(_fed(tables, residual.add))
     elif chart.m == 2:
         if model.field_model is None:
             raise ModelFileError("field simulation needs a built-in model "
@@ -296,30 +305,41 @@ def cmd_simulate(args) -> int:
         x = config.x0 + config.dx * np.arange(config.K)
         u0 = _eval_profile(model.initial.get("u", []), x, chart)
         M0 = _eval_profile(model.initial.get("M", []), x, chart)
-        traj = evolve_field(model.field_model, config, u0, M0)
+        residual = _ResidualNorms(model.hamiltonian, config.dt, config.dx, config.boundary)
+        sections = _field_sections(model.field_model, config, u0, M0)
         header = ["t", "x"]
         for a in range(1, chart.n + 1):
             header += [f"u{a}", f"M{a}", f"P{a}"]
-        blocks = _field_blocks(traj)
-        norms = hdw_residual(traj, model.hamiltonian, config.dt, dx=config.dx,
-                             boundary=config.boundary)
+        blocks = _field_blocks(_fed(sections, lambda s: residual.add([s])))
     else:
         raise ModelFileError("simulation supports base dimensions 1 and 2")
 
-    try:
-        manifest = _json({
-            "model": model.name,
-            "config": {k: v for k, v in sorted(model.solver_data.items())},
-            "snapshots": len(traj),
-            "residual_norms": norms,
-        }, allow_nan=False)
-    except ValueError as exc:
-        raise FloatingPointError(f"non-finite residual norm ({exc})") from None
     out = Path(args.out or ".")
+    created = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "trajectory.csv", header, blocks)
+    partial = out / f".trajectory.csv.{os.getpid()}.tmp"
+    try:
+        _write_csv(partial, header, blocks)
+        norms = residual.norms()
+        try:
+            manifest = _json({
+                "model": model.name,
+                "config": {k: v for k, v in sorted(model.solver_data.items())},
+                "snapshots": residual.snapshots,
+                "residual_norms": norms,
+            }, allow_nan=False)
+        except ValueError as exc:
+            raise FloatingPointError(f"non-finite residual norm ({exc})") from None
+        partial.replace(out / "trajectory.csv")
+    except BaseException:
+        # a failed run leaves nothing behind
+        partial.unlink(missing_ok=True)
+        for d in created:  # deepest first
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
     (out / "manifest.json").write_text(manifest)
-    print(f"wrote {out / 'trajectory.csv'} ({len(traj)} snapshots)")
+    print(f"wrote {out / 'trajectory.csv'} ({residual.snapshots} snapshots)")
     return EXIT_OK
 
 

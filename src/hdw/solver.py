@@ -144,6 +144,11 @@ class HamiltonianSystem:
                              self.args, numpy=True)
 
 
+# rows per ODE table, and snapshots per evaluated chunk of the field residual
+_TABLE_ROWS = 1024
+_CHUNK = 64
+
+
 def _non_finite(step: int, t: float) -> FloatingPointError:
     return FloatingPointError(f"non-finite state at step {step} (t = {t})")
 
@@ -189,20 +194,32 @@ def step_ode_rk4(state: OdeState, h: HamiltonianSection, dt: float,
 def integrate_ode(h: HamiltonianSection, initial: OdeState,
                   config: SolverConfig) -> list[OdeState]:
     """RK4 trajectory; raises FloatingPointError at the first non-finite state."""
+    n = len(initial.u)
+    rows = np.concatenate(list(_ode_tables(h, initial, config)))
+    return [initial] + [OdeState(t=t, u=row[1:n + 1], p=row[n + 1:])
+                        for t, row in zip(rows[1:, 0].tolist(), rows[1:])]
+
+
+def _ode_tables(h: HamiltonianSection, initial: OdeState, config: SolverConfig):
+    """The RK4 trajectory as tables of up to 1024 rows t, u..., p..., the
+    initial state first; the state after step k is at t0 + k*dt."""
     steps = int(round(config.t_final / config.dt))
     system = _OdeSystem(h)
-    t, dt, y = initial.t, config.dt, _floats(initial)
-    times, states = array("d"), array("d")  # raw doubles, no float objects
+    t0, dt, y = initial.t, config.dt, _floats(initial)
+    width = 1 + len(y)
+    table = array("d", [t0, *y])  # raw doubles, no float objects
     for k in range(1, steps + 1):
-        y = system.step(t, y, dt)
-        t += dt
+        y = system.step(t0 + (k - 1) * dt, y, dt)
+        t = t0 + k * dt
         if not all(map(math.isfinite, y)):
             raise _non_finite(k, t)
-        times.append(t)
-        states.extend(y)
-    n = len(initial.u)
-    rows = np.array(states).reshape(len(times), 2 * n)
-    return [initial] + [OdeState(t=tk, u=row[:n], p=row[n:]) for tk, row in zip(times, rows)]
+        table.append(t)
+        table.extend(y)
+        if len(table) == _TABLE_ROWS * width:
+            yield np.frombuffer(table).reshape(-1, width)
+            table = array("d")
+    if table:
+        yield np.frombuffer(table).reshape(-1, width)
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +303,17 @@ def evolve_field(model, config: SolverConfig, u0: np.ndarray,
     """Method-of-lines trajectory of the field equations.
 
     Deterministic: identical configs produce bit-identical output.  Each
-    step's first stage reuses the stress of the snapshot it starts from.
-    Raises FloatingPointError at the first non-finite state, and at the
-    first state outside the model's stress relation (a ValueError of its
+    step's first stage reuses the stress of the snapshot it starts from,
+    and the snapshot after step k is at t = k*dt.  Raises
+    FloatingPointError at the first non-finite state, and at the first
+    state outside the model's stress relation (a ValueError of its
     ``reconstruct_P``, such as a non-positive gas deformation gradient).
     """
+    return list(_field_sections(model, config, u0, M0))
+
+
+def _field_sections(model, config: SolverConfig, u0: np.ndarray, M0: np.ndarray):
+    """The snapshots of :func:`evolve_field`, one at a time."""
     config.warn_cfl()
     system = _FieldSystem(model, config)
     K = config.K or u0.shape[-1]
@@ -302,7 +325,7 @@ def evolve_field(model, config: SolverConfig, u0: np.ndarray,
     k = 0
     try:
         P = system.reconstruct_P(t, x, u, M)
-        traj = [GridSection(t=t, x=x, u=u, M=M, P=P)]
+        yield GridSection(t=t, x=x, u=u, M=M, P=P)
         steps = int(round(config.t_final / dt))
         for k in range(1, steps + 1):
             k1u, k1M, _ = system.rhs(t, x, u, M, P)
@@ -311,14 +334,13 @@ def evolve_field(model, config: SolverConfig, u0: np.ndarray,
             k4u, k4M, _ = system.rhs(t + dt, x, u + dt * k3u, M + dt * k3M)
             u = u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
             M = M + dt / 6 * (k1M + 2 * k2M + 2 * k3M + k4M)
-            t += dt
+            t = k * dt
             if not (np.isfinite(u).all() and np.isfinite(M).all()):
                 raise _non_finite(k, t)
             P = system.reconstruct_P(t, x, u, M)
-            traj.append(GridSection(t=t, x=x, u=u, M=M, P=P))
+            yield GridSection(t=t, x=x, u=u, M=M, P=P)
     except ValueError as exc:
         raise FloatingPointError(f"invalid state at step {k} (t = {t}): {exc}") from None
-    return traj
 
 
 def reconstruct_P(u: np.ndarray, model, config: SolverConfig,
@@ -352,53 +374,119 @@ def hdw_residual(traj, h: HamiltonianSection, dt: float,
     """
     if len(traj) < 3:
         raise ValueError("need at least 3 snapshots for the time stencil")
-    chart = h.chart
-    n = chart.n
+    residual = _ResidualNorms(h, dt, dx, boundary)
+    if h.chart.m == 1:
+        for i in range(0, len(traj), _TABLE_ROWS):
+            part = traj[i:i + _TABLE_ROWS]
+            residual.add(np.column_stack(([s.t for s in part], [s.u for s in part],
+                                          [s.p for s in part])))
+    else:
+        for s in traj:
+            residual.add([s])
+    return residual.norms()
 
-    if chart.m == 1:
-        t = np.array([s.t for s in traj])
-        u = np.stack([s.u for s in traj])  # (T, n)
-        p = np.stack([s.p for s in traj])
+
+class _ResidualNorms:
+    """Residual norms of the first-order equations along a trajectory that
+    is fed in order, without holding it.
+
+    ``add`` takes the next snapshots: for m = 1 a table of rows t, u...,
+    p..., for m = 2 a list of :class:`GridSection`.  Once a chunk of new
+    snapshots is held (``_TABLE_ROWS`` rows, or ``_CHUNK`` sections), it is
+    evaluated with the whole-trajectory formula together with the two
+    snapshots before it, so every snapshot but the first and the last is
+    the centre of one time stencil.  Per residual the running max |r| (a
+    nan stays nan), the chunk sums of r^2 and the count are kept.
+    """
+
+    def __init__(self, h: HamiltonianSection, dt: float, dx: float | None = None,
+                 boundary: str = "periodic"):
+        chart = h.chart
+        if chart.m == 1:
+            self._join, self._evaluate = np.concatenate, self._ode
+            self._chunk = _TABLE_ROWS
+        elif chart.m == 2:
+            if dx is None:
+                raise ValueError("dx is required for field residuals")
+            self._join, self._evaluate = _sections, self._field
+            self._chunk = _CHUNK
+        else:
+            raise ValueError("residuals implemented for m in (1, 2)")
+        self.system, self.n, self.dt, self.dx, self.boundary = h.system, chart.n, dt, dx, boundary
+        self._held: list = []
+        self._count = 0
+        self.snapshots = 0
+        self._norms: dict[str, list] = {}  # key -> [max |r|, chunk sums of r^2, count]
+
+    def add(self, snapshots) -> None:
+        self._held.append(snapshots)
+        self._count += len(snapshots)
+        self.snapshots += len(snapshots)
+        if self._count >= self._chunk + 2:
+            self._flush()
+
+    def norms(self) -> dict[str, dict[str, float]]:
+        """Max and root-mean-square norm of each residual so far."""
+        if self.snapshots < 3:
+            raise ValueError("need at least 3 snapshots for the time stencil")
+        if self._count > 2:
+            self._flush()
+        return {key: {"max": worst, "l2": math.sqrt(math.fsum(sums) / count)}
+                for key, (worst, sums, count) in self._norms.items()}
+
+    def _flush(self) -> None:
+        chunk = self._join(self._held)
+        for key, parts in self._evaluate(chunk).items():
+            norm = self._norms.setdefault(key, [0.0, [], 0])
+            for r in parts:
+                norm[0] = float(np.maximum(norm[0], np.max(np.abs(r))))
+                norm[1].append(float(np.sum(np.square(r))))
+                norm[2] += r.size
+        self._held = [chunk[-2:]]
+        self._count = 2
+
+    def _ode(self, rows: np.ndarray) -> dict[str, list[np.ndarray]]:
+        n, dt = self.n, self.dt
+        columns = np.ascontiguousarray(rows.T)
+        t, u, p = columns[0], columns[1:n + 1], columns[n + 1:]  # u, p: (n, T)
         values = [np.broadcast_to(np.atleast_1d(v), t.shape)
-                  for v in h.system.evolution(t, *u.T, *p.T)]
+                  for v in self.system.evolution(t, *u, *p)]
+        du_dt = (u[:, 2:] - u[:, :-2]) / (2.0 * dt)
+        dp_dt = (p[:, 2:] - p[:, :-2]) / (2.0 * dt)
+        return {"evolution_u": [du_dt - np.stack(values[:n])[:, 1:-1]],
+                "evolution_p": [dp_dt + np.stack(values[n:])[:, 1:-1]]}
+
+    def _field(self, traj: list[GridSection]) -> dict[str, list[np.ndarray]]:
+        n, dt, dx, boundary = self.n, self.dt, self.dx, self.boundary
+        u = np.stack([s.u for s in traj])  # (T, n, K)
+        M = np.stack([s.M for s in traj])
+        P = np.stack([s.P for s in traj])
+        t = np.array([s.t for s in traj])
+        x = traj[0].x
+        T, _, K = u.shape
+        interior = slice(1, T - 1)
+        args = (t[interior, None] * np.ones((1, K)), np.broadcast_to(x, (T - 2, K)),
+                *u[interior].swapaxes(0, 1), *M[interior].swapaxes(0, 1),
+                *P[interior].swapaxes(0, 1))
+        evolution = [np.broadcast_to(v, (T - 2, K)) for v in self.system.evolution(*args)]
+        stress = [np.broadcast_to(v, (T - 2, K)) for v in self.system.stress(*args)]
+
         du_dt = (u[2:] - u[:-2]) / (2.0 * dt)
-        dp_dt = (p[2:] - p[:-2]) / (2.0 * dt)
-        res_u = du_dt - np.stack(values[:n], axis=1)[1:-1]
-        res_p = dp_dt + np.stack(values[n:], axis=1)[1:-1]
-        return {"evolution_u": norms(res_u), "evolution_p": norms(res_p)}
+        dM_dt = (M[2:] - M[:-2]) / (2.0 * dt)
+        res_ut, res_ux, res_m = [], [], []
+        for a in range(n):
+            res_ut.append(du_dt[:, a] - evolution[a])
+            res_ux.append(ddx(u[interior, a], dx, boundary) - stress[a])
+            res_m.append(dM_dt[:, a] + ddx(P[interior, a], dx, boundary) + evolution[n + a])
+        if boundary == "dirichlet":
+            res_ut = [r[:, 2:-2] for r in res_ut]
+            res_ux = [r[:, 2:-2] for r in res_ux]
+            res_m = [r[:, 2:-2] for r in res_m]
+        return {"evolution_u": res_ut, "constraint_P": res_ux, "evolution_M": res_m}
 
-    if chart.m != 2:
-        raise ValueError("residuals implemented for m in (1, 2)")
-    if dx is None:
-        raise ValueError("dx is required for field residuals")
 
-    u = np.stack([s.u for s in traj])  # (T, n, K)
-    M = np.stack([s.M for s in traj])
-    P = np.stack([s.P for s in traj])
-    t = np.array([s.t for s in traj])
-    x = traj[0].x
-    T, _, K = u.shape
-    interior = slice(1, T - 1)
-    args = (t[interior, None] * np.ones((1, K)), np.broadcast_to(x, (T - 2, K)),
-            *u[interior].swapaxes(0, 1), *M[interior].swapaxes(0, 1),
-            *P[interior].swapaxes(0, 1))
-    evolution = [np.broadcast_to(v, (T - 2, K)) for v in h.system.evolution(*args)]
-    stress = [np.broadcast_to(v, (T - 2, K)) for v in h.system.stress(*args)]
-
-    du_dt = (u[2:] - u[:-2]) / (2.0 * dt)
-    dM_dt = (M[2:] - M[:-2]) / (2.0 * dt)
-    res_ut, res_ux, res_m = [], [], []
-    for a in range(n):
-        res_ut.append(du_dt[:, a] - evolution[a])
-        res_ux.append(ddx(u[interior, a], dx, boundary) - stress[a])
-        res_m.append(dM_dt[:, a] + ddx(P[interior, a], dx, boundary) + evolution[n + a])
-    if boundary == "dirichlet":
-        res_ut = [r[:, 2:-2] for r in res_ut]
-        res_ux = [r[:, 2:-2] for r in res_ux]
-        res_m = [r[:, 2:-2] for r in res_m]
-    return {"evolution_u": norms(np.stack(res_ut)),
-            "constraint_P": norms(np.stack(res_ux)),
-            "evolution_M": norms(np.stack(res_m))}
+def _sections(parts: list[list[GridSection]]) -> list[GridSection]:
+    return [s for part in parts for s in part]
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ class _Residuals:
         if terms:
             self.terms += terms
             value = _max_abs_at(forms, arrays)
-            self.worst = max(self.worst, value)
+            self.worst = float(np.maximum(self.worst, value))  # a nan stays nan
             self.passed &= not exact and value <= self.tol
         return terms > 0
 

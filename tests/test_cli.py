@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from hdw import cli
 from hdw.cli import _field_blocks, _ode_blocks, _write_csv, main
-from hdw.solver import GridSection, OdeState
+from hdw.solver import GridSection, OdeState, evolve_field, integrate_ode
 
 
 def write_model(tmp_path, data, name="model.json"):
@@ -161,14 +162,55 @@ class TestSimulate:
         def integrate(*args):
             raise AssertionError("integration started")
 
-        monkeypatch.setattr(cli, "integrate_ode", integrate)
-        monkeypatch.setattr(cli, "evolve_field", integrate)
+        monkeypatch.setattr(cli, "_ode_tables", integrate)
+        monkeypatch.setattr(cli, "_field_sections", integrate)
         path = write_model(tmp_path, model)
         out = tmp_path / "run"
         assert main(["simulate", "--model", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "request stores" in err and f"limit of {cli.MAX_STORED_VALUES}" in err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:time step:UserWarning")
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "existing-dir"])
+    def test_failed_run_leaves_no_files(self, existing, tmp_path):
+        dx = 2 * 3.141592653589793 / 64
+        path = write_model(tmp_path, {
+            "model": "wave",
+            "initial": {"u": ["sin(x2)"], "M": ["-cos(x2)"]},
+            "solver": {"dt": 1.0, "t_final": 1000.0, "K": 64, "dx": dx},
+        })
+        out = tmp_path / "runs" / "unstable"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "trajectory.csv").write_bytes(b"t,x,u1,M1,P1\n0,0,0,0,0\n")
+        assert main(["simulate", "--model", path, "--out", str(out)]) == 3
+        if existing:
+            assert sorted(p.name for p in out.iterdir()) == ["trajectory.csv"]
+            assert (out / "trajectory.csv").read_bytes() == b"t,x,u1,M1,P1\n0,0,0,0,0\n"
+        else:
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+    def test_peak_memory_does_not_grow_with_the_run(self, tmp_path):
+        # the trajectory is written and checked in one pass, never held
+        K = 256
+        dx = 2 * 3.141592653589793 / K
+        peaks = []
+        for t_final in (0.5, 4.0):
+            path = write_model(tmp_path, {
+                "model": "wave",
+                "initial": {"u": ["sin(x2)"], "M": ["-cos(x2)"]},
+                "solver": {"dt": dx / 4, "t_final": t_final, "K": K, "dx": dx},
+            }, f"wave-{t_final}.json")
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--model", path,
+                             "--out", str(tmp_path / str(t_final))]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2 ** 20
 
     def test_missing_solver_block(self, tmp_path):
         path = write_model(tmp_path, {
@@ -214,12 +256,13 @@ def _field_rows(traj):
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """The trajectories the CLI integrates, in call order."""
+    """The trajectories the CLI integrates, in call order, as the list
+    wrappers of the generators it consumes return them."""
     trajs = []
-    for name in ("integrate_ode", "evolve_field"):
-        def record(*args, _original=getattr(cli, name)):
-            trajs.append(_original(*args))
-            return trajs[-1]
+    for name, listed in (("_ode_tables", integrate_ode), ("_field_sections", evolve_field)):
+        def record(*args, _original=getattr(cli, name), _listed=listed):
+            trajs.append(_listed(*args))
+            return _original(*args)
         monkeypatch.setattr(cli, name, record)
     return trajs
 
@@ -256,7 +299,8 @@ class TestTrajectoryCsv:
         x = np.array(values)
         field = [GridSection(t=v, x=x, u=x[None, :], M=x[::-1][None, :], P=-x[None, :])
                  for v in values]
-        for name, blocks, rows in [("ode", _ode_blocks(ode), _ode_rows(ode)),
+        for name, blocks, rows in [("ode", _ode_blocks([np.array(_ode_rows(ode))]),
+                                    _ode_rows(ode)),
                                    ("field", _field_blocks(field), _field_rows(field))]:
             header = ["c"] * len(rows[0])
             _write_csv(tmp_path / name, header, blocks)

@@ -4,13 +4,14 @@ import types
 import numpy as np
 import pytest
 
+from hdw import solver
 from hdw.bundle import Chart, HamiltonianSection
 from hdw.expr import parse, simplify
 from hdw.models import (ContinuumSpec, GasConstants, PerfectGasModel,
                         WaveModel, abelian_algebra, model_td_mechanics,
                         ym_residual)
 from hdw.solver import (GridSection, NewtonError, OdeState, SolverConfig,
-                        _FieldSystem, evolve_field, evolve_ym_abelian,
+                        _FieldSystem, ddx, evolve_field, evolve_ym_abelian,
                         hdw_residual, integrate_ode, reconstruct_P, step_ode_rk4)
 
 
@@ -210,6 +211,127 @@ class TestHdwResidual:
         assert abs(norms[0] / norms[1] - 4.0) <= 1.2
 
 
+def _whole_array_residual(traj, h, dt, dx=None, boundary="periodic"):
+    """Reference: the residual norms of the whole trajectory at once, stacked."""
+    def norms(r):
+        return {"max": float(np.max(np.abs(r))), "l2": float(np.sqrt(np.mean(r ** 2)))}
+
+    n = h.chart.n
+    if h.chart.m == 1:
+        t = np.array([s.t for s in traj])
+        u = np.stack([s.u for s in traj])
+        p = np.stack([s.p for s in traj])
+        values = [np.broadcast_to(np.atleast_1d(v), t.shape)
+                  for v in h.system.evolution(t, *u.T, *p.T)]
+        res_u = (u[2:] - u[:-2]) / (2.0 * dt) - np.stack(values[:n], axis=1)[1:-1]
+        res_p = (p[2:] - p[:-2]) / (2.0 * dt) + np.stack(values[n:], axis=1)[1:-1]
+        return {"evolution_u": norms(res_u), "evolution_p": norms(res_p)}
+    u = np.stack([s.u for s in traj])
+    M = np.stack([s.M for s in traj])
+    P = np.stack([s.P for s in traj])
+    t = np.array([s.t for s in traj])
+    T, _, K = u.shape
+    mid = slice(1, T - 1)
+    args = (t[mid, None] * np.ones((1, K)), np.broadcast_to(traj[0].x, (T - 2, K)),
+            *u[mid].swapaxes(0, 1), *M[mid].swapaxes(0, 1), *P[mid].swapaxes(0, 1))
+    evolution = [np.broadcast_to(v, (T - 2, K)) for v in h.system.evolution(*args)]
+    stress = [np.broadcast_to(v, (T - 2, K)) for v in h.system.stress(*args)]
+    du_dt = (u[2:] - u[:-2]) / (2.0 * dt)
+    dM_dt = (M[2:] - M[:-2]) / (2.0 * dt)
+    ends = slice(2, -2) if boundary == "dirichlet" else slice(None)
+    res_ut = [(du_dt[:, a] - evolution[a])[:, ends] for a in range(n)]
+    res_ux = [(ddx(u[mid, a], dx, boundary) - stress[a])[:, ends] for a in range(n)]
+    res_m = [(dM_dt[:, a] + ddx(P[mid, a], dx, boundary) + evolution[n + a])[:, ends]
+             for a in range(n)]
+    return {"evolution_u": norms(np.stack(res_ut)), "constraint_P": norms(np.stack(res_ux)),
+            "evolution_M": norms(np.stack(res_m))}
+
+
+def _residual_case(case, snapshots):
+    """(trajectory, section, dt, dx, boundary) with the given number of snapshots."""
+    if case == "ode":
+        h = HamiltonianSection(Chart(m=1, n=2), HENON_HEILES)
+        initial = OdeState(t=0.0, u=np.array([0.12, -0.2]), p=np.array([0.05, 0.1]))
+        dt = 1e-3
+        traj = integrate_ode(h, initial, SolverConfig(dt=dt, t_final=(snapshots - 1) * dt))
+        return traj, h, dt, None, "periodic"
+    K = 32
+    if case == "wave":
+        model, dx, boundary = WaveModel(), 2.0 * np.pi / K, "periodic"
+        dt = dx / 4.0
+        u0, M0 = np.sin(dx * np.arange(K)), -np.cos(dx * np.arange(K))
+    else:
+        model = PerfectGasModel(ContinuumSpec(gas=GasConstants()))
+        dx, boundary = 1.0 / K, "dirichlet"
+        dt = dx / 8.0
+        x = dx * np.arange(K)
+        u0, M0 = x + 0.03 * np.sin(2.0 * np.pi * x), 0.01 * np.sin(2.0 * np.pi * x)
+    config = SolverConfig(dt=dt, t_final=(snapshots - 1) * dt, K=K, dx=dx, boundary=boundary)
+    traj = evolve_field(model, config, u0[None, :], M0[None, :])
+    return traj, model.hamiltonian, dt, dx, boundary
+
+
+class TestStreamedResidual:
+    """``hdw_residual`` over chunks gives the norms of the whole-array formula."""
+
+    @pytest.mark.parametrize("case, chunk", [("ode", solver._TABLE_ROWS),
+                                             ("wave", solver._CHUNK),
+                                             ("gas", solver._CHUNK)])
+    @pytest.mark.parametrize("extra", [None, 1, 2, "twice"])
+    def test_matches_the_whole_array_formula(self, case, chunk, extra):
+        snapshots = 3 if extra is None else 2 * chunk + 3 if extra == "twice" else chunk + extra
+        traj, h, dt, dx, boundary = _residual_case(case, snapshots)
+        assert len(traj) == snapshots
+        streamed = hdw_residual(traj, h, dt, dx=dx, boundary=boundary)
+        whole = _whole_array_residual(traj, h, dt, dx=dx, boundary=boundary)
+        assert streamed.keys() == whole.keys()
+        assert any(norms["max"] > 0.0 for norms in whole.values())
+        for key in whole:
+            assert streamed[key]["max"] == whole[key]["max"]
+            assert streamed[key]["l2"] == pytest.approx(whole[key]["l2"], rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("case, chunk", [("ode", solver._TABLE_ROWS),
+                                             ("wave", solver._CHUNK)])
+    def test_a_nan_in_an_early_chunk_propagates(self, case, chunk):
+        traj, h, dt, dx, boundary = _residual_case(case, 2 * chunk + 3)
+        state = traj[5]
+        if case == "ode":
+            traj[5] = OdeState(t=state.t, u=np.array([np.nan, state.u[1]]), p=state.p)
+        else:
+            traj[5] = GridSection(t=state.t, x=state.x, u=state.u, M=state.M + np.nan,
+                                  P=state.P)
+        norms = hdw_residual(traj, h, dt, dx=dx, boundary=boundary)
+        assert np.isnan(norms["evolution_u"]["max"]) or np.isnan(norms["evolution_M"]["max"])
+        assert all(np.isnan(r["max"]) == np.isnan(r["l2"]) for r in norms.values())
+
+
+class TestTimeGrid:
+    """The snapshot after step k is at k*dt, not at a running sum of dt."""
+
+    def test_ode(self):
+        traj = integrate_ode(_oscillator(), OdeState(t=0.0, u=np.array([1.0]),
+                                                     p=np.array([0.0])),
+                             SolverConfig(dt=0.2, t_final=40.0))
+        assert len(traj) == 201 and traj[-1].t == 200 * 0.2 == 40.0
+        assert [s.t for s in traj] == [k * 0.2 for k in range(201)]
+
+    def test_field(self):
+        K = 16
+        dx = 2.0 * np.pi / K
+        config = SolverConfig(dt=0.1, t_final=20.0, K=K, dx=dx)
+        x = dx * np.arange(K)
+        traj = evolve_field(WaveModel(), config, np.sin(x)[None, :], -np.cos(x)[None, :])
+        assert len(traj) == 201 and traj[-1].t == 200 * 0.1 == 20.0
+        assert [s.t for s in traj] == [k * 0.1 for k in range(201)]
+
+    def test_t_final_off_the_grid_rounds_the_step_count(self):
+        # 6.5 steps round to 6 (half to even), as before
+        traj = integrate_ode(_oscillator(), OdeState(t=0.0, u=np.array([1.0]),
+                                                     p=np.array([0.0])),
+                             SolverConfig(dt=0.2, t_final=1.3))
+        assert len(traj) == 7 and traj[-1].t == 6 * 0.2
+
+
 class TestEvolveYmAbelian:
     def test_constant_E_preserved(self):
         K = 32
@@ -252,14 +374,14 @@ def _tree_walk_rk4(h, state, dt, steps):
 
     t, u, p = state.t, state.u, state.p
     out = [(t, u, p)]
-    for _ in range(steps):
+    for k in range(1, steps + 1):
         k1u, k1p = rhs(t, u, p)
         k2u, k2p = rhs(t + dt / 2, u + dt / 2 * k1u, p + dt / 2 * k1p)
         k3u, k3p = rhs(t + dt / 2, u + dt / 2 * k2u, p + dt / 2 * k2p)
         k4u, k4p = rhs(t + dt, u + dt * k3u, p + dt * k3p)
         u = u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
         p = p + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        t = t + dt
+        t = state.t + k * dt  # the exact time grid, not a running sum
         out.append((t, u, p))
     return out
 

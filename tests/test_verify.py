@@ -212,3 +212,13 @@ def test_sample_count_counts_only_the_evaluated_trials(monkeypatch):
     report = check_representation(seed=0, trials=3, samples=20)
     assert not report.passed and report.details["residual_terms"] > 0
     assert report.sample_count == 20
+
+
+def test_a_nan_residual_is_reported_as_nan():
+    arrays = {"u1": np.linspace(-1.0, 1.0, 5)}
+    residuals = verify._Residuals(1e-9)
+    assert residuals.add(False, [NormalForm.polynomial([(("u1",), float("nan"))])], arrays)
+    assert np.isnan(residuals.worst) and not residuals.passed
+    # a later finite trial does not hide it
+    residuals.add(False, [NormalForm.polynomial([(("u1",), 1.0)])], arrays)
+    assert np.isnan(residuals.worst) and not residuals.passed
