@@ -618,32 +618,7 @@ class NormalForm:
         try:
             return e._nf
         except AttributeError:
-            pass
-        t = type(e)
-        if t is Const:
-            return NormalForm.constant(e.value)
-        if t is Var:
-            return NormalForm.atom(e.name)
-        if t is Add or t is Sub or t is Neg:
-            return NormalForm.sum(_summands(e))
-        if t is Mul or t is Div:
-            # walk the left spine of a product chain iteratively
-            spine = []
-            while (t is Mul or t is Div) and not hasattr(e, "_nf"):
-                spine.append((t, e.right))
-                e = e.left
-                t = type(e)
-            result = NormalForm.of(e)
-            for op, right in reversed(spine):
-                result = result * NormalForm.of(right) if op is Mul else _quotient(result, right)
-            return result
-        if t is Pow:
-            if e.exponent < 0:
-                return _quotient(NormalForm.constant(1.0), e.base) ** -e.exponent
-            return NormalForm.of(e.base) ** e.exponent
-        if t is Func:
-            return NormalForm.function(e.name, NormalForm.of(e.arg))
-        raise TypeError(f"unknown node {t.__name__}")
+            return _form_of(e)
 
     # -- atoms shared by two or more forms -----------------------------------
 
@@ -868,33 +843,82 @@ class NormalForm:
         return tree
 
 
-def _quotient(num: NormalForm, den: Expression) -> NormalForm:
-    """``num / den``, dividing by each factor of den's products and powers.
+def _form_of(e: Expression) -> NormalForm:
+    """The walk of :meth:`NormalForm.of`, iterative on both sides of every node.
 
+    ``todo`` holds the steps still to run, the next one last: ``of`` a node
+    pushes its form onto ``done``; ``quot`` divides the last form by a
+    denominator, by each factor of its products and powers, so that
     1/(u1*(u1 + x1)) is u1^-1 * (u1 + x1)^-1, not the reciprocal of the
-    expanded sum u1^2 + u1*x1, so the printed canonical tree normalizes
-    back to the same form.
+    expanded sum u1^2 + u1*x1, and the printed canonical tree normalizes
+    back to the same form; the other steps combine the last forms.
     """
-    if not hasattr(den, "_nf"):
-        t = type(den)
-        if t is Mul:
-            return _quotient(_quotient(num, den.left), den.right)
-        if t is Div:
-            return _quotient(num, den.left) * NormalForm.of(den.right)
-        if t is Pow and den.exponent > 0:
-            return num * _quotient(NormalForm.constant(1.0), den.base) ** den.exponent
-    return num / NormalForm.of(den)
+    todo: list = [("of", e)]
+    done: list[NormalForm] = []
+    while todo:
+        step, node = todo.pop()
+        if step == "of":
+            t = type(node)
+            if hasattr(node, "_nf"):
+                done.append(node._nf)
+            elif t is Const:
+                done.append(NormalForm.constant(node.value))
+            elif t is Var:
+                done.append(NormalForm.atom(node.name))
+            elif t is Add or t is Sub or t is Neg:
+                terms = list(_summands(node))
+                todo.append(("sum", [negate for _, negate in terms]))
+                todo += [("of", term) for term, _ in reversed(terms)]
+            elif t is Mul:
+                todo += [("mul", None), ("of", node.right), ("of", node.left)]
+            elif t is Div:
+                todo += [("quot", node.right), ("of", node.left)]
+            elif t is Pow and node.exponent < 0:
+                done.append(NormalForm.constant(1.0))
+                todo += [("pow", -node.exponent), ("quot", node.base)]
+            elif t is Pow:
+                todo += [("pow", node.exponent), ("of", node.base)]
+            elif t is Func:
+                todo += [("func", node.name), ("of", node.arg)]
+            else:
+                raise TypeError(f"unknown node {t.__name__}")
+        elif step == "quot":
+            t = None if hasattr(node, "_nf") else type(node)
+            if t is Mul:
+                todo += [("quot", node.right), ("quot", node.left)]
+            elif t is Div:
+                todo += [("mul", None), ("of", node.right), ("quot", node.left)]
+            elif t is Pow and node.exponent > 0:
+                done.append(NormalForm.constant(1.0))
+                todo += [("mul", None), ("pow", node.exponent), ("quot", node.base)]
+            else:
+                todo += [("div", None), ("of", node)]
+        elif step == "mul":
+            right = done.pop()
+            done[-1] = done[-1] * right
+        elif step == "div":
+            right = done.pop()
+            done[-1] = done[-1] / right
+        elif step == "pow":
+            done[-1] = done[-1] ** node
+        elif step == "func":
+            done[-1] = NormalForm.function(node, done[-1])
+        else:  # "sum": node holds the signs of the last len(node) forms
+            forms = done[-len(node):]
+            del done[-len(node):]
+            done.append(NormalForm.sum([-f if negate else f for f, negate in zip(forms, node)]))
+    return done[0]
 
 
 def _summands(e: Expression):
-    """The signed terms of a sum/difference/negation chain, walked iteratively."""
+    """The signed terms (node, negated) of a sum/difference/negation chain,
+    walked iteratively."""
     stack = [(e, False)]
     while stack:
         node, negate = stack.pop()
         t = type(node)
         if hasattr(node, "_nf") or not (t is Add or t is Sub or t is Neg):
-            f = NormalForm.of(node)
-            yield -f if negate else f
+            yield node, negate
         elif t is Neg:
             stack.append((node.arg, not negate))
         else:

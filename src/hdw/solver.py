@@ -229,14 +229,19 @@ def _ode_tables(h: HamiltonianSection, initial: OdeState, config: SolverConfig):
 def ddx(a: np.ndarray, dx: float, boundary: str = "periodic", axis: int = -1) -> np.ndarray:
     """Second-order first derivative along ``axis``: central differences,
     and one-sided ones at the ends of a non-periodic grid."""
+    a = np.asarray(a)
+    out = np.empty(a.shape, np.result_type(a, 1.0))
+    d = out
+    if axis != -1:  # the stencil runs along the last axis of both views
+        a, d = np.moveaxis(a, axis, -1), np.moveaxis(out, axis, -1)
+    np.subtract(a[..., 2:], a[..., :-2], out=d[..., 1:-1])
     if boundary == "periodic":
-        return (np.roll(a, -1, axis=axis) - np.roll(a, 1, axis=axis)) / (2.0 * dx)
-    if axis != -1:
-        return np.moveaxis(ddx(np.moveaxis(a, axis, -1), dx, boundary), -1, axis)
-    out = np.empty_like(a)
-    out[..., 1:-1] = (a[..., 2:] - a[..., :-2]) / (2.0 * dx)
-    out[..., 0] = (-3.0 * a[..., 0] + 4.0 * a[..., 1] - a[..., 2]) / (2.0 * dx)
-    out[..., -1] = (3.0 * a[..., -1] - 4.0 * a[..., -2] + a[..., -3]) / (2.0 * dx)
+        np.subtract(a[..., 1], a[..., -1], out=d[..., 0])
+        np.subtract(a[..., 0], a[..., -2], out=d[..., -1])
+    else:
+        d[..., 0] = -3.0 * a[..., 0] + 4.0 * a[..., 1] - a[..., 2]
+        d[..., -1] = 3.0 * a[..., -1] - 4.0 * a[..., -2] + a[..., -3]
+    d /= 2.0 * dx
     return out
 
 
@@ -252,11 +257,6 @@ class _FieldSystem:
         self.system = model.hamiltonian.system
         self._prev_P: np.ndarray | None = None
 
-    @staticmethod
-    def _args(t: float, x: np.ndarray, u: np.ndarray, M: np.ndarray, P: np.ndarray):
-        # the kernels broadcast the scalar time against the grid
-        return (t, x, *u, *M, *P)
-
     def reconstruct_P(self, t: float, x: np.ndarray, u: np.ndarray,
                       M: np.ndarray) -> np.ndarray:
         du_dx = ddx(u, self.config.dx, self.config.boundary)
@@ -266,18 +266,20 @@ class _FieldSystem:
 
     def _newton_P(self, t, x, u, M, du_dx) -> np.ndarray:
         cfg = self.config
+        stress, stress_slope = self.system.stress, self.system.stress_slope
+        target = du_dx[0]
         if self._prev_P is not None:
             P = self._prev_P.copy()
         else:
             P = np.asarray(self.model.reconstruct_P(du_dx), dtype=float)
         residual = None
         for _ in range(cfg.newton_max_iter):
-            args = self._args(t, x, u, M, P)
-            residual = np.atleast_1d(self.system.stress(*args)[0]) - du_dx[0]
+            # the kernels broadcast the scalar time against the grid
+            residual = np.atleast_1d(stress(t, x, *u, *M, *P)[0]) - target
             if np.max(np.abs(residual)) <= cfg.newton_tol:
                 self._prev_P = P
                 return P
-            slope = np.broadcast_to(np.atleast_1d(self.system.stress_slope(*args)[0]),
+            slope = np.broadcast_to(np.atleast_1d(stress_slope(t, x, *u, *M, *P)[0]),
                                     residual.shape)
             P = P - residual / slope
         worst = int(np.argmax(np.abs(residual)))
@@ -288,10 +290,14 @@ class _FieldSystem:
         """(du/dt, dM/dt, P); P is reconstructed from u unless given."""
         if P is None:
             P = self.reconstruct_P(t, x, u, M)
-        values = [np.broadcast_to(np.atleast_1d(v), x.shape)
-                  for v in self.system.evolution(*self._args(t, x, u, M, P))]
-        du = np.stack(values[:self.n])
-        dM = -np.stack(values[self.n:]) - ddx(P, self.config.dx, self.config.boundary)
+        n = self.n
+        du, dM = np.empty_like(u), np.empty_like(u)
+        values = self.system.evolution(t, x, *u, *M, *P)
+        for a in range(n):  # a kernel value is a grid row or a scalar
+            du[a] = values[a]
+            dM[a] = values[n + a]
+        np.negative(dM, out=dM)
+        dM -= ddx(P, self.config.dx, self.config.boundary)
         if self.config.boundary == "dirichlet":
             du[:, 0] = du[:, -1] = 0.0
             dM[:, 0] = dM[:, -1] = 0.0

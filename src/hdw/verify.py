@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -18,8 +19,8 @@ from .bracket import (ConnectionCheck, _current_bracket_forms, _current_bracket_
 from .bundle import Chart, Current, CurrentForms, DensityCoefficient, HamiltonianSection
 from .expr import Const, Expression, Mul, NormalForm, Var
 from .models import model_td_mechanics, WaveModel, abelian_algebra, ym_residual
-from .solver import (GridSection, OdeState, SolverConfig, ddx, evolve_field,
-                     evolve_ym_abelian, integrate_ode)
+from .solver import (GridSection, OdeState, SolverConfig, _ode_tables, ddx, evolve_field,
+                     evolve_ym_abelian)
 
 __all__ = [
     "VerificationReport", "random_polynomial", "random_current",
@@ -395,12 +396,10 @@ def check_bracket_evolution_ode(dts=(4e-3, 2e-3, 1e-3), t_final: float = 10.0,
     residuals = []
     for dt in dts:
         config = SolverConfig(dt=dt, t_final=t_final)
-        traj = integrate_ode(h, OdeState(t=0.0, u=np.array([1.0]), p=np.array([0.0])),
-                             config)
-        t = np.array([s.t for s in traj])
-        arrays = {"x1": t,
-                  "u1": np.array([s.u[0] for s in traj]),
-                  "p1_1": np.array([s.p[0] for s in traj])}
+        rows = np.concatenate(list(_ode_tables(
+            h, OdeState(t=0.0, u=np.array([1.0]), p=np.array([0.0])), config)))
+        t, u1, p1 = np.ascontiguousarray(rows.T)
+        arrays = {"x1": t, "u1": u1, "p1_1": p1}
         g = np.atleast_1d(f0.F.eval_many(arrays))
         lhs = _five_point_ddt(g, dt)
         rhs = np.broadcast_to(np.atleast_1d(rhs_expr.eval_many(arrays)), t.shape)[2:-2]
@@ -419,7 +418,14 @@ def check_bracket_evolution_ode(dts=(4e-3, 2e-3, 1e-3), t_final: float = 10.0,
                  "expected_ratio": expected_ratio})
 
 
+@lru_cache(maxsize=None)
 def _wave_setup(K: int):
+    """The wave model's trajectory at K grid points, for the field suites.
+
+    Memoised so that the suites of one :func:`run_suites` call share each
+    resolution; ``run_suites`` clears the memo when it returns or raises.
+    A check called on its own leaves its trajectories here until then.
+    """
     model = WaveModel()
     dx = 2.0 * np.pi / K
     config = SolverConfig(dt=dx / 4.0, t_final=1.0, K=K, dx=dx)
@@ -580,13 +586,16 @@ def run_suites(names=None, seed: int | None = None) -> list[VerificationReport]:
     if unknown:
         raise KeyError(f"unknown suite(s) {unknown}; available: {list(SUITES)}")
     reports = []
-    for name in selected:
-        check = SUITES[name]
-        start = time.perf_counter()
-        if seed is not None and "seed" in check.__code__.co_varnames:
-            report = check(seed=seed)
-        else:
-            report = check()
-        report.details["runtime_s"] = round(time.perf_counter() - start, 3)
-        reports.append(report)
+    try:
+        for name in selected:
+            check = SUITES[name]
+            start = time.perf_counter()
+            if seed is not None and "seed" in check.__code__.co_varnames:
+                report = check(seed=seed)
+            else:
+                report = check()
+            report.details["runtime_s"] = round(time.perf_counter() - start, 3)
+            reports.append(report)
+    finally:
+        _wave_setup.cache_clear()  # no trajectory outlives the run
     return reports

@@ -307,6 +307,19 @@ def test_deep_parsed_trees_evaluate_print_and_substitute(text):
     assert _outcome(lambda: [s.eval({"u1": b["u1"]})]) == _outcome(lambda: [value])
 
 
+@pytest.mark.parametrize("node", [Mul, Div])
+def test_simplify_walks_deep_right_nested_chains_iteratively(node):
+    # u1 * (x1 * (u1 * ...)) and u1 / (x1 / (u1 / ...)), 3000 deep; the
+    # parser refuses such nesting, so the chains are built in Python
+    e = Var("u1")
+    for k in range(3000):
+        e = node(Var("x1" if k % 2 else "u1"), e)
+    s = simplify(e)
+    b = {"u1": 1.0001, "x1": 0.9998}
+    assert s.eval(b) == pytest.approx(e.eval(b), rel=1e-12)
+    assert NormalForm.of(e).terms == NormalForm.of(s).terms
+
+
 def _tree_and_kernel_outcomes(tree, binding):
     """Outcomes of the tree walk of ``tree`` and of its compiled numpy kernel."""
     def outcome(compute):

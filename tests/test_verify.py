@@ -83,6 +83,51 @@ def test_run_suites_selection():
     assert "runtime_s" in reports[0].details
 
 
+def _count_integrations(monkeypatch) -> list[int]:
+    """The grid sizes of the field trajectories the verify suites integrate."""
+    calls = []
+    evolve = verify.evolve_field
+
+    def counted(model, config, u0, M0):
+        calls.append(config.K)
+        return evolve(model, config, u0, M0)
+
+    monkeypatch.setattr(verify, "evolve_field", counted)
+    verify._wave_setup.cache_clear()  # a direct check call may have filled it
+    return calls
+
+
+def test_one_run_integrates_each_wave_resolution_once(monkeypatch):
+    calls = _count_integrations(monkeypatch)
+    assert all(report.passed for report in run_suites())
+    # evolution-field takes K = 64, 128, 256; evolution-converse shares 128, 256
+    assert sorted(calls) == [64, 128, 256]
+    assert verify._wave_setup.cache_info().currsize == 0
+    calls.clear()
+    run_suites()
+    assert sorted(calls) == [64, 128, 256]
+    calls.clear()
+    run_suites(["evolution-converse"])
+    assert sorted(calls) == [128, 256]
+    assert verify._wave_setup.cache_info().currsize == 0
+
+
+def test_the_trajectory_memo_is_cleared_when_a_suite_raises(monkeypatch):
+    calls = _count_integrations(monkeypatch)
+    seen = []
+
+    def failing():
+        seen.append(verify._wave_setup.cache_info())
+        raise RuntimeError("suite failed")
+
+    monkeypatch.setitem(SUITES, "yang-mills", failing)
+    with pytest.raises(RuntimeError, match="suite failed"):
+        run_suites(["evolution-field", "evolution-converse", "yang-mills"])
+    assert sorted(calls) == [64, 128, 256]
+    assert seen[0].hits == 2 and seen[0].currsize == 3
+    assert verify._wave_setup.cache_info().currsize == 0
+
+
 def test_run_suites_unknown_name():
     with pytest.raises(KeyError):
         run_suites(["no-such-suite"])
