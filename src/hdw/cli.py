@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", action="append", choices=sorted(SUITES),
                    help="suite name (repeatable; default: all)")
-    p.add_argument("--seed", type=int, help="random seed for sampled suites")
+    p.add_argument("--seed", type=int, help="random seed for the randomized suites")
     p.add_argument("--out", help="directory for the JSON report")
     p.set_defaults(func=cmd_verify)
 

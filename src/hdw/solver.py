@@ -153,6 +153,12 @@ def _non_finite(step: int, t: float) -> FloatingPointError:
     return FloatingPointError(f"non-finite state at step {step} (t = {t})")
 
 
+def _quiet():
+    """numpy's overflow, invalid and divide warnings off, so that a finiteness
+    check decides; never held across a ``yield``, or the consumer inherits it."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 # ---------------------------------------------------------------------------
 # ODE case (m = 1)
 
@@ -330,20 +336,22 @@ def _field_sections(model, config: SolverConfig, u0: np.ndarray, M0: np.ndarray)
     dt = config.dt
     k = 0
     try:
-        P = system.reconstruct_P(t, x, u, M)
+        with _quiet():
+            P = system.reconstruct_P(t, x, u, M)
         yield GridSection(t=t, x=x, u=u, M=M, P=P)
         steps = int(round(config.t_final / dt))
         for k in range(1, steps + 1):
-            k1u, k1M, _ = system.rhs(t, x, u, M, P)
-            k2u, k2M, _ = system.rhs(t + dt / 2, x, u + dt / 2 * k1u, M + dt / 2 * k1M)
-            k3u, k3M, _ = system.rhs(t + dt / 2, x, u + dt / 2 * k2u, M + dt / 2 * k2M)
-            k4u, k4M, _ = system.rhs(t + dt, x, u + dt * k3u, M + dt * k3M)
-            u = u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-            M = M + dt / 6 * (k1M + 2 * k2M + 2 * k3M + k4M)
-            t = k * dt
-            if not (np.isfinite(u).all() and np.isfinite(M).all()):
-                raise _non_finite(k, t)
-            P = system.reconstruct_P(t, x, u, M)
+            with _quiet():
+                k1u, k1M, _ = system.rhs(t, x, u, M, P)
+                k2u, k2M, _ = system.rhs(t + dt / 2, x, u + dt / 2 * k1u, M + dt / 2 * k1M)
+                k3u, k3M, _ = system.rhs(t + dt / 2, x, u + dt / 2 * k2u, M + dt / 2 * k2M)
+                k4u, k4M, _ = system.rhs(t + dt, x, u + dt * k3u, M + dt * k3M)
+                u = u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
+                M = M + dt / 6 * (k1M + 2 * k2M + 2 * k3M + k4M)
+                t = k * dt
+                if not (np.isfinite(u).all() and np.isfinite(M).all()):
+                    raise _non_finite(k, t)
+                P = system.reconstruct_P(t, x, u, M)
             yield GridSection(t=t, x=x, u=u, M=M, P=P)
     except ValueError as exc:
         raise FloatingPointError(f"invalid state at step {k} (t = {t}): {exc}") from None
@@ -442,12 +450,13 @@ class _ResidualNorms:
 
     def _flush(self) -> None:
         chunk = self._join(self._held)
-        for key, parts in self._evaluate(chunk).items():
-            norm = self._norms.setdefault(key, [0.0, [], 0])
-            for r in parts:
-                norm[0] = float(np.maximum(norm[0], np.max(np.abs(r))))
-                norm[1].append(float(np.sum(np.square(r))))
-                norm[2] += r.size
+        with _quiet():  # an overflow leaves a non-finite norm, which the caller checks
+            for key, parts in self._evaluate(chunk).items():
+                norm = self._norms.setdefault(key, [0.0, [], 0])
+                for r in parts:
+                    norm[0] = float(np.maximum(norm[0], np.max(np.abs(r))))
+                    norm[1].append(float(np.sum(np.square(r))))
+                    norm[2] += r.size
         self._held = [chunk[-2:]]
         self._count = 2
 

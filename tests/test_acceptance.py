@@ -31,7 +31,7 @@ def _report(number: int, description: str, passed: bool) -> None:
 
 def test_01_representation_identity():
     start = time.perf_counter()
-    report = check_representation(seed=0, trials=20, samples=100)
+    report = check_representation(seed=0, trials=20)
     elapsed = time.perf_counter() - start
     _report(1, "affine representation identity, residual <= 1e-9 "
                f"(max {report.max_residual:.2e}, {elapsed:.1f}s)",
@@ -40,7 +40,7 @@ def test_01_representation_identity():
 
 def test_02_jacobi_identity():
     start = time.perf_counter()
-    report = check_jacobi_currents(seed=1, trials=20, samples=100)
+    report = check_jacobi_currents(seed=1, trials=20)
     elapsed = time.perf_counter() - start
     ok = (report.passed
           and report.max_residual <= 1e-9
@@ -51,7 +51,7 @@ def test_02_jacobi_identity():
 
 
 def test_03_mechanics_reduction():
-    report = check_m1_reduction(seed=2, pairs=20, samples=100)
+    report = check_m1_reduction(seed=2, pairs=20)
     # the self-bracket must cancel to the literal zero constant
     chart = Chart(m=1, n=2)
     exact = True

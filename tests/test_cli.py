@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hdw
 from hdw import cli
 from hdw.cli import _field_blocks, _ode_blocks, _write_csv, main
 from hdw.solver import GridSection, OdeState, evolve_field, integrate_ode
@@ -14,6 +18,16 @@ def write_model(tmp_path, data, name="model.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def unstable_wave_model(tmp_path):
+    # dt = 10 dx: the explicit scheme blows up long before t_final
+    dx = 2 * 3.141592653589793 / 64
+    return write_model(tmp_path, {
+        "model": "wave",
+        "initial": {"u": ["sin(x2)"], "M": ["-cos(x2)"]},
+        "solver": {"dt": 1.0, "t_final": 1000.0, "K": 64, "dx": dx},
+    })
 
 
 @pytest.fixture
@@ -96,15 +110,8 @@ class TestSimulate:
         assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
         assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_unstable_run_exits_3_without_output(self, tmp_path, capsys):
-        # dt = 10 dx: the explicit scheme blows up long before t_final
-        dx = 2 * 3.141592653589793 / 64
-        path = write_model(tmp_path, {
-            "model": "wave",
-            "initial": {"u": ["sin(x2)"], "M": ["-cos(x2)"]},
-            "solver": {"dt": 1.0, "t_final": 1000.0, "K": 64, "dx": dx},
-        })
+        path = unstable_wave_model(tmp_path)
         out = tmp_path / "run"
         with pytest.warns(UserWarning, match="instability"):
             assert main(["simulate", "--model", path, "--out", str(out)]) == 3
@@ -171,16 +178,10 @@ class TestSimulate:
         assert "request stores" in err and f"limit of {cli.MAX_STORED_VALUES}" in err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:time step:UserWarning")
     @pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "existing-dir"])
     def test_failed_run_leaves_no_files(self, existing, tmp_path):
-        dx = 2 * 3.141592653589793 / 64
-        path = write_model(tmp_path, {
-            "model": "wave",
-            "initial": {"u": ["sin(x2)"], "M": ["-cos(x2)"]},
-            "solver": {"dt": 1.0, "t_final": 1000.0, "K": 64, "dx": dx},
-        })
+        path = unstable_wave_model(tmp_path)
         out = tmp_path / "runs" / "unstable"
         if existing:
             out.mkdir(parents=True)
@@ -191,6 +192,19 @@ class TestSimulate:
             assert (out / "trajectory.csv").read_bytes() == b"t,x,u1,M1,P1\n0,0,0,0,0\n"
         else:
             assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+    def test_unstable_run_exits_3_when_runtime_warnings_are_errors(self, tmp_path):
+        # the finiteness check decides, not a numpy overflow warning on the way
+        path = unstable_wave_model(tmp_path)
+        src = str(Path(hdw.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "hdw.cli",
+                               "simulate", "--model", path, "--out", str(tmp_path / "run")],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert "numeric failure: non-finite state at step" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
     def test_peak_memory_does_not_grow_with_the_run(self, tmp_path):
         # the trajectory is written and checked in one pass, never held

@@ -112,6 +112,13 @@ class TestEvolveField:
             assert np.array_equal(a.M, b.M)
             assert np.array_equal(a.P, b.P)
 
+    def test_the_consumer_keeps_numpy_warnings_on(self):
+        # the stepper silences overflow warnings within a step, never across a yield
+        model, config, x, u0, M0 = self._wave(16, t_final=0.1)
+        outside = np.geterr()
+        for _ in solver._field_sections(model, config, u0, M0):
+            assert np.geterr() == outside
+
     def test_newton_matches_closed_form(self):
         model, config, x, u0, M0 = self._wave(32, t_final=0.2)
         newton_config = SolverConfig(dt=config.dt, t_final=0.2, K=32, dx=config.dx,

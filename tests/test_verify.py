@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hdw import bracket, verify
+from hdw.bundle import Chart, CurrentForms, DensityCoefficient
 from hdw.expr import Const, Mul, NormalForm, Var, add_all
 from hdw.verify import (SUITES, check_bracket_evolution_converse,
                         check_bracket_evolution_ode, check_connection_class,
@@ -28,18 +29,18 @@ def test_random_polynomial_seeded():
 
 class TestAlgebraicChecks:
     def test_representation(self):
-        report = check_representation(seed=0, trials=3, samples=50)
+        report = check_representation(seed=0, trials=3)
         assert report.passed
         assert report.max_residual <= 1e-9
 
     def test_jacobi(self):
-        report = check_jacobi_currents(seed=1, trials=3, samples=50)
+        report = check_jacobi_currents(seed=1, trials=3)
         assert report.passed
         assert report.details["antisymmetry"] <= 1e-12
         assert report.details["oracle_mismatch"] <= 1e-5
 
     def test_m1_reduction(self):
-        report = check_m1_reduction(seed=2, pairs=3, samples=50)
+        report = check_m1_reduction(seed=2, pairs=3)
         assert report.passed
         assert report.max_residual <= 1e-12
 
@@ -51,8 +52,8 @@ class TestAlgebraicChecks:
         assert not report.details["trace_perturbation"]["is_hamiltonian"]
 
     def test_reports_are_reproducible(self):
-        r1 = check_representation(seed=5, trials=2, samples=20)
-        r2 = check_representation(seed=5, trials=2, samples=20)
+        r1 = check_representation(seed=5, trials=2)
+        r2 = check_representation(seed=5, trials=2)
         assert r1.max_residual == r2.max_residual
 
 
@@ -69,7 +70,7 @@ class TestEvolutionChecks:
 
 
 def test_report_serialization():
-    report = check_m1_reduction(seed=0, pairs=1, samples=10)
+    report = check_m1_reduction(seed=0, pairs=1)
     d = report.to_dict()
     assert d["name"] == "mechanics_reduction"
     assert isinstance(d["passed"], bool)
@@ -152,7 +153,7 @@ def test_brackets_and_residuals_emit_no_intermediate_trees(check, seed, limit, m
         return to_expr(self)
 
     monkeypatch.setattr(NormalForm, "to_expr", counted)
-    assert check(seed=seed, trials=2, samples=20).passed
+    assert check(seed=seed, trials=2).passed
     assert len(calls) <= limit
 
 
@@ -173,10 +174,23 @@ def test_random_polynomial_is_the_sum_of_its_monomials():
 @pytest.mark.parametrize("check, degree", [
     (check_representation, 3), (check_jacobi_currents, 3), (check_m1_reduction, 2)])
 def test_algebraic_suites_are_exact_on_dyadic_draws(check, degree):
-    report = check(seed=4, samples=20)
-    assert report.passed and report.max_residual == 0.0
-    assert report.details["exact"] and report.details["residual_terms"] == 0
+    report = check(seed=4)
+    assert report.passed and report.max_residual == 0.0 and report.tolerance == 0.0
+    assert report.details["residual_terms"] == 0
     assert report.details["false_pass_bound"] == (degree / 129) ** 20
+
+
+def test_every_draw_is_dyadic():
+    # the suites' exactness rests on every drawn coefficient being k/64, |k| <= 64
+    def dyadic(forms):
+        return all(abs(c) <= 1.0 and (c * 64).is_integer() for f in forms for c in f.terms.values())
+
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        current = CurrentForms.of(verify.random_current(rng, Chart(m=2, n=2)))
+        assert dyadic([verify._random_form(rng, ("x1", "u1", "p1_1"), 3)])
+        assert dyadic(current.Y + current.beta)
+        assert dyadic([NormalForm.of(random_polynomial(rng, ("x1", "u1", "u2", "p1_2")))])
 
 
 def test_a_wrong_transport_sign_leaves_residual_terms(monkeypatch):
@@ -190,14 +204,16 @@ def test_a_wrong_transport_sign_leaves_residual_terms(monkeypatch):
     monkeypatch.setattr(bracket, "_current_bracket_pairs", wrong_sign)
     monkeypatch.setattr(verify, "_current_bracket_pairs", wrong_sign)
     for check in (check_representation, check_jacobi_currents):
-        report = check(seed=0, trials=2, samples=20)
+        report = check(seed=0, trials=2)
         assert not report.passed, check.__name__
-        assert report.details["exact"] and report.details["residual_terms"] > 0
+        assert report.details["residual_terms"] > 0
         assert report.max_residual > 0.0
+    # the flipped term makes the bracket symmetric, so ab + ba is left too
+    assert report.details["antisymmetry"] > 0.0
 
 
 def test_an_exact_residual_below_the_tolerance_still_fails(monkeypatch):
-    # exact draws pass only on an empty residual form, not on a small one
+    # a residual of 2^-60 u1, far below any float tolerance, is a term left
     representation_form = verify._representation_form
 
     def off_by_a_little(a, b, H):
@@ -205,65 +221,38 @@ def test_an_exact_residual_below_the_tolerance_still_fails(monkeypatch):
         return NormalForm.sum([representation_form(a, b, H), tiny])
 
     monkeypatch.setattr(verify, "_representation_form", off_by_a_little)
-    report = check_representation(seed=0, trials=2, samples=20)
-    assert not report.passed and 0.0 < report.max_residual <= report.tolerance
-    assert report.details["exact"] and report.details["residual_terms"] == 2
+    report = check_representation(seed=0, trials=2)
+    assert not report.passed and report.max_residual == 2.0 ** -60 > report.tolerance == 0.0
+    assert report.details["residual_terms"] == 2
 
 
-def _uniform_form(rng, names, degree):
-    terms = [(combo, rng.uniform(-1.0, 1.0)) for d in range(degree + 1)
-             for combo in combinations_with_replacement(names, d)]
-    return NormalForm.polynomial(terms)
+def test_a_planted_term_in_the_linear_bracket_fails_the_m1_reduction(monkeypatch):
+    linear = verify.bracket_linear
 
+    def planted(c, F):
+        result = linear(c, F)
+        # 2^-10 sums exactly with the k/64 draws' products
+        return DensityCoefficient(result.chart, result.F + Const(2.0 ** -10) * Var("u1"))
 
-@pytest.mark.parametrize("check", [check_representation, check_jacobi_currents,
-                                   check_m1_reduction])
-def test_uniform_draws_take_the_sampled_check(check, monkeypatch):
-    monkeypatch.setattr(verify, "_random_form", _uniform_form)
-    report = check(seed=0, samples=20)
-    assert report.passed and report.max_residual <= report.tolerance
-    assert not report.details["exact"] and report.details["false_pass_bound"] is None
+    monkeypatch.setattr(verify, "bracket_linear", planted)
+    report = check_m1_reduction(seed=2, pairs=2)
+    assert not report.passed and report.max_residual == 2.0 ** -10
+    # per pair: linear - canonical and the self-bracket {f, f}
+    assert report.details["residual_terms"] == 4
 
 
 @pytest.mark.parametrize("check", [check_representation, check_jacobi_currents,
                                    check_m1_reduction])
 def test_an_exact_pass_evaluates_no_sample(check):
-    report = check(seed=4, samples=20)
-    assert report.passed and report.details["exact"] and report.sample_count == 0
+    report = check(seed=4)
+    assert report.passed and report.sample_count == 0 and "exact" not in report.details
     assert report.summary().startswith("[PASS] ") and report.summary().endswith(", exact)")
 
 
-@pytest.mark.parametrize("check", [check_representation, check_jacobi_currents,
-                                   check_m1_reduction])
-def test_the_sampled_check_counts_every_evaluated_point(check, monkeypatch):
-    monkeypatch.setattr(verify, "_random_form", _uniform_form)
-    report = check(seed=0, samples=20)
-    assert not report.details["exact"] and report.sample_count == 20 * 20
-    assert report.summary().endswith(", 400 samples)")
-
-
-def test_sample_count_counts_only_the_evaluated_trials(monkeypatch):
-    pairs = bracket._current_bracket_pairs
-    calls = []
-
-    def wrong_sign_once(a, b):
-        # the first trial's bracket only, with the second term's sign flipped
-        calls.append(1)
-        return [[(x, -y) if k % 2 and len(calls) == 1 else (x, y)
-                 for k, (x, y) in enumerate(coefficient)] for coefficient in pairs(a, b)]
-
-    monkeypatch.setattr(verify, "_current_bracket_pairs", wrong_sign_once)
-    monkeypatch.setattr(bracket, "_current_bracket_pairs", wrong_sign_once)
-    report = check_representation(seed=0, trials=3, samples=20)
-    assert not report.passed and report.details["residual_terms"] > 0
-    assert report.sample_count == 20
-
-
 def test_a_nan_residual_is_reported_as_nan():
-    arrays = {"u1": np.linspace(-1.0, 1.0, 5)}
-    residuals = verify._Residuals(1e-9)
-    assert residuals.add(False, [NormalForm.polynomial([(("u1",), float("nan"))])], arrays)
-    assert np.isnan(residuals.worst) and not residuals.passed
-    # a later finite trial does not hide it
-    residuals.add(False, [NormalForm.polynomial([(("u1",), 1.0)])], arrays)
-    assert np.isnan(residuals.worst) and not residuals.passed
+    residuals = verify._Residuals()
+    residuals.add([NormalForm.polynomial([(("u1",), float("nan"))])])
+    assert np.isnan(residuals.worst) and not residuals.passed and residuals.terms == 1
+    # a later finite term does not hide it
+    residuals.add([NormalForm.polynomial([(("u1",), 1.0)])])
+    assert np.isnan(residuals.worst) and not residuals.passed and residuals.terms == 2
