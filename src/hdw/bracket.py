@@ -18,8 +18,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bundle import (Chart, Current, CurrentDifferential, CurrentForms,
-                     DensityCoefficient, HamiltonianSection, coefficient_derivative,
-                     d_current, require_valid)
+                     DensityCoefficient, DensityForm, HamiltonianSection,
+                     coefficient_derivative, d_current, require_valid)
 from .expr import Const, Expression, NormalForm, simplify
 
 
@@ -194,40 +194,40 @@ def _check_pair(a: Current, b: Current) -> None:
 
 
 # The brackets on normal forms: a current is a CurrentForms, a plain density
-# observable stays a DensityCoefficient (one form, read with NormalForm.of).
+# observable a DensityForm.
 
 
-def _forms(c: Current | DensityCoefficient) -> CurrentForms | DensityCoefficient:
-    """The forms of a current, checked for momentum dependence; a density as it is."""
+def _forms(c: Current | DensityCoefficient) -> CurrentForms | DensityForm:
+    """The forms of a current, checked for momentum dependence, or of a density."""
     if isinstance(c, DensityCoefficient):
-        return c
+        return DensityForm(c.chart, NormalForm.of(c.F))
     forms = CurrentForms.of(c)
     require_valid(forms)
     return forms
 
 
-def _explicit_forms(c: CurrentForms | DensityCoefficient) -> list[NormalForm]:
+def _explicit_forms(c: CurrentForms | DensityForm) -> list[NormalForm]:
     """The explicit base-derivative terms of :func:`bracket_affine` for a valid ``c``."""
     chart = c.chart
-    if isinstance(c, DensityCoefficient):
-        return [NormalForm.of(c.F).diff(chart.x_name(1))]
+    if isinstance(c, DensityForm):
+        return [c.F.diff(chart.x_name(1))]
     return [coefficient_derivative(c, i, chart.x_name(i)) for i in range(1, chart.m + 1)]
 
 
-def _affine_form(c: CurrentForms | DensityCoefficient, H: NormalForm) -> NormalForm:
+def _affine_form(c: CurrentForms | DensityForm, H: NormalForm) -> NormalForm:
     """Normal form of :func:`bracket_affine` for a valid ``c`` and the form ``H``
     of the Hamiltonian."""
     return NormalForm.sum(_explicit_forms(c) + [_linear_form(c, H)])
 
 
-def _linear_pairs(c: CurrentForms | DensityCoefficient,
+def _linear_pairs(c: CurrentForms | DensityForm,
                   g: NormalForm) -> list[tuple[NormalForm, NormalForm]]:
     """The (x, y) pairs whose products x*y sum to the bracket of a valid ``c``
     with the density coefficient ``g``."""
     chart = c.chart
     pairs = []
-    if isinstance(c, DensityCoefficient):
-        f = NormalForm.of(c.F)
+    if isinstance(c, DensityForm):
+        f = c.F
         for a in range(1, chart.n + 1):
             ua, pa = chart.u_name(a), chart.p_name(1, a)
             pairs.append((f.diff(ua), g.diff(pa)))
@@ -241,7 +241,7 @@ def _linear_pairs(c: CurrentForms | DensityCoefficient,
     return pairs
 
 
-def _linear_form(c: CurrentForms | DensityCoefficient, g: NormalForm) -> NormalForm:
+def _linear_form(c: CurrentForms | DensityForm, g: NormalForm) -> NormalForm:
     """Normal form of the bracket of a valid ``c`` with the density coefficient ``g``."""
     return NormalForm.dot(_linear_pairs(c, g))
 

@@ -164,6 +164,14 @@ class CurrentForms:
 
 
 @dataclass(frozen=True)
+class DensityForm:
+    """The normal form of a density coefficient's ``F``, for the m = 1 brackets."""
+
+    chart: Chart
+    F: NormalForm
+
+
+@dataclass(frozen=True)
 class ValidationReport:
     valid: bool
     offending: dict[str, tuple[str, ...]] = field(default_factory=dict)

@@ -14,8 +14,9 @@ Whitespace is insignificant.  Exponents are restricted to constant
 integers so differentiation stays closed-form.  Factors nest at most
 :data:`MAX_NESTING` deep: each parenthesis, function call and unary minus
 nests one.  Expressions are immutable and hashable, compared and hashed
-by structure without recursion; printing then re-parsing yields an
-evaluation-equivalent tree.
+by structure without recursion.  Printing a parsed or simplified tree
+and re-parsing it yields an evaluation-equivalent tree (a tree built in
+Python deeper than :data:`MAX_NESTING` prints text the parser refuses).
 
 Evaluation, printing, substitution and :func:`compile_exprs` share one
 iterative walk over the tree, driven by one table of operations, so any
@@ -40,7 +41,9 @@ carries its normal form: simplifying it again takes O(1), and
 multiply the normal forms without re-normalizing.  A normal form is
 evaluated through its tree: there are two evaluators, the tree walk
 (:meth:`Expression.eval`, :meth:`Expression.eval_many`) and the kernels
-of :func:`compile_exprs`, which are bit-identical to it.  ``simplify`` keeps
+of :func:`compile_exprs`, each bit-identical to the walk of its own
+flavour; ``eval`` and ``eval_many`` may differ in the last bit on integer
+powers (Python's ``**`` against numpy's ``power``).  ``simplify`` keeps
 the value, up to rounding, wherever both the input and the output are
 defined, and a constant zero denominator raises :class:`DomainError`.
 It does not cancel non-monomial denominators (``(u1^2 - 1)/(u1 - 1)``

@@ -212,6 +212,8 @@ def _ode_tables(h: HamiltonianSection, initial: OdeState, config: SolverConfig):
     steps = int(round(config.t_final / config.dt))
     system = _OdeSystem(h)
     t0, dt, y = initial.t, config.dt, _floats(initial)
+    if not all(map(math.isfinite, y)):
+        raise _non_finite(0, t0)
     width = 1 + len(y)
     table = array("d", [t0, *y])  # raw doubles, no float objects
     for k in range(1, steps + 1):
@@ -336,19 +338,16 @@ def _field_sections(model, config: SolverConfig, u0: np.ndarray, M0: np.ndarray)
     dt = config.dt
     k = 0
     try:
-        with _quiet():
-            P = system.reconstruct_P(t, x, u, M)
-        yield GridSection(t=t, x=x, u=u, M=M, P=P)
-        steps = int(round(config.t_final / dt))
-        for k in range(1, steps + 1):
+        for k in range(int(round(config.t_final / dt)) + 1):
             with _quiet():
-                k1u, k1M, _ = system.rhs(t, x, u, M, P)
-                k2u, k2M, _ = system.rhs(t + dt / 2, x, u + dt / 2 * k1u, M + dt / 2 * k1M)
-                k3u, k3M, _ = system.rhs(t + dt / 2, x, u + dt / 2 * k2u, M + dt / 2 * k2M)
-                k4u, k4M, _ = system.rhs(t + dt, x, u + dt * k3u, M + dt * k3M)
-                u = u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-                M = M + dt / 6 * (k1M + 2 * k2M + 2 * k3M + k4M)
-                t = k * dt
+                if k:
+                    k1u, k1M, _ = system.rhs(t, x, u, M, P)
+                    k2u, k2M, _ = system.rhs(t + dt / 2, x, u + dt / 2 * k1u, M + dt / 2 * k1M)
+                    k3u, k3M, _ = system.rhs(t + dt / 2, x, u + dt / 2 * k2u, M + dt / 2 * k2M)
+                    k4u, k4M, _ = system.rhs(t + dt, x, u + dt * k3u, M + dt * k3M)
+                    u = u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
+                    M = M + dt / 6 * (k1M + 2 * k2M + 2 * k3M + k4M)
+                    t = k * dt
                 if not (np.isfinite(u).all() and np.isfinite(M).all()):
                     raise _non_finite(k, t)
                 P = system.reconstruct_P(t, x, u, M)

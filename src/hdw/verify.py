@@ -1,7 +1,7 @@
 """Executable certification of the bracket calculus at desk scale.
 
-Each check returns a :class:`VerificationReport`; checks are
-reproducible from the seed recorded in the report.
+Each check returns a :class:`VerificationReport`; only the Jacobi check's
+finite-difference oracle draws, from the seed recorded in its report.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .bracket import (ConnectionCheck, _current_bracket_forms, _current_bracket_pairs,
-                      _representation_form, bracket_affine, bracket_linear,
-                      connection_is_hamiltonian, current_bracket, gamma_h)
-from .bundle import Chart, Current, CurrentForms, DensityCoefficient, HamiltonianSection
+from .bracket import (ConnectionCheck, _affine_form, _current_bracket_forms,
+                      _current_bracket_pairs, _linear_form, _representation_form,
+                      bracket_affine, connection_is_hamiltonian, current_bracket, gamma_h)
+from .bundle import (Chart, Current, CurrentForms, DensityCoefficient, DensityForm,
+                     HamiltonianSection)
 from .expr import Const, Expression, Mul, NormalForm, Var
 from .models import model_td_mechanics, WaveModel, abelian_algebra, ym_residual
 from .solver import (GridSection, OdeState, SolverConfig, _ode_tables, ddx, evolve_field,
@@ -63,12 +64,10 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Randomized inputs
+# Randomized and generic inputs
 
-# a drawn coefficient is k/_DENOMINATOR, k uniform among the _DRAWS integers
-# in [-_DENOMINATOR, _DENOMINATOR]
+# a drawn coefficient is k/_DENOMINATOR, k uniform in [-_DENOMINATOR, _DENOMINATOR]
 _DENOMINATOR = 64
-_DRAWS = 2 * _DENOMINATOR + 1
 
 
 def random_polynomial(rng: np.random.Generator, names: tuple[str, ...],
@@ -78,81 +77,78 @@ def random_polynomial(rng: np.random.Generator, names: tuple[str, ...],
 
 
 def random_current(rng: np.random.Generator, chart: Chart, degree: int = 2) -> Current:
-    return _random_forms(rng, chart, degree).to_current()
+    names = chart.x_names + chart.u_names
+    return CurrentForms(chart, tuple(_random_form(rng, names, degree) for _ in range(chart.n)),
+                        tuple(_random_form(rng, names, degree) for _ in range(chart.m))
+                        ).to_current()
 
 
 def _random_form(rng: np.random.Generator, names: tuple[str, ...], degree: int) -> NormalForm:
     """The normal form :func:`random_polynomial` draws, without its tree."""
-    def draw() -> float:
-        return int(rng.integers(-_DENOMINATOR, _DENOMINATOR + 1)) / _DENOMINATOR
-
-    terms = [((), draw())]
-    for d in range(1, degree + 1):
-        terms += [(combo, draw()) for combo in combinations_with_replacement(names, d)]
-    return NormalForm.polynomial(terms)
+    return NormalForm.polynomial(
+        [(combo, int(rng.integers(-_DENOMINATOR, _DENOMINATOR + 1)) / _DENOMINATOR)
+         for d in range(degree + 1) for combo in combinations_with_replacement(names, d)])
 
 
-def _random_forms(rng: np.random.Generator, chart: Chart, degree: int = 2) -> CurrentForms:
-    """The forms of the current :func:`random_current` draws, without its trees."""
+def _generic_polynomial(prefix: str, names: tuple[str, ...]) -> NormalForm:
+    """A polynomial of degree <= 2 in ``names`` whose every coefficient is its own
+    symbol, ``prefix`` followed by the monomial's index."""
+    monomials = [()] + [combo for d in (1, 2) for combo in combinations_with_replacement(names, d)]
+    return NormalForm.polynomial([((f"{prefix}{k}",) + combo, 1.0)
+                                  for k, combo in enumerate(monomials)])
+
+
+def _generic_current(prefix: str, chart: Chart) -> CurrentForms:
+    """The current whose coefficients Y^a and beta^i are generic polynomials in (x, u)."""
     names = chart.x_names + chart.u_names
-    Y = tuple(_random_form(rng, names, degree) for _ in range(chart.n))
-    beta = tuple(_random_form(rng, names, degree) for _ in range(chart.m))
-    return CurrentForms(chart, Y, beta)
+    return CurrentForms(chart,
+                        tuple(_generic_polynomial(f"{prefix}Y{a}_", names)
+                              for a in range(1, chart.n + 1)),
+                        tuple(_generic_polynomial(f"{prefix}b{i}_", names)
+                              for i in range(1, chart.m + 1)))
+
+
+def _slots(c: CurrentForms) -> list[CurrentForms]:
+    """``c`` as a sum of currents, one per coefficient slot (Y^1.., then
+    beta^1..), each zero in every other slot."""
+    n, coefficients, zero = c.chart.n, c.Y + c.beta, NormalForm()
+    parts = []
+    for k in range(len(coefficients)):
+        own = tuple(f if j == k else zero for j, f in enumerate(coefficients))
+        parts.append(CurrentForms(c.chart, own[:n], own[n:]))
+    return parts
 
 
 # ---------------------------------------------------------------------------
 # Algebraic checks
 #
-# Each trial builds the residual of an identity as normal forms from fresh
-# draws.  Every coefficient a step forms is an integer polynomial of degree at
-# most 3 in the draws: a multiple of 2^-18, below 2^30 in magnitude on the
-# suites' charts and degree.  Such values are doubles, so every product and sum
-# is exact, and a residual form is empty iff the residual polynomial vanishes
-# at the draw.  A nonzero polynomial of degree d vanishes at a uniform draw
-# from 129 values per coefficient with probability at most d/129 (Schwartz
-# 1980, Zippel 1979), so a false identity passes all trials with probability
-# at most (d/129)^trials.
+# Each identity is proved on generic inputs, every coefficient of a degree-2
+# current or Hamiltonian its own symbol, so an empty residual proves it for all
+# of them.  The residuals are multilinear in the currents, so one is built per
+# combination of coefficient slots: terms of different combinations carry
+# different symbols and cannot cancel, and narrow parts keep memory flat.
+# Every coefficient formed is a small integer, so the arithmetic is exact.
 
 
-@dataclass
-class _Residuals:
-    """The residual forms of one identity over the trials of a suite, which
-    passes iff every form is empty: the terms left and their largest
-    |coefficient| (a nan stays nan)."""
-
-    worst: float = 0.0
-    terms: int = 0
-
-    def add(self, forms) -> None:
-        left = [abs(c) for f in forms for c in f.terms.values()]
-        if left:
-            self.terms += len(left)
-            self.worst = float(np.max([self.worst, *left]))
-
-    @property
-    def passed(self) -> bool:
-        return self.terms == 0
-
-    def details(self, degree: int, trials: int) -> dict:
-        return {"residual_terms": self.terms, "false_pass_bound": (degree / _DRAWS) ** trials}
+def _terms_left(forms) -> list[float]:
+    """The |coefficient| of each term left in the residual ``forms``; a report
+    gives their count and their largest value (a nan stays nan)."""
+    return [abs(c) for f in forms for c in f.terms.values()]
 
 
-def check_representation(seed: int = 0, trials: int = 20) -> VerificationReport:
-    """Affine-representation identity on random polynomial currents and Hamiltonians."""
-    rng = np.random.default_rng(seed)
+def check_representation() -> VerificationReport:
+    """Affine-representation identity for every degree-2 pair of currents and
+    Hamiltonian on m = n = 2."""
     chart = Chart(m=2, n=2)
-    names = tuple(sorted(chart.names))
-    residuals = _Residuals()
-    for _ in range(trials):
-        a, b = _random_forms(rng, chart), _random_forms(rng, chart)
-        H = _random_form(rng, names, 2)
-        residuals.add([_representation_form(a, b, H)])
+    H = _generic_polynomial("h", tuple(sorted(chart.names)))
+    A, B = (_slots(_generic_current(prefix, chart)) for prefix in "ab")
+    left = _terms_left(_representation_form(a, b, H) for a in A for b in B)
     return VerificationReport(
         name="representation_identity",
         certifies="the linear-affine bracket represents the current algebra on "
                   "the affine space of Hamiltonian sections",
-        passed=residuals.passed, max_residual=residuals.worst, tolerance=0.0,
-        sample_count=0, seed=seed, details=residuals.details(3, trials))
+        passed=not left, max_residual=float(np.max(left, initial=0.0)), tolerance=0.0,
+        sample_count=0, details={"residual_terms": len(left)})
 
 
 def _fd_current_bracket(a: Current, b: Current, binding: dict[str, float],
@@ -195,71 +191,60 @@ def _jacobi_forms(a: CurrentForms, b: CurrentForms, c: CurrentForms,
 
 def check_jacobi_currents(seed: int = 1, trials: int = 20,
                           oracle_tol: float = 1e-5) -> VerificationReport:
-    """Lie algebra laws of the current bracket on random polynomial currents."""
-    rng = np.random.default_rng(seed)
+    """Lie algebra laws of the current bracket for every degree-2 triple of
+    currents on m = n = 2, and the public bracket against a finite-difference
+    oracle on ``trials`` random pairs."""
     chart = Chart(m=2, n=2)
+    A, B, C = (_slots(_generic_current(prefix, chart)) for prefix in "abc")
+    jacobi, antisym = [], []
+    for a in A:
+        for b in B:
+            ab, ba = _current_bracket_forms(a, b), _current_bracket_forms(b, a)
+            antisym += _terms_left(map(NormalForm.sum, zip(ab.Y + ab.beta, ba.Y + ba.beta)))
+            for c in C:
+                jacobi += _terms_left(_jacobi_forms(a, b, c, ab))
+
+    rng = np.random.default_rng(seed)
     names = tuple(sorted(chart.names))
-    jacobi, antisym = _Residuals(), _Residuals()
     worst_oracle = 0.0
     for _ in range(trials):
-        a = random_current(rng, chart)
-        b = random_current(rng, chart)
-        fc = _random_forms(rng, chart)
-
-        # the laws are composed on normal forms; the oracle below checks the
-        # public, tree-emitting current_bracket
+        a, b = random_current(rng, chart), random_current(rng, chart)
         ab_tree = current_bracket(a, b)
-        fa, fb, ab = map(CurrentForms.of, (a, b, ab_tree))
-        ba = _current_bracket_forms(fb, fa)
-        jacobi.add(_jacobi_forms(fa, fb, fc, ab))
-        antisym.add([NormalForm.sum(parts) for parts in zip(ab.Y + ab.beta, ba.Y + ba.beta)])
-
-        # structural identity against the derivative-free-path oracle
         binding = {name: float(rng.uniform(-1.0, 1.0)) for name in names}
         oracle = _fd_current_bracket(a, b, binding)
         direct = [e.eval(binding) for e in ab_tree.Y + ab_tree.beta]
         for o, d in zip(oracle, direct):
             worst_oracle = max(worst_oracle, abs(o - d) / (1.0 + abs(d)))
 
-    details = jacobi.details(3, trials)
-    details["residual_terms"] += antisym.terms
     return VerificationReport(
         name="current_lie_algebra",
         certifies="the current bracket is an antisymmetric Lie bracket matching "
                   "the commutator/contraction form",
-        passed=jacobi.passed and antisym.passed and worst_oracle <= oracle_tol,
-        max_residual=jacobi.worst, tolerance=0.0, sample_count=0, seed=seed,
-        details={"antisymmetry": antisym.worst, "oracle_mismatch": worst_oracle, **details})
+        passed=not jacobi and not antisym and worst_oracle <= oracle_tol,
+        max_residual=float(np.max(jacobi, initial=0.0)), tolerance=0.0, sample_count=0,
+        seed=seed, details={"antisymmetry": float(np.max(antisym, initial=0.0)),
+                            "oracle_mismatch": worst_oracle,
+                            "residual_terms": len(jacobi) + len(antisym)})
 
 
-def check_m1_reduction(seed: int = 2, pairs: int = 20) -> VerificationReport:
-    """For a 1-D base the brackets reduce to the time-dependent Poisson bracket."""
-    rng = np.random.default_rng(seed)
+def check_m1_reduction() -> VerificationReport:
+    """For a 1-D base the brackets of every degree-2 pair of density
+    coefficients on n = 2 reduce to the time-dependent Poisson bracket."""
     chart = Chart(m=1, n=2)
     names = tuple(sorted(chart.names))
-    residuals = _Residuals()
-    for _ in range(pairs):
-        f = random_polynomial(rng, names)
-        g = random_polynomial(rng, names)
-
-        fd = DensityCoefficient(chart, f)
-        gd = DensityCoefficient(chart, g)
-        h = HamiltonianSection(chart, g)
-
-        F, G = NormalForm.of(f), NormalForm.of(g)
-        canonical = NormalForm.dot(
-            pair for ua, pa in zip(chart.u_names, chart.p_names)
-            for pair in ((F.diff(ua), G.diff(pa)), (-F.diff(pa), G.diff(ua))))
-        linear = NormalForm.of(bracket_linear(fd, gd).F)
-        affine = NormalForm.of(bracket_affine(fd, h).F)
-        residuals.add([NormalForm.sum([linear, -canonical]),
-                       NormalForm.sum([affine, -F.diff("x1"), -canonical]),
-                       NormalForm.of(bracket_linear(fd, fd).F)])
+    F, G = _generic_polynomial("f", names), _generic_polynomial("g", names)
+    f = DensityForm(chart, F)
+    canonical = NormalForm.dot(
+        pair for ua, pa in zip(chart.u_names, chart.p_names)
+        for pair in ((F.diff(ua), G.diff(pa)), (-F.diff(pa), G.diff(ua))))
+    left = _terms_left([NormalForm.sum([_linear_form(f, G), -canonical]),
+                        NormalForm.sum([_affine_form(f, G), -F.diff("x1"), -canonical]),
+                        _linear_form(f, F)])
     return VerificationReport(
         name="mechanics_reduction",
         certifies="1-D base brackets equal the canonical time-dependent Poisson bracket",
-        passed=residuals.passed, max_residual=residuals.worst, tolerance=0.0,
-        sample_count=0, seed=seed, details=residuals.details(2, pairs))
+        passed=not left, max_residual=float(np.max(left, initial=0.0)), tolerance=0.0,
+        sample_count=0, details={"residual_terms": len(left)})
 
 
 def check_connection_class() -> VerificationReport:

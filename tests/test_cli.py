@@ -193,18 +193,36 @@ class TestSimulate:
         else:
             assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
-    def test_unstable_run_exits_3_when_runtime_warnings_are_errors(self, tmp_path):
-        # the finiteness check decides, not a numpy overflow warning on the way
-        path = unstable_wave_model(tmp_path)
+    @staticmethod
+    def _simulate_with_runtime_warnings_as_errors(path: str, tmp_path) -> str:
+        """Exit 3 from ``hdw simulate`` run under ``-W error::RuntimeWarning``,
+        with no warning or traceback and no output left; its stderr."""
         src = str(Path(hdw.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "hdw.cli",
                                "simulate", "--model", path, "--out", str(tmp_path / "run")],
                               cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 3, proc.stderr
-        assert "numeric failure: non-finite state at step" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+        return proc.stderr
+
+    def test_unstable_run_exits_3_when_runtime_warnings_are_errors(self, tmp_path):
+        # the finiteness check decides, not a numpy overflow warning on the way
+        err = self._simulate_with_runtime_warnings_as_errors(unstable_wave_model(tmp_path),
+                                                             tmp_path)
+        assert "numeric failure: non-finite state at step" in err
+
+    @pytest.mark.parametrize("model", [
+        {"model": "wave", "initial": {"u": ["1e300*sin(x2)*1e10"], "M": ["-cos(x2)"]},
+         "solver": {"dt": 0.01, "t_final": 0.1, "K": 32, "dx": 0.2}},
+        {"chart": {"m": 1, "n": 1}, "hamiltonian": "p1_1^2/2 + u1^2/2",
+         "initial": {"u": ["1e999"], "p": ["0"]}, "solver": {"dt": 0.01, "t_final": 0.1}},
+    ], ids=["field", "mechanics"])
+    def test_non_finite_initial_data_fail_at_step_0(self, model, tmp_path):
+        err = self._simulate_with_runtime_warnings_as_errors(write_model(tmp_path, model),
+                                                             tmp_path)
+        assert err == "numeric failure: non-finite state at step 0 (t = 0.0)\n"
 
     def test_peak_memory_does_not_grow_with_the_run(self, tmp_path):
         # the trajectory is written and checked in one pass, never held

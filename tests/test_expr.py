@@ -228,6 +228,21 @@ def test_deep_trees_compare_and_hash_without_recursion():
     assert Const(0.0) == Const(-0.0) and hash(Const(0.0)) == hash(Const(-0.0))
 
 
+def test_a_deep_built_tree_prints_and_parses_back_once_simplified():
+    # print-and-parse-back holds for parsed and simplified trees: a product
+    # built in Python 151 deep prints 150 parentheses, more than the parser
+    # takes, and its simplified tree prints flat
+    e = Var("u1")
+    for k in range(150):
+        e = Mul(Const(1.5) if k % 2 else Var("u2"), e)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse(str(e))
+    s = simplify(e)
+    back = parse(str(s))
+    for point in ({"u1": 0.7, "u2": 1.01}, {"u1": -2.0, "u2": -0.99}):
+        assert back.eval(point) == s.eval(point) == pytest.approx(e.eval(point), rel=1e-13)
+
+
 @pytest.mark.parametrize("e", [
     Const(math.inf), Const(-math.inf), Mul(Var("u1"), Const(-math.inf)),
     Pow(Const(-math.inf), 2), Add(Const(math.inf), Neg(Var("u1"))),
