@@ -171,6 +171,27 @@ def test_random_polynomial_is_the_sum_of_its_monomials():
     assert e == add_all(terms)
 
 
+@pytest.mark.parametrize("check, degree", [
+    (check_representation, 3), (check_jacobi_currents, 3), (check_m1_reduction, 2)])
+def test_algebraic_suites_are_exact_on_dyadic_draws(check, degree, monkeypatch):
+    # an identity proved on generic coefficients holds for every specialisation:
+    # fed k/64 draws in place of its generic polynomials, a suite leaves no
+    # residual term.  Each residual is multilinear in `degree` inputs, so every
+    # coefficient is a multiple of 64**-degree and the float arithmetic is exact.
+    rng = np.random.default_rng(4)
+    inputs = set()
+
+    def drawn(prefix, names):
+        inputs.add(prefix[0])
+        return verify._random_form(rng, names, 2)
+
+    monkeypatch.setattr(verify, "_generic_polynomial", drawn)
+    report = check()
+    assert report.passed and report.max_residual == 0.0 and report.tolerance == 0.0
+    assert report.details["residual_terms"] == 0
+    assert len(inputs) == degree
+
+
 def test_every_draw_is_dyadic():
     # random_polynomial and random_current draw every coefficient as k/64, |k| <= 64
     def dyadic(forms):
