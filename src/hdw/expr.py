@@ -1057,8 +1057,14 @@ def compile_exprs(exprs: Iterable[Expression], args: Iterable[str], numpy: bool 
         outputs.append(names[0])
     source = (f"def kernel({', '.join(params.values())}):\n" + "\n".join(lines)
               + f"\n    return ({''.join(o + ', ' for o in outputs)})\n")
-    exec(compile(source, "<compile_exprs>", "exec"), ns)
-    return ns["kernel"]
+    return define_kernel(source, ns, "<compile_exprs>")
+
+
+def define_kernel(source: str, namespace: dict, filename: str):
+    """The function ``kernel`` that the generated ``source`` defines, with
+    ``namespace`` as its globals: the one place generated code is run."""
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["kernel"]
 
 
 # ---------------------------------------------------------------------------

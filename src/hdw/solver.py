@@ -19,12 +19,12 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from .bundle import HamiltonianSection
-from .expr import Neg, compile_exprs
+from .expr import Neg, compile_exprs, define_kernel
 
 __all__ = [
     "OdeState", "GridSection", "SolverConfig", "NewtonError", "HamiltonianSystem",
@@ -165,24 +165,45 @@ def _quiet():
 
 class _OdeSystem:
     """Hamilton's equations of an m = 1 section on a state y = [u..., p...]
-    of Python floats."""
+    of Python floats, stepped by ``steps(table, k0, stop, t0, dt, *y)``, the
+    RK4 kernel of :func:`_rk4_kernel` bound to the section's ``hamilton``."""
 
     def __init__(self, h: HamiltonianSection):
         if h.chart.m != 1:
             raise ValueError("ODE stepping requires a one-dimensional base")
-        self.f = h.system.hamilton
+        self.steps = partial(_rk4_kernel(2 * h.chart.n), h.system.hamilton)
 
-    def step(self, t: float, y: list[float], dt: float) -> list[float]:
-        """One classical RK4 step, with the operations of its array form
-        ``y + dt/2 * k1`` ... in the same order."""
-        f = self.f
-        h = dt / 2
-        k1 = f(t, *y)
-        k2 = f(t + h, *[a + h * k for a, k in zip(y, k1)])
-        k3 = f(t + h, *[a + h * k for a, k in zip(y, k2)])
-        k4 = f(t + dt, *[a + dt * k for a, k in zip(y, k3)])
-        h = dt / 6
-        return [a + h * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+
+@lru_cache(maxsize=None)
+def _rk4_kernel(width: int):
+    """Generated ``kernel(f, table, k0, stop, t0, dt, y0, ...)``: classical
+    RK4 steps k0+1 ... stop of y' = f(t, y) on ``width`` scalars, from the
+    state y at t0 + k0*dt.  It appends the row t, y... of each step to
+    ``table`` and returns the last state.  The stages and the update are
+    written out per component with the operations of the array form
+    ``y + dt/2 * k1`` ... in the same order; a non-finite state raises
+    before its row is appended."""
+
+    def each(code: str, sep: str = ", ") -> str:
+        return sep.join(code.format(j) for j in range(width))
+
+    source = (
+        f"def kernel(f, table, k0, stop, t0, dt, {each('y{0}')}):\n"
+        "    append, h, sixth = table.append, dt / 2, dt / 6\n"
+        "    for k in range(k0 + 1, stop + 1):\n"
+        "        t = t0 + (k - 1) * dt\n"
+        f"        {each('a{0}')}, = f(t, {each('y{0}')})\n"
+        f"        {each('b{0}')}, = f(t + h, {each('y{0} + h * a{0}')})\n"
+        f"        {each('c{0}')}, = f(t + h, {each('y{0} + h * b{0}')})\n"
+        f"        {each('d{0}')}, = f(t + dt, {each('y{0} + dt * c{0}')})\n"
+        + each("        y{0} = y{0} + sixth * (a{0} + 2 * b{0} + 2 * c{0} + d{0})\n", "")
+        + "        t = t0 + k * dt\n"
+        f"        if not ({each('isfinite(y{0})', ' and ')}):\n"
+        "            raise _non_finite(k, t)\n"
+        f"        append(t); {each('append(y{0})', '; ')}\n"
+        f"    return {each('y{0}')},\n")
+    return define_kernel(source, {"isfinite": math.isfinite, "_non_finite": _non_finite},
+                         "<rk4_kernel>")
 
 
 def _floats(state: OdeState) -> list[float]:
@@ -191,8 +212,9 @@ def _floats(state: OdeState) -> list[float]:
 
 def step_ode_rk4(state: OdeState, h: HamiltonianSection, dt: float,
                  system: _OdeSystem | None = None) -> OdeState:
-    """One classical fourth-order step of the Hamilton equations."""
-    y = (system or _OdeSystem(h)).step(state.t, _floats(state), dt)
+    """One classical fourth-order step of the Hamilton equations; raises
+    FloatingPointError if it reaches a non-finite state."""
+    y = (system or _OdeSystem(h)).steps(array("d"), 0, 1, state.t, dt, *_floats(state))
     n = len(state.u)
     return OdeState(t=state.t + dt, u=np.array(y[:n]), p=np.array(y[n:]))
 
@@ -215,19 +237,14 @@ def _ode_tables(h: HamiltonianSection, initial: OdeState, config: SolverConfig):
     if not all(map(math.isfinite, y)):
         raise _non_finite(0, t0)
     width = 1 + len(y)
-    table = array("d", [t0, *y])  # raw doubles, no float objects
-    for k in range(1, steps + 1):
-        y = system.step(t0 + (k - 1) * dt, y, dt)
-        t = t0 + k * dt
-        if not all(map(math.isfinite, y)):
-            raise _non_finite(k, t)
-        table.append(t)
-        table.extend(y)
-        if len(table) == _TABLE_ROWS * width:
-            yield np.frombuffer(table).reshape(-1, width)
-            table = array("d")
-    if table:
+    table, k = array("d", [t0, *y]), 0  # raw doubles, no float objects
+    while True:
+        stop = min(k + _TABLE_ROWS - len(table) // width, steps)
+        y = system.steps(table, k, stop, t0, dt, *y)
         yield np.frombuffer(table).reshape(-1, width)
+        if stop == steps:
+            return
+        table, k = array("d"), stop
 
 
 # ---------------------------------------------------------------------------

@@ -341,8 +341,8 @@ def check_bracket_evolution_ode(dts=(4e-3, 2e-3, 1e-3), t_final: float = 10.0,
     passed = ratio_ok and residuals[-1] <= final_tol
     return VerificationReport(
         name="bracket_evolution_ode",
-        certifies="a trajectory solves the evolution equations iff the bracket "
-                  "evolution law holds for every observable (1-D base)",
+        certifies="along the RK4 trajectory an observable's defect from the bracket "
+                  "evolution law converges at fourth order in dt (1-D base)",
         passed=passed, max_residual=residuals[-1], tolerance=final_tol,
         sample_count=sum(int(round(t_final / dt)) for dt in dts),
         details={"residuals": residuals, "ratios": ratios,
@@ -422,8 +422,9 @@ def check_bracket_evolution_field(Ks=(64, 128, 256), expected_ratio: float = 4.0
     worst = max(res[-1] for res in residual_table.values())
     return VerificationReport(
         name="bracket_evolution_field",
-        certifies="a field trajectory solves the evolution equations iff the "
-                  "bracket evolution law holds (1+1-D wave model)",
+        certifies="along the method-of-lines trajectory two currents' defects from "
+                  "the bracket evolution law converge at second order under grid "
+                  "refinement (1+1-D wave model)",
         passed=passed, max_residual=worst, tolerance=solution_tol,
         sample_count=sum(Ks),
         details={"residuals": residual_table, "ratios": all_ratios,

@@ -130,6 +130,19 @@ class TestSimulate:
         assert main(["simulate", "--model", path, "--out", str(tmp_path / "run")]) == 3
         assert "ln of non-positive value" in capsys.readouterr().err
 
+    def test_domain_error_inside_a_step_exits_3_without_output(self, tmp_path, capsys):
+        # u1 reaches 0 with speed about 0.55: in step 2688 the last stage's state
+        # u1 + dt*k3 is negative, after two tables were already written
+        path = write_model(tmp_path, {
+            "chart": {"m": 1, "n": 1},
+            "hamiltonian": "p1_1^2/2 + u1*ln(u1)",
+            "initial": {"u": ["0.5"], "p": ["-1"]},
+            "solver": {"dt": 2e-4, "t_final": 2.0},
+        })
+        assert main(["simulate", "--model", path, "--out", str(tmp_path / "run")]) == 3
+        assert "ln of non-positive value" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
     def test_deep_parsed_hamiltonian(self, tmp_path):
         # a 3000-term sum straight from the parser is far deeper than the
         # recursion limit

@@ -1,4 +1,5 @@
 import math
+import re
 import types
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from hdw import solver
 from hdw.bundle import Chart, HamiltonianSection
-from hdw.expr import parse, simplify
+from hdw.expr import DomainError, parse, simplify
 from hdw.models import (ContinuumSpec, GasConstants, PerfectGasModel,
                         WaveModel, abelian_algebra, model_td_mechanics,
                         ym_residual)
@@ -57,6 +58,14 @@ class TestStepOdeRk4:
         out = step_ode_rk4(state, h, 0.5)
         assert out.u[0] == 3.0 and out.p[0] == -2.0
         assert out.t == 0.5
+
+    def test_non_finite_step_raises(self):
+        # the step shares the integrator's kernel and its finiteness check
+        h = model_td_mechanics("-u1^2/2")
+        state = OdeState(t=0.5, u=np.array([1e308]), p=np.array([1e308]))
+        with pytest.raises(FloatingPointError,
+                           match=re.escape("non-finite state at step 1 (t = 1.5)")):
+            step_ode_rk4(state, h, 1.0)
 
     def test_energy_drift(self):
         h = _oscillator()
@@ -564,11 +573,45 @@ class TestHamiltonianSystem:
             (h.system.dH_dp[0][0].eval(b), -h.system.dH_du[0].eval(b))
 
     def test_non_finite_state_raises(self):
-        # du/dt = p, dp/dt = u grows like e^t and overflows near t = 710
+        # du/dt = p, dp/dt = u grows like e^t and overflows near t = 710; the
+        # error names the first non-finite step of the reference and its time
         h = model_td_mechanics("-u1^2/2")
-        with pytest.raises(FloatingPointError, match="non-finite state at step"):
-            integrate_ode(h, OdeState(t=0.0, u=np.array([1.0]), p=np.array([0.0])),
-                          SolverConfig(dt=1.0, t_final=2000.0))
+        initial = OdeState(t=0.0, u=np.array([1.0]), p=np.array([0.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            reference = _tree_walk_rk4(h, initial, 1.0, 2000)
+        k, (t, _, _) = next((k, row) for k, row in enumerate(reference)
+                            if not np.isfinite(np.concatenate(row[1:])).all())
+        with pytest.raises(FloatingPointError) as info:
+            integrate_ode(h, initial, SolverConfig(dt=1.0, t_final=2000.0))
+        assert str(info.value) == f"non-finite state at step {k} (t = {t})"
+
+    def test_domain_error_in_stage_3_propagates_unchanged(self, monkeypatch):
+        h, initial = self._henon_heiles()
+        kernel, calls, error = h.system.hamilton, [], DomainError("ln of non-positive value")
+
+        def hamilton(*args):
+            calls.append(args[0])
+            if len(calls) == 3:
+                raise error
+            return kernel(*args)
+
+        monkeypatch.setattr(h.system, "hamilton", hamilton)
+        with pytest.raises(DomainError) as info:
+            integrate_ode(h, initial, SolverConfig(dt=1e-3, t_final=1.0))
+        assert info.value is error and calls == [0.0, 5e-4, 5e-4]
+
+    def test_chained_steps_equal_the_integrated_rows(self):
+        # a dyadic dt keeps the running time t + dt on the grid t0 + k*dt, so
+        # the forcing sees the same stage times in both
+        h, initial = self._henon_heiles()
+        dt = 2.0 ** -10
+        rows = integrate_ode(h, initial, SolverConfig(dt=dt, t_final=200 * dt))
+        assert len(rows) == 201
+        state = initial
+        for row in rows[1:]:
+            state = step_ode_rk4(state, h, dt)
+            assert state.t == row.t and np.array_equal(state.u, row.u) \
+                and np.array_equal(state.p, row.p)
 
     def test_scalar_time_is_bit_identical_to_a_time_grid(self, monkeypatch):
         wave = WaveModel()
