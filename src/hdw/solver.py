@@ -137,10 +137,11 @@ class HamiltonianSystem:
         return compile_exprs(self.dH_dp[-1], self.args, numpy=True)
 
     @cached_property
-    def stress_slope(self):
-        """Vectorized kernel: d2H/dP_a dP_b, row-major."""
-        P_names = self.chart.p_names[-self.chart.n:]
-        return compile_exprs([e.diff(P) for e in self.dH_dp[-1] for P in P_names],
+    def stress_and_slope(self):
+        """Vectorized kernel: (dH/dP_a..., d2H/dP_a dP_b... row-major), with
+        the subtrees and domain checks the two share computed once."""
+        stress, P_names = self.dH_dp[-1], self.chart.p_names[-self.chart.n:]
+        return compile_exprs(stress + tuple(e.diff(P) for e in stress for P in P_names),
                              self.args, numpy=True)
 
 
@@ -291,7 +292,6 @@ class _FieldSystem:
 
     def _newton_P(self, t, x, u, M, du_dx) -> np.ndarray:
         cfg = self.config
-        stress, stress_slope = self.system.stress, self.system.stress_slope
         target = du_dx[0]
         if self._prev_P is not None:
             P = self._prev_P.copy()
@@ -299,13 +299,12 @@ class _FieldSystem:
             P = np.asarray(self.model.reconstruct_P(du_dx), dtype=float)
         residual = None
         for _ in range(cfg.newton_max_iter):
-            # the kernels broadcast the scalar time against the grid
-            residual = np.atleast_1d(stress(t, x, *u, *M, *P)[0]) - target
-            if np.max(np.abs(residual)) <= cfg.newton_tol:
+            # each a grid row or a scalar; the (K,) target broadcasts them
+            stress, slope = self.system.stress_and_slope(t, x, *u, *M, *P)
+            residual = stress - target
+            if np.abs(residual).max() <= cfg.newton_tol:
                 self._prev_P = P
                 return P
-            slope = np.broadcast_to(np.atleast_1d(stress_slope(t, x, *u, *M, *P)[0]),
-                                    residual.shape)
             P = P - residual / slope
         worst = int(np.argmax(np.abs(residual)))
         raise NewtonError(worst, float(np.abs(residual[worst]).max()))

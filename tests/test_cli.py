@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -169,6 +170,25 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: invalid state at step 0")
         assert "deformation gradient must be positive" in err
+        assert not out.exists()
+
+    def test_newton_non_convergence_exits_3_without_output(self, tmp_path, capsys):
+        # one Newton step per solve leaves a residual above newton_tol once the
+        # warm start lags the state
+        K = 128
+        path = write_model(tmp_path, {
+            "model": "perfect_gas",
+            "initial": {"u": ["x2 + 0.03*sin(6.283185307179586*x2)"],
+                        "M": ["0.01*sin(6.283185307179586*x2)"]},
+            "solver": {"dt": 1 / K / 8, "t_final": 0.01, "K": K, "dx": 1 / K,
+                       "boundary": "dirichlet", "p_reconstruction": "newton",
+                       "newton_max_iter": 1},
+        })
+        out = tmp_path / "run"
+        assert main(["simulate", "--model", path, "--out", str(out)]) == 3
+        assert re.fullmatch(r"numeric failure: stress reconstruction did not converge at "
+                            r"grid index \d+ \(last residual \d\.\d{3}e-\d+\)\n",
+                            capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("model", [

@@ -7,7 +7,7 @@ import pytest
 
 from hdw import solver
 from hdw.bundle import Chart, HamiltonianSection
-from hdw.expr import DomainError, parse, simplify
+from hdw.expr import DomainError, compile_exprs, parse, simplify
 from hdw.models import (ContinuumSpec, GasConstants, PerfectGasModel,
                         WaveModel, abelian_algebra, model_td_mechanics,
                         ym_residual)
@@ -178,12 +178,21 @@ class TestDdx:
         assert np.array_equal(out, _roll_ddx(a.astype(float), 0.3, "dirichlet"))
 
 
+def _slope_kernel(system):
+    """d2H/dP_a dP_b, row-major, compiled on its own."""
+    P_names = system.chart.p_names[-system.chart.n:]
+    return compile_exprs([e.diff(P) for e in system.dH_dp[-1] for P in P_names],
+                         system.args, numpy=True)
+
+
 def _reference_field_rk4(model, config, u0, M0):
     """Reference field RK4: the np.roll stencil, stacked right-hand sides and
-    the Newton loop on one argument tuple, as the field stepper was first
-    written.  Returns the snapshots as (t, u, M, P)."""
+    the Newton loop on one argument tuple with separate stress and slope
+    kernels, as the field stepper was first written.  Returns the snapshots
+    as (t, u, M, P)."""
     system = model.hamiltonian.system
     n, dx, boundary = model.chart.n, config.dx, config.boundary
+    stress_slope = _slope_kernel(system)
     x = config.x0 + dx * np.arange(u0.shape[-1])
     prev = []
 
@@ -199,7 +208,7 @@ def _reference_field_rk4(model, config, u0, M0):
             if np.max(np.abs(residual)) <= config.newton_tol:
                 prev.append(P)
                 return P
-            slope = np.broadcast_to(np.atleast_1d(system.stress_slope(*args)[0]),
+            slope = np.broadcast_to(np.atleast_1d(stress_slope(*args)[0]),
                                     residual.shape)
             P = P - residual / slope
         raise AssertionError("the reference Newton loop did not converge")
@@ -296,10 +305,43 @@ class TestReconstructP:
 
     def test_newton_failure_reported(self):
         model = PerfectGasModel(ContinuumSpec(gas=GasConstants()))
-        config = SolverConfig(dt=1e-3, t_final=1.0, K=16, dx=0.1)
-        # negative deformation gradient is outside the state relation's domain
-        with pytest.raises(ValueError, match="positive"):
-            reconstruct_P(-2.0 * 0.1 * np.arange(16), model, config)
+        # negative deformation gradient is outside the state relation's domain;
+        # the Newton solve starts from the closed form, which refuses it
+        for reconstruction in ("closed_form", "newton"):
+            config = SolverConfig(dt=1e-3, t_final=1.0, K=16, dx=0.1,
+                                  p_reconstruction=reconstruction)
+            with pytest.raises(ValueError, match="positive"):
+                reconstruct_P(-2.0 * 0.1 * np.arange(16), model, config)
+
+    def test_newton_non_convergence_raises(self):
+        # the closed form solves the constraint at step 0 to rounding, so one
+        # Newton evaluation suffices there; the second stage of step 1 starts
+        # from that stress, and one Newton step cannot close the gap, so the
+        # error names the grid point of the largest residual left
+        model = PerfectGasModel(ContinuumSpec(gas=GasConstants()))
+        K = 32
+        dx = 1.0 / K
+        dt = dx / 8.0
+        x = dx * np.arange(K)
+        u = (x + 0.03 * np.sin(2.0 * np.pi * x))[None, :]
+        M = (0.01 * np.sin(2.0 * np.pi * x))[None, :]
+        config = SolverConfig(dt=dt, t_final=0.1, K=K, dx=dx, boundary="dirichlet",
+                              p_reconstruction="newton", newton_max_iter=1)
+        stress = model.hamiltonian.system.stress
+        du_dx = ddx(u, dx, "dirichlet")
+        P = np.asarray(model.reconstruct_P(du_dx), dtype=float)
+        assert np.abs(stress(0.0, x, *u, *M, *P)[0] - du_dx[0]).max() <= config.newton_tol
+        k1u, k1M, _ = _FieldSystem(model, config).rhs(0.0, x, u, M, P)
+        u2, M2 = u + dt / 2 * k1u, M + dt / 2 * k1M
+        residual = np.abs(stress(dt / 2, x, *u2, *M2, *P)[0] - ddx(u2, dx, "dirichlet")[0])
+        index = int(np.argmax(residual))
+        assert residual[index] > config.newton_tol
+        with pytest.raises(NewtonError) as info:
+            evolve_field(model, config, u, M)
+        assert info.value.index == index
+        assert info.value.residual == residual[index]
+        assert str(info.value) == ("stress reconstruction did not converge at grid index "
+                                   f"{index} (last residual {residual[index]:.3e})")
 
 
 class TestHdwResidual:
@@ -612,6 +654,33 @@ class TestHamiltonianSystem:
             state = step_ode_rk4(state, h, dt)
             assert state.t == row.t and np.array_equal(state.u, row.u) \
                 and np.array_equal(state.p, row.p)
+
+    @pytest.mark.parametrize("make", [lambda: PerfectGasModel(ContinuumSpec(gas=GasConstants())),
+                                      WaveModel], ids=["perfect-gas", "wave"])
+    def test_stress_and_slope_equal_the_separate_kernels(self, make):
+        # the wave model's slope is a constant, returned as a scalar
+        system = make().hamiltonian.system
+        x = np.linspace(0.0, 1.0, 16)
+        args = [0.25, x, 1.0 + x, 0.1 * x, 0.3 + x]  # t, x, u, M, P
+        fused = system.stress_and_slope(*args)
+        separate = (system.stress(*args)[0], _slope_kernel(system)(*args)[0])
+        assert len(fused) == 2
+        for value, expected in zip(fused, separate):
+            assert np.shape(value) == np.shape(expected)
+            assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
+
+    def test_stress_and_slope_keep_the_domain_checks(self):
+        system = PerfectGasModel(ContinuumSpec(gas=GasConstants())).hamiltonian.system
+        x = np.linspace(0.0, 1.0, 16)
+        P = 0.3 + x
+        P[5] = 0.0
+        args = [0.25, x, 1.0 + x, 0.1 * x, P]
+        errors = []
+        for kernel in (system.stress_and_slope, system.stress, _slope_kernel(system)):
+            with pytest.raises(DomainError) as info:
+                kernel(*args)
+            errors.append(str(info.value))
+        assert errors == ["division by zero"] * 3
 
     def test_scalar_time_is_bit_identical_to_a_time_grid(self, monkeypatch):
         wave = WaveModel()
