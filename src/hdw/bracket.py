@@ -19,7 +19,7 @@ import numpy as np
 
 from .bundle import (Chart, Current, CurrentDifferential, CurrentForms,
                      DensityCoefficient, DensityForm, HamiltonianSection,
-                     coefficient_derivative, d_current, require_valid)
+                     d_current, require_valid)
 from .expr import Const, Expression, NormalForm, simplify
 
 
@@ -194,7 +194,8 @@ def _check_pair(a: Current, b: Current) -> None:
 
 
 # The brackets on normal forms: a current is a CurrentForms, a plain density
-# observable a DensityForm.
+# observable a DensityForm.  Both are read through their component
+# coefficients C^i, and an m = 1 density is the case C = (F,).
 
 
 def _forms(c: Current | DensityCoefficient) -> CurrentForms | DensityForm:
@@ -207,11 +208,9 @@ def _forms(c: Current | DensityCoefficient) -> CurrentForms | DensityForm:
 
 
 def _explicit_forms(c: CurrentForms | DensityForm) -> list[NormalForm]:
-    """The explicit base-derivative terms of :func:`bracket_affine` for a valid ``c``."""
-    chart = c.chart
-    if isinstance(c, DensityForm):
-        return [c.F.diff(chart.x_name(1))]
-    return [coefficient_derivative(c, i, chart.x_name(i)) for i in range(1, chart.m + 1)]
+    """The explicit base-derivative terms dC^i/dx^i of :func:`bracket_affine`
+    for a valid ``c``."""
+    return [Ci.diff(x) for Ci, x in zip(c.components, c.chart.x_names)]
 
 
 def _affine_form(c: CurrentForms | DensityForm, H: NormalForm) -> NormalForm:
@@ -223,21 +222,13 @@ def _affine_form(c: CurrentForms | DensityForm, H: NormalForm) -> NormalForm:
 def _linear_pairs(c: CurrentForms | DensityForm,
                   g: NormalForm) -> list[tuple[NormalForm, NormalForm]]:
     """The (x, y) pairs whose products x*y sum to the bracket of a valid ``c``
-    with the density coefficient ``g``."""
-    chart = c.chart
+    with the density coefficient ``g``:
+    dC^i/du^a dg/dp^i_a - dg/du^a dC^1/dp^1_a."""
+    chart, C = c.chart, c.components
     pairs = []
-    if isinstance(c, DensityForm):
-        f = c.F
-        for a in range(1, chart.n + 1):
-            ua, pa = chart.u_name(a), chart.p_name(1, a)
-            pairs.append((f.diff(ua), g.diff(pa)))
-            pairs.append((-f.diff(pa), g.diff(ua)))
-    else:
-        for a in range(1, chart.n + 1):
-            ua = chart.u_name(a)
-            for i in range(1, chart.m + 1):
-                pairs.append((coefficient_derivative(c, i, ua), g.diff(chart.p_name(i, a))))
-            pairs.append((-g.diff(ua), c.Y[a - 1]))
+    for a, ua in enumerate(chart.u_names, start=1):
+        pairs += [(Ci.diff(ua), g.diff(chart.p_name(i, a))) for i, Ci in enumerate(C, start=1)]
+        pairs.append((-g.diff(ua), C[0].diff(chart.p_name(1, a))))
     return pairs
 
 

@@ -162,6 +162,15 @@ class CurrentForms:
         return Current(self.chart, tuple(f.to_expr() for f in self.Y),
                        tuple(f.to_expr() for f in self.beta))
 
+    @cached_property
+    def components(self) -> tuple[NormalForm, ...]:
+        """The m component coefficients  C^i = Y^a p^i_a + b^i."""
+        chart = self.chart
+        return tuple(
+            NormalForm.sum([y * NormalForm.atom(chart.p_name(i, a))
+                            for a, y in enumerate(self.Y, start=1)] + [b])
+            for i, b in enumerate(self.beta, start=1))
+
 
 @dataclass(frozen=True)
 class DensityForm:
@@ -169,6 +178,11 @@ class DensityForm:
 
     chart: Chart
     F: NormalForm
+
+    @property
+    def components(self) -> tuple[NormalForm]:
+        """``(F,)``: on a one-dimensional base the observable is its one component."""
+        return (self.F,)
 
 
 @dataclass(frozen=True)
@@ -207,23 +221,9 @@ def require_valid(c: Current | CurrentForms) -> None:
 
 def current_coefficients(c: Current) -> tuple[Expression, ...]:
     """The m component coefficients  Y^a p^i_a + b^i  of the observable."""
-    require_valid(c)
-    chart = c.chart
-    Y = [NormalForm.of(y) for y in c.Y]
-    return tuple(
-        NormalForm.sum([y * NormalForm.atom(chart.p_name(i, a)) for a, y in enumerate(Y, start=1)]
-                       + [NormalForm.of(c.beta[i - 1])]).to_expr()
-        for i in range(1, chart.m + 1))
-
-
-def coefficient_derivative(c: CurrentForms, i: int, var: str) -> NormalForm:
-    """d/d(var) of the i-th component coefficient  Y^a p^i_a + b^i,  for a base
-    or fiber coordinate ``var``."""
-    chart = c.chart
-    return NormalForm.sum(
-        [c.beta[i - 1].diff(var)]
-        + [y.diff(var) * NormalForm.atom(chart.p_name(i, a))
-           for a, y in enumerate(c.Y, start=1)])
+    forms = CurrentForms.of(c)
+    require_valid(forms)
+    return tuple(f.to_expr() for f in forms.components)
 
 
 @dataclass(frozen=True)
@@ -242,16 +242,9 @@ class CurrentDifferential:
 def d_current(c: Current) -> CurrentDifferential:
     forms = CurrentForms.of(c)
     require_valid(forms)
-    chart = forms.chart
-    m, n = chart.m, chart.n
-
-    c0 = NormalForm.sum(coefficient_derivative(forms, i, chart.x_name(i))
-                        for i in range(1, m + 1)).to_expr()
-    cu = tuple(
-        tuple(coefficient_derivative(forms, i, chart.u_name(b)).to_expr()
-              for i in range(1, m + 1))
-        for b in range(1, n + 1)
-    )
+    chart, C = forms.chart, forms.components
+    c0 = NormalForm.sum(Ci.diff(x) for Ci, x in zip(C, chart.x_names)).to_expr()
+    cu = tuple(tuple(Ci.diff(u).to_expr() for Ci in C) for u in chart.u_names)
     cp = tuple(simplify(y) for y in c.Y)
     return CurrentDifferential(c0=c0, cu=cu, cp=cp)
 

@@ -16,6 +16,7 @@ reaches a non-finite state raises :class:`FloatingPointError`.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -76,12 +77,29 @@ class SolverConfig:
     cfl_limit: float = 0.5
 
     def __post_init__(self):
-        for key in ("dt", "t_final", "dx", "x0"):
+        # the values come from model files: a bool is not taken for a number
+        for key in ("dt", "t_final", "dx", "x0", "newton_tol", "cfl_limit"):
             value = getattr(self, key)
-            if isinstance(value, float) and not math.isfinite(value):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"solver.{key} must be a number, got {value!r}")
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                raise ValueError(f"solver.{key} must be finite, got an integer "
+                                 f"beyond the float range") from None
+            if not finite:
                 raise ValueError(f"solver.{key} must be finite, got {value}")
+        for key in ("K", "newton_max_iter"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"solver.{key} must be an integer, got {value!r}")
         if self.dt <= 0.0:
             raise ValueError("time step must be positive")
+        if self.newton_tol < 0.0:
+            raise ValueError(f"solver.newton_tol must be non-negative, got {self.newton_tol}")
+        if self.newton_max_iter < 1:
+            raise ValueError(f"solver.newton_max_iter must be at least 1, "
+                             f"got {self.newton_max_iter}")
         if self.boundary not in ("periodic", "dirichlet"):
             raise ValueError(f"unknown boundary '{self.boundary}'")
         if self.scheme != "rk4":

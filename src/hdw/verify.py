@@ -17,7 +17,7 @@ from .bracket import (ConnectionCheck, _affine_form, _current_bracket_forms,
                       _current_bracket_pairs, _linear_form, _representation_form,
                       bracket_affine, connection_is_hamiltonian, current_bracket, gamma_h)
 from .bundle import (Chart, Current, CurrentForms, DensityCoefficient, DensityForm,
-                     HamiltonianSection)
+                     HamiltonianSection, current_coefficients)
 from .expr import Const, Expression, Mul, NormalForm, Var
 from .models import model_td_mechanics, WaveModel, abelian_algebra, ym_residual
 from .solver import (GridSection, OdeState, SolverConfig, _ode_tables, ddx, evolve_field,
@@ -180,15 +180,6 @@ def _fd_current_bracket(a: Current, b: Current, binding: dict[str, float],
     return out
 
 
-def _jacobi_forms(a: CurrentForms, b: CurrentForms, c: CurrentForms,
-                  ab: CurrentForms) -> list[NormalForm]:
-    """The coefficients of [[a,b],c] + [[b,c],a] + [[c,a],b], given ab = [a,b],
-    each summed as one dot product: all empty when the Jacobi identity holds."""
-    bc, ca = _current_bracket_forms(b, c), _current_bracket_forms(c, a)
-    cyclic = zip(*(_current_bracket_pairs(x, y) for x, y in ((ab, c), (bc, a), (ca, b))))
-    return [NormalForm.dot(p + q + r) for p, q, r in cyclic]
-
-
 def check_jacobi_currents(seed: int = 1, trials: int = 20,
                           oracle_tol: float = 1e-5) -> VerificationReport:
     """Lie algebra laws of the current bracket for every degree-2 triple of
@@ -196,13 +187,19 @@ def check_jacobi_currents(seed: int = 1, trials: int = 20,
     oracle on ``trials`` random pairs."""
     chart = Chart(m=2, n=2)
     A, B, C = (_slots(_generic_current(prefix, chart)) for prefix in "abc")
+    # each inner bracket [a,b], [b,c], [c,a] depends on one pair of slots
+    AB, BC, CA = ([[_current_bracket_forms(x, y) for y in Y] for x in X]
+                  for X, Y in ((A, B), (B, C), (C, A)))
     jacobi, antisym = [], []
-    for a in A:
-        for b in B:
-            ab, ba = _current_bracket_forms(a, b), _current_bracket_forms(b, a)
+    for i, a in enumerate(A):
+        for j, b in enumerate(B):
+            ab, ba = AB[i][j], _current_bracket_forms(b, a)
             antisym += _terms_left(map(NormalForm.sum, zip(ab.Y + ab.beta, ba.Y + ba.beta)))
-            for c in C:
-                jacobi += _terms_left(_jacobi_forms(a, b, c, ab))
+            for k, c in enumerate(C):
+                # the coefficients of [[a,b],c] + [[b,c],a] + [[c,a],b], each one dot product
+                cyclic = zip(*(_current_bracket_pairs(x, y)
+                               for x, y in ((ab, c), (BC[j][k], a), (CA[k][i], b))))
+                jacobi += _terms_left(NormalForm.dot(p + q + r) for p, q, r in cyclic)
 
     rng = np.random.default_rng(seed)
     names = tuple(sorted(chart.names))
@@ -370,9 +367,6 @@ def _wave_setup(K: int):
 def _field_bracket_residual(traj: list[GridSection], current: Current,
                             h: HamiltonianSection, dt: float, dx: float) -> float:
     """Max defect of d(pullback)/dt + d(pullback)/dx = bracket, central stencils."""
-    from .bundle import current_coefficients
-
-    chart = h.chart
     a1, a2 = current_coefficients(current)
     rhs_expr = bracket_affine(current, h).F
 

@@ -221,6 +221,48 @@ class TestBracketLinear:
             assert lhs == pytest.approx(s * linear.F.eval(b), abs=1e-12)
 
 
+def test_m1_brackets_agree_with_sympy():
+    # on a 1-D base both brackets are the time-dependent Poisson bracket:
+    # {F, G} = dF/dx1 + dF/du^a dG/dp_a - dG/du^a dF/dp_a, and the linear
+    # bracket drops dF/dx1.  SymPy differentiates the model text itself.
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    chart = Chart(m=1, n=2)
+    x1, (u1, u2), (p1, p2) = (sympy.symbols(names) for names in
+                              ("x1", chart.u_names, chart.p_names))
+
+    monomials = ["1", "x1", "u1", "u2", "p1_1", "p1_2", "x1*u1", "u1*u2", "u2*p1_1",
+                 "p1_1*p1_2", "u1^2", "p1_2^2"]
+
+    def polynomial(ks):
+        return " + ".join(f"({k}/64)*{mono}" for k, mono in zip(ks, monomials))
+
+    dyadic = st.lists(st.integers(-64, 64), min_size=len(monomials), max_size=len(monomials))
+
+    # each example costs SymPy tens of milliseconds, so a failing draw is
+    # reported as drawn, not shrunk
+    @hypothesis.settings(max_examples=20, phases=[hypothesis.Phase.generate])
+    @hypothesis.given(
+        st.sampled_from(["exp(p1_1)*u2 + p1_2^3 + sin(x1*u1)",
+                         "p1_2^3*sin(x1*u1) - u1*exp(p1_1)"]),
+        st.sampled_from(["p1_1^2/2 + exp(p1_1)*u1 + p1_2^3*u2",
+                         "sin(x1*u1)*p1_2 + exp(p1_1)"]),
+        dyadic, dyadic)
+    def check(f, g, f_ks, g_ks):
+        F, G = f"{f} + {polynomial(f_ks)}", f"{g} + {polynomial(g_ks)}"
+        Fs, Gs = sympy.sympify(F), sympy.sympify(G)
+        poisson = sum(sympy.diff(Fs, u) * sympy.diff(Gs, p) - sympy.diff(Gs, u) * sympy.diff(Fs, p)
+                      for u, p in ((u1, p1), (u2, p2)))
+        f_obs = DensityCoefficient(chart, F)
+        affine = bracket_affine(f_obs, HamiltonianSection(chart, G)).F
+        linear = bracket_linear(f_obs, DensityCoefficient(chart, G)).F
+        for got, want in ((affine, sympy.diff(Fs, x1) + poisson), (linear, poisson)):
+            assert sympy.expand(sympy.sympify(str(got), rational=True) - want) == 0
+
+    check()
+
+
 class TestCurrentBracket:
     def test_self_bracket_vanishes(self):
         chart = Chart(m=2, n=1)

@@ -85,6 +85,36 @@ class TestBracket:
     def test_missing_model_file(self, tmp_path):
         assert main(["bracket", "--model", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("model, point, expected", [
+        ({"chart": {"m": 2, "n": 2},
+          "hamiltonian": "p1_1^2/2 + p2_2^2/2 + p1_2*p2_1 + sin(x1*u1) + exp(u2)*p2_1"
+                         " + ln(1 + u1^2)*x2",
+          "currents": [{"name": "flux", "Y": ["sin(u2)", "x1*u1"],
+                        "beta": ["exp(x2)*u1", "ln(2 + u2^2)"]},
+                       {"name": "weighted", "Y": ["u1^2", "1"], "beta": ["0", "x1*u2"]}]},
+         "x1=0.5,x2=-0.25,u1=0.75,u2=-1,p1_1=0.5,p1_2=-0.5,p2_1=1.25,p2_2=2",
+         "flux: p1_1*p1_2*x1 + p1_1*p2_1*cos(u2) + p1_1*exp(x2) + p1_2*p2_2*x1 + p1_2*u1"
+         " + p2_1*p2_2*cos(u2) - p2_1*u1*x1*exp(u2) + 2*p2_2*u2/(u2^2 + 2) + p2_2*x1*exp(u2)"
+         " - 2*u1*x2*sin(u2)/(u1^2 + 1) - x1*cos(u1*x1)*sin(u2)\n"
+         "  at p1_1=0.5, p1_2=-0.5, p2_1=1.25, p2_2=2, u1=0.75, u2=-1, x1=0.5, x2=-0.25:"
+         " 0.12949226329964408\n"
+         "weighted: 2*p1_1^2*u1 + 2*p1_2*p2_1*u1 + 2*p2_1*u1*exp(u2) - p2_1*exp(u2)"
+         " + p2_2*x1 - 2*u1^3*x2/(u1^2 + 1) - u1^2*x1*cos(u1*x1)\n"
+         "  at p1_1=0.5, p1_2=-0.5, p2_1=1.25, p2_2=2, u1=0.75, u2=-1, x1=0.5, x2=-0.25:"
+         " 0.54071938206931303\n"),
+        ({"chart": {"m": 1, "n": 2},
+          "hamiltonian": "p1_1^2/2 + exp(p1_2)/3 + sin(u1)*ln(2 + u2^2) + x1*u1",
+          "currents": [{"name": "q", "F": "exp(p1_1)*u2 + p1_2^3 + sin(x1*u1)"}]},
+         "x1=0.5,u1=0.75,u2=-1,p1_1=0.5,p1_2=-0.5",
+         "q: p1_1*x1*cos(u1*x1) - 6*p1_2^2*u2*sin(u1)/(u2^2 + 2) + u1*cos(u1*x1)"
+         " - u2*x1*exp(p1_1) - u2*cos(u1)*exp(p1_1)*ln(u2^2 + 2)"
+         " + 0.3333333333333333*exp(p1_1)*exp(p1_2)\n"
+         "  at p1_1=0.5, p1_2=-0.5, u1=0.75, u2=-1, x1=0.5: 3.7543330054636206\n"),
+    ], ids=["m2-currents", "m1-density"])
+    def test_stdout_is_pinned(self, model, point, expected, tmp_path, capsys):
+        assert main(["bracket", "--model", write_model(tmp_path, model), "--at", point]) == 0
+        assert capsys.readouterr().out == expected
+
 
 class TestSimulate:
     def test_ode_outputs(self, oscillator_model, tmp_path, capsys):
@@ -462,6 +492,34 @@ def test_non_finite_solver_value_exits_2_without_output(key, value, tmp_path, ca
     out = tmp_path / "run"
     assert main(["simulate", "--model", path, "--out", str(out)]) == 2
     assert f"solver.{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("newton_max_iter", 0, "solver.newton_max_iter must be at least 1"),
+    ("newton_max_iter", 1.5, "solver.newton_max_iter must be an integer"),
+    ("newton_max_iter", True, "solver.newton_max_iter must be an integer"),
+    ("dt", "0.001", "solver.dt must be a number"),
+    ("t_final", 10 ** 400, "solver.t_final must be finite"),
+    ("newton_tol", -1, "solver.newton_tol must be non-negative"),
+    ("newton_tol", True, "solver.newton_tol must be a number"),
+    ("K", 128.5, "solver.K must be an integer"),
+], ids=["max_iter-0", "max_iter-float", "max_iter-bool", "dt-string", "t_final-huge-int",
+        "tol-negative", "tol-bool", "K-float"])
+def test_bad_solver_value_exits_2_without_output(key, value, message, tmp_path, capsys):
+    K = 128
+    solver = {"dt": 1 / K / 8, "t_final": 0.01, "K": K, "dx": 1 / K,
+              "boundary": "dirichlet", "p_reconstruction": "newton"}
+    solver[key] = value
+    path = write_model(tmp_path, {
+        "model": "perfect_gas",
+        "initial": {"u": ["x2 + 0.03*sin(6.283185307179586*x2)"], "M": ["0"]},
+        "solver": solver,
+    })
+    out = tmp_path / "run"
+    assert main(["simulate", "--model", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}, got ") and "Traceback" not in err
     assert not out.exists()
 
 
