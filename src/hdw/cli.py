@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -42,6 +43,23 @@ class ModelFileError(Exception):
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
+
+
+_JSON_TYPES = {str: "a string", list: "a list", dict: "an object", int: "an integer"}
+
+
+def _expect(value, kind: type, where: str):
+    """``value`` if it has the JSON type ``kind`` (a bool is no integer)."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ModelFileError(f"{where} must be {_JSON_TYPES[kind]}, "
+                             f"got {json.dumps(value)[:40]}")
+    return value
+
+
+def _texts(value, where: str) -> list[str]:
+    """A JSON list of expression strings."""
+    return [_expect(e, str, f"{where}[{k}]")
+            for k, e in enumerate(_expect(value, list, where), start=1)]
 
 
 def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
@@ -81,7 +99,8 @@ class ModelFile:
     ``hamiltonian`` define a custom one.  Current entries carry either a
     plain density coefficient ``F`` (m = 1) or the pair ``Y``/``beta``
     (m >= 2).  Initial data are expressions in the spatial coordinate
-    x2 for fields, or constant expressions for mechanics.
+    x2 for fields, or constant expressions for mechanics.  Every field
+    has the JSON type shown, and chart dimensions are integers >= 1.
     """
 
     def __init__(self, data: dict, source: str = "<model>"):
@@ -100,35 +119,39 @@ class ModelFile:
             if "chart" not in data or "hamiltonian" not in data:
                 raise ModelFileError(f"{source}: need either 'model' or both "
                                      f"'chart' and 'hamiltonian'")
-            chart_obj = data["chart"]
+            chart_obj = _expect(data["chart"], dict, f"{source}: chart")
             _check_keys(chart_obj, {"m", "n"}, f"{source}: chart")
-            chart = Chart(m=int(chart_obj["m"]), n=int(chart_obj["n"]))
-            self.hamiltonian = HamiltonianSection(chart, parse(data["hamiltonian"]))
+            chart = Chart(**{k: _expect(chart_obj.get(k), int, f"{source}: chart.{k}")
+                             for k in ("m", "n")})
+            self.hamiltonian = HamiltonianSection(
+                chart, parse(_expect(data["hamiltonian"], str, f"{source}: hamiltonian")))
         self.chart = self.hamiltonian.chart
 
         self.currents: dict[str, Current | DensityCoefficient] = {}
-        for k, entry in enumerate(data.get("currents", []), start=1):
-            _check_keys(entry, {"name", "F", "Y", "beta"},
-                        f"{source}: currents[{k}]")
-            name = entry.get("name", f"current{k}")
+        for k, entry in enumerate(_expect(data.get("currents", []), list,
+                                          f"{source}: currents"), start=1):
+            where = f"{source}: currents[{k}]"
+            _check_keys(_expect(entry, dict, where), {"name", "F", "Y", "beta"}, where)
+            name = _expect(entry.get("name", f"current{k}"), str, f"{where}.name")
             if "F" in entry:
                 if "Y" in entry or "beta" in entry:
-                    raise ModelFileError(f"{source}: currents[{k}] mixes "
-                                         f"'F' with 'Y'/'beta'")
-                self.currents[name] = DensityCoefficient(self.chart, parse(entry["F"]))
+                    raise ModelFileError(f"{where} mixes 'F' with 'Y'/'beta'")
+                self.currents[name] = DensityCoefficient(
+                    self.chart, parse(_expect(entry["F"], str, f"{where}.F")))
             else:
                 if "Y" not in entry or "beta" not in entry:
-                    raise ModelFileError(f"{source}: currents[{k}] needs "
-                                         f"'F' or both 'Y' and 'beta'")
+                    raise ModelFileError(f"{where} needs 'F' or both 'Y' and 'beta'")
                 self.currents[name] = Current(self.chart,
-                                              tuple(parse(e) for e in entry["Y"]),
-                                              tuple(parse(e) for e in entry["beta"]),
+                                              tuple(map(parse, _texts(entry["Y"], f"{where}.Y"))),
+                                              tuple(map(parse, _texts(entry["beta"],
+                                                                      f"{where}.beta"))),
                                               name=name)
 
-        self.initial = data.get("initial", {})
-        _check_keys(self.initial, {"u", "M", "p"}, f"{source}: initial")
+        initial = _expect(data.get("initial", {}), dict, f"{source}: initial")
+        _check_keys(initial, {"u", "M", "p"}, f"{source}: initial")
+        self.initial = {k: _texts(v, f"{source}: initial.{k}") for k, v in initial.items()}
 
-        solver_obj = data.get("solver", {})
+        solver_obj = _expect(data.get("solver", {}), dict, f"{source}: solver")
         _check_keys(solver_obj, _SOLVER_KEYS, f"{source}: solver")
         self.solver_data = solver_obj
 
@@ -142,7 +165,7 @@ class ModelFile:
             self.field_model = model
             return model.hamiltonian
         if builtin == "td_mechanics":
-            potential = data.get("potential", "0")
+            potential = _expect(data.get("potential", "0"), str, f"{self.source}: potential")
             return model_td_mechanics(parse(potential))
         raise ModelFileError(f"{self.source}: unknown built-in model "
                              f"'{builtin}' (wave, perfect_gas, td_mechanics)")
@@ -272,7 +295,11 @@ def _fed(items, add):
 
 
 def _check_size(config: SolverConfig, columns: int) -> None:
-    steps = int(round(config.t_final / config.dt))
+    steps = config.t_final / config.dt
+    if not math.isfinite(steps):
+        raise ModelFileError(f"request takes t_final / dt = {steps} steps, above the "
+                             f"limit of {MAX_STORED_VALUES} stored values")
+    steps = round(steps)
     size = (steps + 1) * columns
     if size > MAX_STORED_VALUES:
         raise ModelFileError(f"request stores {size} values ({steps + 1} snapshots "
@@ -319,6 +346,7 @@ def cmd_simulate(args) -> int:
     created = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
     partial = out / f".trajectory.csv.{os.getpid()}.tmp"
+    partial_manifest = out / f".manifest.json.{os.getpid()}.tmp"
     try:
         _write_csv(partial, header, blocks)
         norms = residual.norms()
@@ -331,15 +359,18 @@ def cmd_simulate(args) -> int:
             }, allow_nan=False)
         except ValueError as exc:
             raise FloatingPointError(f"non-finite residual norm ({exc})") from None
+        # both files are complete before either replaces an earlier run's
+        partial_manifest.write_text(manifest)
         partial.replace(out / "trajectory.csv")
+        partial_manifest.replace(out / "manifest.json")
     except BaseException:
         # a failed run leaves nothing behind
         partial.unlink(missing_ok=True)
+        partial_manifest.unlink(missing_ok=True)
         for d in created:  # deepest first
             with contextlib.suppress(OSError):
                 d.rmdir()
         raise
-    (out / "manifest.json").write_text(manifest)
     print(f"wrote {out / 'trajectory.csv'} ({residual.snapshots} snapshots)")
     return EXIT_OK
 

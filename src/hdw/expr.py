@@ -28,6 +28,8 @@ is a product of atoms raised to integer powers.  An atom is a variable,
 a function of a canonical argument (``sin(u1 + x1)``), or a sum of two
 or more terms, which occurs only with negative powers
 (``(u1^2 + 1)^-2``); products and positive powers of sums are expanded.
+A fourth kind, the jet, is an undetermined smooth function or one of its
+partial derivatives; it never comes from parsing, only from the provers.
 Atoms are ordered by a structural key, so the normal form, and the tree
 :func:`simplify` prints from it, is a pure function of the expression's
 structure.  When several products or summands contribute to one
@@ -561,11 +563,43 @@ class _Compound:
         return outer * arg.diff(var)
 
 
+class _Jet:
+    """A non-variable atom: the partial derivative of an undetermined smooth
+    function ``name`` of the variables ``deps`` by the sorted variable names
+    ``index``.  Sorting the index makes mixed partials commute, so jets are
+    the free differential algebra over (name, deps); one name has one
+    ``deps``."""
+
+    __slots__ = ("name", "variables", "index", "order", "_hash")
+
+    def __init__(self, name: str, deps: Iterable[str], index: tuple[str, ...] = ()):
+        self.name = name
+        self.variables = frozenset(deps)
+        self.index = tuple(sorted(index))
+        self.order = (3, name, self.index)
+        self._hash = hash(self.order)
+
+    def __eq__(self, other):
+        return self is other or (type(other) is _Jet and self.order == other.order)
+
+    def __hash__(self):
+        return self._hash
+
+    def expr(self) -> Expression:
+        """A leaf named by the function and its index, such as ``aY1_u1x2``."""
+        return Var(f"{self.name}_{''.join(self.index)}" if self.index else self.name)
+
+    def derivative(self, var: str) -> "NormalForm":
+        """d(atom)/d(var) for ``var`` in ``variables``: the jet one order higher."""
+        return NormalForm.atom(_Jet(self.name, self.variables, self.index + (var,)))
+
+
 class NormalForm:
     """Sparse sum of products: packed monomial key -> nonzero float coefficient.
 
     ``atoms`` are the atoms the keys refer to, sorted by their structural
-    order; an atom is a variable name (``str``) or a :class:`_Compound`.
+    order; an atom is a variable name (``str``), a :class:`_Compound` or a
+    :class:`_Jet`.
     Results of operations may list atoms that no term uses; :attr:`key`
     and :meth:`to_expr` drop them.  ``atoms`` and ``terms`` never change
     after construction.

@@ -95,6 +95,8 @@ class SolverConfig:
                 raise ValueError(f"solver.{key} must be an integer, got {value!r}")
         if self.dt <= 0.0:
             raise ValueError("time step must be positive")
+        if self.dx < 0.0:
+            raise ValueError(f"solver.dx must be positive, got {self.dx}")
         if self.newton_tol < 0.0:
             raise ValueError(f"solver.newton_tol must be non-negative, got {self.newton_tol}")
         if self.newton_max_iter < 1:

@@ -18,7 +18,7 @@ from .bracket import (ConnectionCheck, _affine_form, _current_bracket_forms,
                       bracket_affine, connection_is_hamiltonian, current_bracket, gamma_h)
 from .bundle import (Chart, Current, CurrentForms, DensityCoefficient, DensityForm,
                      HamiltonianSection, current_coefficients)
-from .expr import Const, Expression, Mul, NormalForm, Var
+from .expr import Const, Expression, Mul, NormalForm, Var, _Jet
 from .models import model_td_mechanics, WaveModel, abelian_algebra, ym_residual
 from .solver import (GridSection, OdeState, SolverConfig, _ode_tables, ddx, evolve_field,
                      evolve_ym_abelian)
@@ -64,7 +64,7 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Randomized and generic inputs
+# Randomized inputs and jets
 
 # a drawn coefficient is k/_DENOMINATOR, k uniform in [-_DENOMINATOR, _DENOMINATOR]
 _DENOMINATOR = 64
@@ -90,44 +90,32 @@ def _random_form(rng: np.random.Generator, names: tuple[str, ...], degree: int) 
          for d in range(degree + 1) for combo in combinations_with_replacement(names, d)])
 
 
-def _generic_polynomial(prefix: str, names: tuple[str, ...]) -> NormalForm:
-    """A polynomial of degree <= 2 in ``names`` whose every coefficient is its own
-    symbol, ``prefix`` followed by the monomial's index."""
-    monomials = [()] + [combo for d in (1, 2) for combo in combinations_with_replacement(names, d)]
-    return NormalForm.polynomial([((f"{prefix}{k}",) + combo, 1.0)
-                                  for k, combo in enumerate(monomials)])
+def _jet(name: str, names: tuple[str, ...]) -> NormalForm:
+    """An undetermined smooth function ``name`` of ``names``, as one jet atom."""
+    return NormalForm.atom(_Jet(name, names))
 
 
-def _generic_current(prefix: str, chart: Chart) -> CurrentForms:
-    """The current whose coefficients Y^a and beta^i are generic polynomials in (x, u)."""
+def _jet_current(prefix: str, chart: Chart) -> CurrentForms:
+    """The current whose coefficients Y^a and beta^i are undetermined smooth
+    functions of (x, u)."""
     names = chart.x_names + chart.u_names
     return CurrentForms(chart,
-                        tuple(_generic_polynomial(f"{prefix}Y{a}_", names)
-                              for a in range(1, chart.n + 1)),
-                        tuple(_generic_polynomial(f"{prefix}b{i}_", names)
-                              for i in range(1, chart.m + 1)))
-
-
-def _slots(c: CurrentForms) -> list[CurrentForms]:
-    """``c`` as a sum of currents, one per coefficient slot (Y^1.., then
-    beta^1..), each zero in every other slot."""
-    n, coefficients, zero = c.chart.n, c.Y + c.beta, NormalForm()
-    parts = []
-    for k in range(len(coefficients)):
-        own = tuple(f if j == k else zero for j, f in enumerate(coefficients))
-        parts.append(CurrentForms(c.chart, own[:n], own[n:]))
-    return parts
+                        tuple(_jet(f"{prefix}Y{a}", names) for a in range(1, chart.n + 1)),
+                        tuple(_jet(f"{prefix}b{i}", names) for i in range(1, chart.m + 1)))
 
 
 # ---------------------------------------------------------------------------
 # Algebraic checks
 #
-# Each identity is proved on generic inputs, every coefficient of a degree-2
-# current or Hamiltonian its own symbol, so an empty residual proves it for all
-# of them.  The residuals are multilinear in the currents, so one is built per
-# combination of coefficient slots: terms of different combinations carry
-# different symbols and cannot cancel, and narrow parts keep memory flat.
+# Each identity is proved on jets: every coefficient of a current, density
+# or Hamiltonian is an undetermined smooth function whose partial
+# derivatives are atoms too, with mixed partials equal.  That is the free
+# differential algebra, so an empty residual proves the identity for every
+# smooth input on the chart, and a non-empty one is a counterexample.
 # Every coefficient formed is a small integer, so the arithmetic is exact.
+
+# the chart of the representation and Jacobi proofs
+_CHART = Chart(m=2, n=2)
 
 
 def _terms_left(forms) -> list[float]:
@@ -137,12 +125,12 @@ def _terms_left(forms) -> list[float]:
 
 
 def check_representation() -> VerificationReport:
-    """Affine-representation identity for every degree-2 pair of currents and
+    """Affine-representation identity for every smooth pair of currents and
     Hamiltonian on m = n = 2."""
-    chart = Chart(m=2, n=2)
-    H = _generic_polynomial("h", tuple(sorted(chart.names)))
-    A, B = (_slots(_generic_current(prefix, chart)) for prefix in "ab")
-    left = _terms_left(_representation_form(a, b, H) for a in A for b in B)
+    chart = _CHART
+    H = _jet("h", tuple(sorted(chart.names)))
+    a, b = (_jet_current(prefix, chart) for prefix in "ab")
+    left = _terms_left([_representation_form(a, b, H)])
     return VerificationReport(
         name="representation_identity",
         certifies="the linear-affine bracket represents the current algebra on "
@@ -182,24 +170,16 @@ def _fd_current_bracket(a: Current, b: Current, binding: dict[str, float],
 
 def check_jacobi_currents(seed: int = 1, trials: int = 20,
                           oracle_tol: float = 1e-5) -> VerificationReport:
-    """Lie algebra laws of the current bracket for every degree-2 triple of
+    """Lie algebra laws of the current bracket for every smooth triple of
     currents on m = n = 2, and the public bracket against a finite-difference
     oracle on ``trials`` random pairs."""
-    chart = Chart(m=2, n=2)
-    A, B, C = (_slots(_generic_current(prefix, chart)) for prefix in "abc")
-    # each inner bracket [a,b], [b,c], [c,a] depends on one pair of slots
-    AB, BC, CA = ([[_current_bracket_forms(x, y) for y in Y] for x in X]
-                  for X, Y in ((A, B), (B, C), (C, A)))
-    jacobi, antisym = [], []
-    for i, a in enumerate(A):
-        for j, b in enumerate(B):
-            ab, ba = AB[i][j], _current_bracket_forms(b, a)
-            antisym += _terms_left(map(NormalForm.sum, zip(ab.Y + ab.beta, ba.Y + ba.beta)))
-            for k, c in enumerate(C):
-                # the coefficients of [[a,b],c] + [[b,c],a] + [[c,a],b], each one dot product
-                cyclic = zip(*(_current_bracket_pairs(x, y)
-                               for x, y in ((ab, c), (BC[j][k], a), (CA[k][i], b))))
-                jacobi += _terms_left(NormalForm.dot(p + q + r) for p, q, r in cyclic)
+    chart = _CHART
+    a, b, c = (_jet_current(prefix, chart) for prefix in "abc")
+    ab, ba, bc, ca = (_current_bracket_forms(x, y) for x, y in ((a, b), (b, a), (b, c), (c, a)))
+    antisym = _terms_left(map(NormalForm.sum, zip(ab.Y + ab.beta, ba.Y + ba.beta)))
+    # the coefficients of [[a,b],c] + [[b,c],a] + [[c,a],b], each one dot product
+    cyclic = zip(*(_current_bracket_pairs(x, y) for x, y in ((ab, c), (bc, a), (ca, b))))
+    jacobi = _terms_left(NormalForm.dot(p + q + r) for p, q, r in cyclic)
 
     rng = np.random.default_rng(seed)
     names = tuple(sorted(chart.names))
@@ -225,11 +205,11 @@ def check_jacobi_currents(seed: int = 1, trials: int = 20,
 
 
 def check_m1_reduction() -> VerificationReport:
-    """For a 1-D base the brackets of every degree-2 pair of density
+    """For a 1-D base the brackets of every smooth pair of density
     coefficients on n = 2 reduce to the time-dependent Poisson bracket."""
     chart = Chart(m=1, n=2)
     names = tuple(sorted(chart.names))
-    F, G = _generic_polynomial("f", names), _generic_polynomial("g", names)
+    F, G = _jet("f", names), _jet("g", names)
     f = DensityForm(chart, F)
     canonical = NormalForm.dot(
         pair for ua, pa in zip(chart.u_names, chart.p_names)

@@ -180,14 +180,14 @@ def test_11_perfect_gas():
 
 
 def test_12_generic_certificate():
-    # the suites make every coefficient its own symbol, so their empty residuals
-    # prove both identities for every current and Hamiltonian of degree <= 2 on
-    # the m=2, n=2 chart
+    # the suites take every coefficient of the currents and the Hamiltonian to be
+    # an undetermined smooth function (a jet), so their empty residuals prove both
+    # identities for every smooth current and Hamiltonian on the m=2, n=2 chart
     start = time.perf_counter()
     reports = [check_representation(), check_jacobi_currents(trials=0)]
     elapsed = time.perf_counter() - start
     terms = [report.details["residual_terms"] for report in reports]
-    _report(12, "generic degree-2 currents and Hamiltonian on m=2, n=2: the "
+    _report(12, "smooth (jet) currents and Hamiltonian on m=2, n=2: the "
                 f"representation and Jacobi/antisymmetry residuals are empty "
                 f"(terms {terms}, {elapsed:.1f}s)",
             all(report.passed for report in reports) and not any(terms))

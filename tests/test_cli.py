@@ -523,6 +523,67 @@ def test_bad_solver_value_exits_2_without_output(key, value, message, tmp_path, 
     assert not out.exists()
 
 
+_OSCILLATOR = {"chart": {"m": 1, "n": 1}, "hamiltonian": "p1_1^2/2 + u1^2/2",
+               "initial": {"u": ["1"], "p": ["0"]}, "solver": {"dt": 0.01, "t_final": 0.1}}
+_WAVE = {"model": "wave", "initial": {"u": ["sin(x2)"], "M": ["-cos(x2)"]},
+         "solver": {"dt": 0.05, "t_final": 0.1, "K": 16, "dx": 0.4}}
+
+
+@pytest.mark.parametrize("base, change, message", [
+    (_OSCILLATOR, {"chart": {"m": [1], "n": 1}}, "chart.m must be an integer"),
+    (_OSCILLATOR, {"chart": {"m": 1.5, "n": 1}}, "chart.m must be an integer"),
+    (_OSCILLATOR, {"chart": {"m": True, "n": 1}}, "chart.m must be an integer"),
+    (_OSCILLATOR, {"chart": {"m": 1}}, "chart.n must be an integer"),
+    (_OSCILLATOR, {"chart": {"m": 0, "n": 1}}, "chart dimensions must be at least 1"),
+    (_OSCILLATOR, {"chart": [1, 1]}, "chart must be an object"),
+    (_OSCILLATOR, {"hamiltonian": 5}, "hamiltonian must be a string"),
+    (_OSCILLATOR, {"currents": [5]}, "currents[1] must be an object"),
+    (_OSCILLATOR, {"currents": "abc"}, "currents must be a list"),
+    (_OSCILLATOR, {"currents": [{"F": 2}]}, "currents[1].F must be a string"),
+    (_OSCILLATOR, {"initial": {"u": [1.0], "p": ["0"]}}, "initial.u[1] must be a string"),
+    (_OSCILLATOR, {"solver": {"dt": 1e-300, "t_final": 1e300}}, "request takes t_final / dt"),
+    ({"model": "td_mechanics", "potential": 3, **_OSCILLATOR}, {},
+     "potential must be a string"),
+    (_WAVE, {"solver": {"dt": 0.05, "t_final": 0.1, "K": 16, "dx": -0.1}},
+     "solver.dx must be positive"),
+    (_WAVE, {"initial": {"u": [1.0], "M": ["0"]}}, "initial.u[1] must be a string"),
+], ids=["m-list", "m-float", "m-bool", "n-missing", "m-zero", "chart-list",
+        "hamiltonian-number", "current-number", "currents-string", "F-number",
+        "initial-number", "steps-infinite", "potential-number", "dx-negative",
+        "profile-number"])
+def test_bad_model_file_exits_2_without_output(base, change, message, tmp_path, capsys):
+    model = {**base, **change}
+    if model.get("model"):
+        model.pop("chart", None), model.pop("hamiltonian", None)
+    out = tmp_path / "run"
+    assert main(["simulate", "--model", write_model(tmp_path, model),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_failed_manifest_write_keeps_the_earlier_run(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    model = dict(_OSCILLATOR)
+    assert main(["simulate", "--model", write_model(tmp_path, model), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["manifest.json", "trajectory.csv"]
+
+    write_text = Path.write_text
+
+    def failing(self, *args, **kwargs):
+        if "manifest" in self.name:
+            raise OSError("no space left on device")
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing)
+    model["solver"] = {"dt": 0.01, "t_final": 0.2}
+    with pytest.raises(OSError, match="no space left"):
+        main(["simulate", "--model", write_model(tmp_path, model), "--out", str(out)])
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 _ZEROS = "0 + " * 3000  # a parsed sum far deeper than the recursion limit
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hdw import bracket, verify
-from hdw.bundle import Chart, CurrentForms
+from hdw.bundle import Chart, CurrentForms, HamiltonianSection
 from hdw.expr import Const, Mul, NormalForm, Var, add_all
 from hdw.verify import (SUITES, check_bracket_evolution_converse,
                         check_bracket_evolution_ode, check_connection_class,
@@ -141,7 +141,7 @@ def test_all_suites_registered():
 
 
 @pytest.mark.parametrize("check, seed, limit", [
-    (check_representation, None, 0),  # generic forms, never a tree
+    (check_representation, None, 0),  # jet forms, never a tree
     (check_jacobi_currents, 1, 32),  # the oracle's random currents and public current_bracket
 ])
 def test_brackets_and_residuals_emit_no_intermediate_trees(check, seed, limit, monkeypatch):
@@ -174,10 +174,10 @@ def test_random_polynomial_is_the_sum_of_its_monomials():
 @pytest.mark.parametrize("check, degree", [
     (check_representation, 3), (check_jacobi_currents, 3), (check_m1_reduction, 2)])
 def test_algebraic_suites_are_exact_on_dyadic_draws(check, degree, monkeypatch):
-    # an identity proved on generic coefficients holds for every specialisation:
-    # fed k/64 draws in place of its generic polynomials, a suite leaves no
-    # residual term.  Each residual is multilinear in `degree` inputs, so every
-    # coefficient is a multiple of 64**-degree and the float arithmetic is exact.
+    # an identity proved on jets holds for every specialisation: fed k/64
+    # polynomial draws in place of its jets, a suite leaves no residual term.
+    # Each residual is multilinear in `degree` inputs, so every coefficient is a
+    # multiple of 64**-degree and the float arithmetic is exact.
     rng = np.random.default_rng(4)
     inputs = set()
 
@@ -185,7 +185,7 @@ def test_algebraic_suites_are_exact_on_dyadic_draws(check, degree, monkeypatch):
         inputs.add(prefix[0])
         return verify._random_form(rng, names, 2)
 
-    monkeypatch.setattr(verify, "_generic_polynomial", drawn)
+    monkeypatch.setattr(verify, "_jet", drawn)
     report = check()
     assert report.passed and report.max_residual == 0.0 and report.tolerance == 0.0
     assert report.details["residual_terms"] == 0
@@ -234,8 +234,8 @@ def test_an_exact_residual_below_the_tolerance_still_fails(monkeypatch):
     monkeypatch.setattr(verify, "_representation_form", off_by_a_little)
     report = check_representation()
     assert not report.passed and report.max_residual == 2.0 ** -60 > report.tolerance == 0.0
-    # one residual per pair of coefficient slots of the two currents
-    assert report.details["residual_terms"] == 16
+    # one residual, built once for the two jet currents
+    assert report.details["residual_terms"] == 1
 
 
 def test_a_planted_term_in_the_linear_bracket_fails_the_m1_reduction(monkeypatch):
@@ -252,10 +252,18 @@ def test_a_planted_term_in_the_linear_bracket_fails_the_m1_reduction(monkeypatch
     assert report.details["residual_terms"] == 2
 
 
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (3, 3)])
+def test_the_identities_are_proved_on_larger_charts(m, n, monkeypatch):
+    # hdw verify proves them on m = n = 2; the same jet proofs hold on these charts
+    monkeypatch.setattr(verify, "_CHART", Chart(m=m, n=n))
+    for report in (check_representation(), check_jacobi_currents(trials=2)):
+        assert report.passed and report.max_residual == 0.0, report.name
+        assert report.details["residual_terms"] == 0
+
+
 def _symbol_prefixes(c: CurrentForms) -> set[str]:
-    """The first letters of the generic coefficient symbols in ``c``."""
-    names = set().union(*(f.variables() for f in c.Y + c.beta))
-    return {name[0] for name in names - c.chart.names}
+    """The first letters of the names of the jets in ``c``."""
+    return {atom.name[0] for f in c.Y + c.beta for atom in f.atoms if type(atom) is not str}
 
 
 def test_an_antisymmetry_error_alone_fails_the_jacobi_suite(monkeypatch):
@@ -273,8 +281,8 @@ def test_an_antisymmetry_error_alone_fails_the_jacobi_suite(monkeypatch):
     report = check_jacobi_currents(trials=0)
     assert not report.passed
     assert report.max_residual == 0.0 and report.details["antisymmetry"] == 1.0
-    # one u1 per pair of coefficient slots of a and b
-    assert report.details["residual_terms"] == 16
+    # one u1, in the first coefficient of [a, b] + [b, a]
+    assert report.details["residual_terms"] == 1
 
 
 @pytest.mark.parametrize("check", [check_representation, check_jacobi_currents,
@@ -296,32 +304,44 @@ def test_a_nan_residual_is_reported_as_nan(monkeypatch):
     monkeypatch.setattr(verify, "_representation_form", planted)
     report = check_representation()
     assert np.isnan(report.max_residual) and not report.passed
-    assert report.details["residual_terms"] == 32
+    assert report.details["residual_terms"] == 2
 
 
 def test_generic_brackets_agree_with_sympy():
-    # the suites' proofs rest on NormalForm arithmetic at full generic size;
-    # SymPy rebuilds the current bracket and the affine bracket from their
-    # coordinate formulas on the same generic inputs
+    # the suites' proofs rest on NormalForm arithmetic on jets; SymPy rebuilds
+    # the public current bracket and affine bracket of the jet currents and
+    # Hamiltonian from their coordinate formulas, on undetermined functions, so
+    # the two agree for every smooth input on the chart
     sympy = pytest.importorskip("sympy")
     chart = Chart(m=2, n=2)
-    a, b = verify._generic_current("a", chart), verify._generic_current("b", chart)
-    H = verify._generic_polynomial("h", tuple(sorted(chart.names)))
-
-    def sym(form):
-        return sympy.sympify(str(form.to_expr()), rational=True)
-
+    a, b = verify._jet_current("a", chart), verify._jet_current("b", chart)
+    H = verify._jet("h", tuple(sorted(chart.names)))
     x, u = sympy.symbols(chart.x_names), sympy.symbols(chart.u_names)
     p = [[sympy.Symbol(chart.p_name(i, c)) for c in range(1, 3)] for i in range(1, 3)]
+    coordinates = {str(s): s for s in x + u + tuple(q for row in p for q in row)}
+
+    def sym(form):
+        # a jet leaf such as aY1_u1x2 is d^2 aY1(x1, x2, u1, u2)/du1 dx2
+        leaves = {}
+        for atom in form.atoms:
+            if type(atom) is not str:
+                args = [s for name, s in coordinates.items() if name in atom.variables]
+                f = sympy.Function(atom.name)(*args)
+                index = [coordinates[v] for v in atom.index]
+                leaves[atom.expr().name] = sympy.diff(f, *index) if index else f
+        return sympy.sympify(str(form.to_expr()), locals={**coordinates, **leaves},
+                             rational=True)
+
     Ya, Yb, h = [sym(f) for f in a.Y], [sym(f) for f in b.Y], sym(H)
+    assert isinstance(h, sympy.core.function.AppliedUndef) and len(h.args) == 8
 
     # [a, b] = -(Y^c d(f_b)/du^c - Z^c d(f_a)/du^c) for each coefficient f
-    ab = verify._current_bracket_forms(a, b)
+    ab = bracket.current_bracket(a.to_current(), b.to_current())
     for fa, fb, got in zip(a.Y + a.beta, b.Y + b.beta, ab.Y + ab.beta):
         fa, fb = sym(fa), sym(fb)
         want = -sum(Ya[c] * sympy.diff(fb, u[c]) - Yb[c] * sympy.diff(fa, u[c])
                     for c in range(2))
-        assert sympy.expand(sym(got) - want) == 0
+        assert sympy.expand(sym(NormalForm.of(got)) - want) == 0
 
     # {a, H} = dJ^i/dx^i + dJ^i/du^c dH/dp^i_c - Y^c dH/du^c, J^i = Y^c p^i_c + beta^i
     J = [sum(Ya[c] * p[i][c] for c in range(2)) + sym(a.beta[i]) for i in range(2)]
@@ -329,5 +349,5 @@ def test_generic_brackets_agree_with_sympy():
     want += sum(sympy.diff(J[i], u[c]) * sympy.diff(h, p[i][c])
                 for i in range(2) for c in range(2))
     want -= sum(Ya[c] * sympy.diff(h, u[c]) for c in range(2))
-    assert sympy.expand(sym(bracket._affine_form(a, H)) - want) == 0
-
+    got = bracket.bracket_affine(a.to_current(), HamiltonianSection(chart, H.to_expr())).F
+    assert sympy.expand(sym(NormalForm.of(got)) - want) == 0
