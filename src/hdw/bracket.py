@@ -12,6 +12,7 @@ which derives them once.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -99,9 +100,12 @@ class ConnectionCheck:
 
 
 def _default_samples(chart: Chart, count: int = 20, seed: int = 0) -> dict[str, np.ndarray]:
+    """``count`` points uniform in [-1, 1], drawn from ``random.Random(seed)`` one
+    point at a time, in sorted name order."""
     names = sorted(chart.names)
-    points = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, len(names)))
-    return dict(zip(names, points.T))
+    rng = random.Random(seed)
+    points = [[rng.uniform(-1.0, 1.0) for _ in names] for _ in range(count)]
+    return dict(zip(names, np.array(points).T))
 
 
 def _max_abs_at(forms: Iterable[NormalForm], samples: Sequence[dict] | dict) -> float:

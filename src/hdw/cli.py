@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``bracket``, ``simulate``, ``verify``, ``parse-check``.
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 numeric failure.  Output is byte-stable: CSV values use 17 significant
+Exit codes: 0 success, 1 verification failure, 2 usage, parse or output
+error, 3 numeric failure.  Output is byte-stable: CSV values use 17 significant
 digits and JSON keys are sorted.
 """
 
@@ -39,6 +39,10 @@ MAX_STORED_VALUES = 2 ** 26
 
 class ModelFileError(Exception):
     pass
+
+
+class OutputError(Exception):
+    """The output directory could not be created or written."""
 
 
 def _fmt(value: float) -> str:
@@ -306,90 +310,105 @@ def _check_size(config: SolverConfig, columns: int) -> None:
                              f"x {columns}), above the limit of {MAX_STORED_VALUES}")
 
 
-def cmd_simulate(args) -> int:
-    model = load_model(args.model)
-    config = model.solver_config()
-    chart = model.chart
+@contextlib.contextmanager
+def _output_dir(path: str):
+    """Create the directory ``path`` and yield it.
 
-    if chart.m == 1:
-        u0 = np.array([_eval_constant(e) for e in model.initial.get("u", [])])
-        p0 = np.array([_eval_constant(e) for e in model.initial.get("p", [])])
-        if u0.shape != (chart.n,) or p0.shape != (chart.n,):
-            raise ModelFileError(f"mechanics initial data needs {chart.n} 'u' "
-                                 f"and {chart.n} 'p' entries")
-        _check_size(config, 2 * chart.n)
-        residual = _ResidualNorms(model.hamiltonian, config.dt)
-        tables = _ode_tables(model.hamiltonian, OdeState(t=0.0, u=u0, p=p0), config)
-        header = ["t"] + list(chart.u_names) + list(chart.p_names)
-        blocks = _ode_blocks(_fed(tables, residual.add))
-    elif chart.m == 2:
-        if model.field_model is None:
-            raise ModelFileError("field simulation needs a built-in model "
-                                 "(closed-form stress reconstruction)")
-        if not config.K or not config.dx:
-            raise ModelFileError("field simulation needs solver.K and solver.dx")
-        _check_size(config, 3 * chart.n * config.K)
-        x = config.x0 + config.dx * np.arange(config.K)
-        with _quiet():  # a non-finite profile fails at step 0, not as a numpy warning
-            u0 = _eval_profile(model.initial.get("u", []), x, chart)
-            M0 = _eval_profile(model.initial.get("M", []), x, chart)
-        residual = _ResidualNorms(model.hamiltonian, config.dt, config.dx, config.boundary)
-        sections = _field_sections(model.field_model, config, u0, M0)
-        header = ["t", "x"]
-        for a in range(1, chart.n + 1):
-            header += [f"u{a}", f"M{a}", f"P{a}"]
-        blocks = _field_blocks(_fed(sections, lambda s: residual.add([s])))
-    else:
-        raise ModelFileError("simulation supports base dimensions 1 and 2")
-
-    out = Path(args.out or ".")
+    If the block raises, the directories created here are removed again
+    (deepest first, each only if empty), and an ``OSError`` is reported as an
+    :class:`OutputError`.
+    """
+    out = Path(path)
     created = [d for d in (out, *out.parents) if not d.exists()]
-    out.mkdir(parents=True, exist_ok=True)
-    partial = out / f".trajectory.csv.{os.getpid()}.tmp"
-    partial_manifest = out / f".manifest.json.{os.getpid()}.tmp"
     try:
-        _write_csv(partial, header, blocks)
-        norms = residual.norms()
-        try:
-            manifest = _json({
-                "model": model.name,
-                "config": {k: v for k, v in sorted(model.solver_data.items())},
-                "snapshots": residual.snapshots,
-                "residual_norms": norms,
-            }, allow_nan=False)
-        except ValueError as exc:
-            raise FloatingPointError(f"non-finite residual norm ({exc})") from None
-        # both files are complete before either replaces an earlier run's
-        partial_manifest.write_text(manifest)
-        partial.replace(out / "trajectory.csv")
-        partial_manifest.replace(out / "manifest.json")
-    except BaseException:
-        # a failed run leaves nothing behind
-        partial.unlink(missing_ok=True)
-        partial_manifest.unlink(missing_ok=True)
-        for d in created:  # deepest first
+        out.mkdir(parents=True, exist_ok=True)
+        yield out
+    except BaseException as exc:
+        for d in created:
             with contextlib.suppress(OSError):
                 d.rmdir()
+        if isinstance(exc, OSError):
+            raise OutputError(f"cannot write {out}: {exc}") from exc
         raise
+
+
+def cmd_simulate(args) -> int:
+    with _output_dir(args.out or ".") as out:
+        model = load_model(args.model)
+        config = model.solver_config()
+        chart = model.chart
+
+        if chart.m == 1:
+            u0 = np.array([_eval_constant(e) for e in model.initial.get("u", [])])
+            p0 = np.array([_eval_constant(e) for e in model.initial.get("p", [])])
+            if u0.shape != (chart.n,) or p0.shape != (chart.n,):
+                raise ModelFileError(f"mechanics initial data needs {chart.n} 'u' "
+                                     f"and {chart.n} 'p' entries")
+            _check_size(config, 2 * chart.n)
+            residual = _ResidualNorms(model.hamiltonian, config.dt)
+            tables = _ode_tables(model.hamiltonian, OdeState(t=0.0, u=u0, p=p0), config)
+            header = ["t"] + list(chart.u_names) + list(chart.p_names)
+            blocks = _ode_blocks(_fed(tables, residual.add))
+        elif chart.m == 2:
+            if model.field_model is None:
+                raise ModelFileError("field simulation needs a built-in model "
+                                     "(closed-form stress reconstruction)")
+            if not config.K or not config.dx:
+                raise ModelFileError("field simulation needs solver.K and solver.dx")
+            _check_size(config, 3 * chart.n * config.K)
+            x = config.x0 + config.dx * np.arange(config.K)
+            with _quiet():  # a non-finite profile fails at step 0, not as a numpy warning
+                u0 = _eval_profile(model.initial.get("u", []), x, chart)
+                M0 = _eval_profile(model.initial.get("M", []), x, chart)
+            residual = _ResidualNorms(model.hamiltonian, config.dt, config.dx, config.boundary)
+            sections = _field_sections(model.field_model, config, u0, M0)
+            header = ["t", "x"]
+            for a in range(1, chart.n + 1):
+                header += [f"u{a}", f"M{a}", f"P{a}"]
+            blocks = _field_blocks(_fed(sections, lambda s: residual.add([s])))
+        else:
+            raise ModelFileError("simulation supports base dimensions 1 and 2")
+
+        partial = out / f".trajectory.csv.{os.getpid()}.tmp"
+        partial_manifest = out / f".manifest.json.{os.getpid()}.tmp"
+        try:
+            _write_csv(partial, header, blocks)
+            norms = residual.norms()
+            try:
+                manifest = _json({
+                    "model": model.name,
+                    "config": {k: v for k, v in sorted(model.solver_data.items())},
+                    "snapshots": residual.snapshots,
+                    "residual_norms": norms,
+                }, allow_nan=False)
+            except ValueError as exc:
+                raise FloatingPointError(f"non-finite residual norm ({exc})") from None
+            # both files are complete before either replaces an earlier run's
+            partial_manifest.write_text(manifest)
+            partial.replace(out / "trajectory.csv")
+            partial_manifest.replace(out / "manifest.json")
+        except BaseException:
+            # a failed run leaves nothing behind
+            partial.unlink(missing_ok=True)
+            partial_manifest.unlink(missing_ok=True)
+            raise
     print(f"wrote {out / 'trajectory.csv'} ({residual.snapshots} snapshots)")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    names = args.suite or None
-    try:
-        reports = run_suites(names, seed=args.seed)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
-    for report in reports:
-        print(report.summary())
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "verification.json").write_text(_json([r.to_dict() for r in reports]))
-        (out / "timings.json").write_text(
-            _json({r.name: r.details["runtime_s"] for r in reports}))
+    with _output_dir(args.out) if args.out else contextlib.nullcontext() as out:
+        try:
+            reports = run_suites(args.suite or None, seed=args.seed)
+        except KeyError as exc:
+            print(f"error: {exc.args[0]}", file=sys.stderr)
+            return EXIT_USAGE
+        for report in reports:
+            print(report.summary())
+        if out is not None:
+            (out / "verification.json").write_text(_json([r.to_dict() for r in reports]))
+            (out / "timings.json").write_text(
+                _json({r.name: r.details["runtime_s"] for r in reports}))
     failed = [r.name for r in reports if not r.passed]
     if failed:
         print(f"FAILED: {', '.join(failed)}", file=sys.stderr)
@@ -459,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ModelFileError, ParseError, ValueError) as exc:
+    except (ModelFileError, OutputError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DomainError, NewtonError, FloatingPointError, OverflowError) as exc:

@@ -6,6 +6,7 @@ finite-difference oracle draws, from the seed recorded in its report.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -18,15 +19,14 @@ from .bracket import (ConnectionCheck, _affine_form, _current_bracket_forms,
                       bracket_affine, connection_is_hamiltonian, current_bracket, gamma_h)
 from .bundle import (Chart, Current, CurrentForms, DensityCoefficient, DensityForm,
                      HamiltonianSection, current_coefficients)
-from .expr import Const, Expression, Mul, NormalForm, Var, _Jet
+from .expr import Const, Mul, NormalForm, Var, _Jet
 from .models import model_td_mechanics, WaveModel, abelian_algebra, ym_residual
 from .solver import (GridSection, OdeState, SolverConfig, _ode_tables, ddx, evolve_field,
                      evolve_ym_abelian)
 
 __all__ = [
-    "VerificationReport", "random_polynomial", "random_current",
-    "check_representation", "check_jacobi_currents", "check_m1_reduction",
-    "check_connection_class", "check_bracket_evolution_ode",
+    "VerificationReport", "check_representation", "check_jacobi_currents",
+    "check_m1_reduction", "check_connection_class", "check_bracket_evolution_ode",
     "check_bracket_evolution_field", "check_bracket_evolution_converse",
     "check_ym_conservation", "SUITES", "run_suites",
 ]
@@ -64,30 +64,7 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Randomized inputs and jets
-
-# a drawn coefficient is k/_DENOMINATOR, k uniform in [-_DENOMINATOR, _DENOMINATOR]
-_DENOMINATOR = 64
-
-
-def random_polynomial(rng: np.random.Generator, names: tuple[str, ...],
-                      degree: int = 2) -> Expression:
-    """Dense polynomial with coefficients k/64, k uniform in [-64, 64], in canonical form."""
-    return _random_form(rng, names, degree).to_expr()
-
-
-def random_current(rng: np.random.Generator, chart: Chart, degree: int = 2) -> Current:
-    names = chart.x_names + chart.u_names
-    return CurrentForms(chart, tuple(_random_form(rng, names, degree) for _ in range(chart.n)),
-                        tuple(_random_form(rng, names, degree) for _ in range(chart.m))
-                        ).to_current()
-
-
-def _random_form(rng: np.random.Generator, names: tuple[str, ...], degree: int) -> NormalForm:
-    """The normal form :func:`random_polynomial` draws, without its tree."""
-    return NormalForm.polynomial(
-        [(combo, int(rng.integers(-_DENOMINATOR, _DENOMINATOR + 1)) / _DENOMINATOR)
-         for d in range(degree + 1) for combo in combinations_with_replacement(names, d)])
+# Jets
 
 
 def _jet(name: str, names: tuple[str, ...]) -> NormalForm:
@@ -139,23 +116,67 @@ def check_representation() -> VerificationReport:
         sample_count=0, details={"residual_terms": len(left)})
 
 
-def _fd_current_bracket(a: Current, b: Current, binding: dict[str, float],
-                        h: float = 1e-6) -> list[float]:
-    """Finite-difference oracle for the current bracket at one point.
+def _coefficient_current(prefix: str, chart: Chart) -> CurrentForms:
+    """The current whose coefficients Y^a and beta^i are dense degree-<=2
+    polynomials in (x, u), each monomial times its own coefficient variable
+    (``aY1_0`` ... ``aY1_14`` for Y^1 on m = n = 2).
+
+    The bracket is bilinear, so the bracket of two such currents, with every
+    coefficient variable bound to a number, is the bracket of the numeric
+    currents they give."""
+    names = chart.x_names + chart.u_names
+    monomials = [combo for d in range(3) for combo in combinations_with_replacement(names, d)]
+
+    def polynomial(name: str) -> NormalForm:
+        return NormalForm.polynomial([(combo + (f"{name}_{k}",), 1.0)
+                                      for k, combo in enumerate(monomials)])
+
+    return CurrentForms(chart, tuple(polynomial(f"{prefix}Y{a}") for a in range(1, chart.n + 1)),
+                        tuple(polynomial(f"{prefix}b{i}") for i in range(1, chart.m + 1)))
+
+
+_DENOMINATOR = 64
+
+
+def _oracle_points(forms: list[NormalForm], chart: Chart, seed: int,
+                   trials: int) -> dict[str, np.ndarray]:
+    """``trials`` draws of each variable of ``forms`` from ``random.Random(seed)``,
+    in sorted name order: a coordinate of ``chart`` uniform in [-1, 1], a
+    coefficient variable k/64 with k uniform in [-64, 64] (``_DENOMINATOR``)."""
+    rng = random.Random(seed)
+    coordinates = set(chart.names)
+    points = {}
+    for name in sorted({atom for f in forms for atom in f.atoms}):
+        if name in coordinates:
+            draws = [rng.uniform(-1.0, 1.0) for _ in range(trials)]
+        else:
+            draws = [rng.randint(-_DENOMINATOR, _DENOMINATOR) / _DENOMINATOR
+                     for _ in range(trials)]
+        points[name] = np.array(draws)
+    return points
+
+
+def _fd_current_bracket(a: Current, b: Current, points: dict[str, np.ndarray],
+                        h: float = 1e-6) -> list[np.ndarray]:
+    """Finite-difference oracle for the current bracket at ``trials`` points,
+    given as one array of that length per variable.
 
     Evaluates -( [Y,Z] , i_Y d(beta_b) - i_Z d(beta_a) ) using central
     differences for every u-derivative: each expression is evaluated once,
-    at the point and at its 2n shifts u^k +- h.
+    on (2n+1, trials) arrays holding the points and their 2n shifts u^k +- h.
     """
     n = a.chart.n
-    arrays = {name: np.full(2 * n + 1, value) for name, value in binding.items()}
-    for k, name in enumerate(a.chart.u_names):  # points 2k+1, 2k+2: u^k + h, u^k - h
-        arrays[name][2 * k + 1:2 * k + 3] += (h, -h)
+    arrays = dict(points)
+    for k, name in enumerate(a.chart.u_names):  # rows 2k+1, 2k+2: u^k + h, u^k - h
+        shift = np.zeros((2 * n + 1, 1))
+        shift[2 * k + 1:2 * k + 3, 0] = (h, -h)
+        arrays[name] = points[name] + shift
+    shape = np.broadcast_shapes(*(v.shape for v in arrays.values()))
 
-    def at(exprs) -> list[list[float]]:
-        return [np.broadcast_to(e.eval_many(arrays), (2 * n + 1,)).tolist() for e in exprs]
+    def at(exprs) -> list[np.ndarray]:
+        return [np.broadcast_to(e.eval_many(arrays), shape) for e in exprs]
 
-    def d_du(v: list[float], k: int) -> float:
+    def d_du(v: np.ndarray, k: int) -> np.ndarray:
         return (v[2 * k + 1] - v[2 * k + 2]) / (2.0 * h)
 
     Ya, Yb = at(a.Y), at(b.Y)
@@ -166,6 +187,24 @@ def _fd_current_bracket(a: Current, b: Current, binding: dict[str, float],
             acc += Ya[k][0] * d_du(fb, k) - Yb[k][0] * d_du(fa, k)
         out.append(-acc)
     return out
+
+
+def _oracle_mismatch(seed: int, trials: int) -> float:
+    """Largest relative gap |oracle - bracket| / (1 + |bracket|) between the public
+    :func:`current_bracket` and :func:`_fd_current_bracket` over ``trials`` random
+    pairs of degree-<=2 currents with k/64 coefficients, each at a point with
+    coordinates in [-1, 1]; the bracket is built once, on coefficient variables,
+    and a nan gap is returned as nan."""
+    if not trials:
+        return 0.0
+    chart = _CHART
+    forms = [_coefficient_current(prefix, chart) for prefix in "ab"]
+    a, b = (f.to_current() for f in forms)
+    ab = current_bracket(a, b)
+    points = _oracle_points([f for c in forms for f in c.Y + c.beta], chart, seed, trials)
+    oracle = _fd_current_bracket(a, b, points)
+    direct = [np.broadcast_to(e.eval_many(points), (trials,)) for e in ab.Y + ab.beta]
+    return float(np.max([np.abs(o - d) / (1.0 + np.abs(d)) for o, d in zip(oracle, direct)]))
 
 
 def check_jacobi_currents(seed: int = 1, trials: int = 20,
@@ -180,18 +219,7 @@ def check_jacobi_currents(seed: int = 1, trials: int = 20,
     # the coefficients of [[a,b],c] + [[b,c],a] + [[c,a],b], each one dot product
     cyclic = zip(*(_current_bracket_pairs(x, y) for x, y in ((ab, c), (bc, a), (ca, b))))
     jacobi = _terms_left(NormalForm.dot(p + q + r) for p, q, r in cyclic)
-
-    rng = np.random.default_rng(seed)
-    names = tuple(sorted(chart.names))
-    worst_oracle = 0.0
-    for _ in range(trials):
-        a, b = random_current(rng, chart), random_current(rng, chart)
-        ab_tree = current_bracket(a, b)
-        binding = {name: float(rng.uniform(-1.0, 1.0)) for name in names}
-        oracle = _fd_current_bracket(a, b, binding)
-        direct = [e.eval(binding) for e in ab_tree.Y + ab_tree.beta]
-        for o, d in zip(oracle, direct):
-            worst_oracle = max(worst_oracle, abs(o - d) / (1.0 + abs(d)))
+    worst_oracle = _oracle_mismatch(seed, trials)
 
     return VerificationReport(
         name="current_lie_algebra",
@@ -344,24 +372,37 @@ def _wave_setup(K: int):
     return model, config, x, traj
 
 
+# snapshots per chunk of _field_bracket_residual, besides the two neighbours
+_CHUNK = 32
+
+
 def _field_bracket_residual(traj: list[GridSection], current: Current,
                             h: HamiltonianSection, dt: float, dx: float) -> float:
-    """Max defect of d(pullback)/dt + d(pullback)/dx = bracket, central stencils."""
+    """Max defect of d(pullback)/dt + d(pullback)/dx = bracket, central stencils.
+
+    The interior snapshots are taken ``_CHUNK`` at a time, each chunk with its
+    two neighbours in time, so no array spans the whole trajectory; every
+    operation is elementwise, so the chunks give the whole-array values."""
     a1, a2 = current_coefficients(current)
     rhs_expr = bracket_affine(current, h).F
-
-    t = np.array([s.t for s in traj])
     K = traj[0].x.shape[0]
-    arrays = {"x1": t[:, None] * np.ones((1, K)),
-              "x2": np.broadcast_to(traj[0].x, (len(traj), K)),
-              "u1": np.stack([s.u[0] for s in traj]),
-              "p1_1": np.stack([s.M[0] for s in traj]),
-              "p2_1": np.stack([s.P[0] for s in traj])}
-    A1 = np.broadcast_to(np.atleast_2d(a1.eval_many(arrays)), (len(traj), K))
-    A2 = np.broadcast_to(np.atleast_2d(a2.eval_many(arrays)), (len(traj), K))
-    lhs = (A1[2:] - A1[:-2]) / (2.0 * dt) + ddx(A2, dx)[1:-1]
-    rhs = np.broadcast_to(np.atleast_2d(rhs_expr.eval_many(arrays)), (len(traj), K))[1:-1]
-    return float(np.max(np.abs(lhs - rhs)))
+
+    def chunk_max(chunk: list[GridSection]) -> float:
+        shape = (len(chunk), K)
+        t = np.array([s.t for s in chunk])
+        arrays = {"x1": t[:, None] * np.ones((1, K)),
+                  "x2": np.broadcast_to(traj[0].x, shape),
+                  "u1": np.stack([s.u[0] for s in chunk]),
+                  "p1_1": np.stack([s.M[0] for s in chunk]),
+                  "p2_1": np.stack([s.P[0] for s in chunk])}
+        A1 = np.broadcast_to(np.atleast_2d(a1.eval_many(arrays)), shape)
+        A2 = np.broadcast_to(np.atleast_2d(a2.eval_many(arrays)), shape)
+        lhs = (A1[2:] - A1[:-2]) / (2.0 * dt) + ddx(A2, dx)[1:-1]
+        rhs = np.broadcast_to(np.atleast_2d(rhs_expr.eval_many(arrays)), shape)[1:-1]
+        return np.max(np.abs(lhs - rhs))
+
+    return float(np.max([chunk_max(traj[start - 1:start + _CHUNK + 1])
+                         for start in range(1, len(traj) - 1, _CHUNK)]))
 
 
 def check_bracket_evolution_field(Ks=(64, 128, 256), expected_ratio: float = 4.0,

@@ -563,7 +563,7 @@ def test_bad_model_file_exits_2_without_output(base, change, message, tmp_path, 
     assert not out.exists()
 
 
-def test_a_failed_manifest_write_keeps_the_earlier_run(tmp_path, monkeypatch):
+def test_a_failed_manifest_write_keeps_the_earlier_run(tmp_path, monkeypatch, capsys):
     out = tmp_path / "run"
     model = dict(_OSCILLATOR)
     assert main(["simulate", "--model", write_model(tmp_path, model), "--out", str(out)]) == 0
@@ -579,9 +579,26 @@ def test_a_failed_manifest_write_keeps_the_earlier_run(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "write_text", failing)
     model["solver"] = {"dt": 0.01, "t_final": 0.2}
-    with pytest.raises(OSError, match="no space left"):
-        main(["simulate", "--model", write_model(tmp_path, model), "--out", str(out)])
+    assert main(["simulate", "--model", write_model(tmp_path, model), "--out", str(out)]) == 2
+    assert f"error: cannot write {out}: no space left" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", [["verify", "--suite", "m1-reduction"],
+                                     ["simulate", "--model", "MODEL"]], ids=["verify", "simulate"])
+def test_an_unwritable_out_exits_2_without_output(command, tmp_path, capsys):
+    # --out under a regular file cannot be created: an error line, no traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "runs" / "run"
+    model = write_model(tmp_path, _OSCILLATOR)
+    argv = [model if arg == "MODEL" else arg for arg in command] + ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "model.json"]
+    assert blocker.read_text() == ""
 
 
 _ZEROS = "0 + " * 3000  # a parsed sum far deeper than the recursion limit

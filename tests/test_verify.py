@@ -1,30 +1,29 @@
+import os
+import subprocess
+import sys
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hdw import bracket, verify
-from hdw.bundle import Chart, CurrentForms, HamiltonianSection
-from hdw.expr import Const, Mul, NormalForm, Var, add_all
+from hdw.bundle import Chart, Current, CurrentForms, HamiltonianSection, current_coefficients
+from hdw.expr import Const, NormalForm, Var
+from hdw.models import WaveModel
+from hdw.solver import GridSection, SolverConfig, ddx, evolve_field
 from hdw.verify import (SUITES, check_bracket_evolution_converse,
                         check_bracket_evolution_ode, check_connection_class,
                         check_jacobi_currents, check_m1_reduction,
-                        check_representation, random_polynomial, run_suites)
+                        check_representation, run_suites)
 
 
-def test_random_polynomial_degree_and_range():
-    rng = np.random.default_rng(0)
-    e = random_polynomial(rng, ("u1", "u2"), degree=2)
-    # 1 constant + 2 linear + 3 quadratic monomials, all with finite coefficients
-    assert e.variables() == {"u1", "u2"}
-    vals = [e.eval({"u1": u, "u2": v}) for u in (-1.0, 0.0, 1.0) for v in (-1.0, 1.0)]
-    assert all(abs(v) < 10.0 for v in vals)
-
-
-def test_random_polynomial_seeded():
-    a = random_polynomial(np.random.default_rng(42), ("x1",))
-    b = random_polynomial(np.random.default_rng(42), ("x1",))
-    assert a == b
+def _dyadic_polynomial(rng: np.random.Generator, names: tuple[str, ...]) -> NormalForm:
+    """A dense degree-2 polynomial in ``names`` with coefficients k/64, k uniform
+    in [-64, 64]."""
+    return NormalForm.polynomial(
+        [(combo, int(rng.integers(-64, 65)) / 64)
+         for d in range(3) for combo in combinations_with_replacement(names, d)])
 
 
 class TestAlgebraicChecks:
@@ -129,6 +128,47 @@ def test_the_trajectory_memo_is_cleared_when_a_suite_raises(monkeypatch):
     assert verify._wave_setup.cache_info().currsize == 0
 
 
+def _whole_trajectory_residual(traj, current, h, dt, dx) -> float:
+    """The field residual on arrays that span the whole trajectory: the
+    reference for the chunked :func:`verify._field_bracket_residual`."""
+    a1, a2 = current_coefficients(current)
+    rhs_expr = bracket.bracket_affine(current, h).F
+    shape = (len(traj), traj[0].x.shape[0])
+    arrays = {"x1": np.array([s.t for s in traj])[:, None] * np.ones((1, shape[1])),
+              "x2": np.broadcast_to(traj[0].x, shape),
+              "u1": np.stack([s.u[0] for s in traj]),
+              "p1_1": np.stack([s.M[0] for s in traj]),
+              "p2_1": np.stack([s.P[0] for s in traj])}
+    A1 = np.broadcast_to(np.atleast_2d(a1.eval_many(arrays)), shape)
+    A2 = np.broadcast_to(np.atleast_2d(a2.eval_many(arrays)), shape)
+    lhs = (A1[2:] - A1[:-2]) / (2.0 * dt) + ddx(A2, dx)[1:-1]
+    rhs = np.broadcast_to(np.atleast_2d(rhs_expr.eval_many(arrays)), shape)[1:-1]
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 32])
+def test_the_chunked_field_residual_is_the_whole_trajectory_one(chunk, monkeypatch):
+    # a defect planted at any one snapshot, at a chunk's edge too, gives the
+    # whole-array residual to the bit
+    monkeypatch.setattr(verify, "_CHUNK", chunk)
+    model = WaveModel()
+    K = 32
+    dx = 2.0 * np.pi / K
+    config = SolverConfig(dt=dx / 4.0, t_final=1.0, K=K, dx=dx)
+    x = dx * np.arange(K)
+    traj = evolve_field(model, config, np.sin(x)[None, :], -np.cos(x)[None, :])
+    assert len(traj) == 21
+    chart = model.chart
+    for current in (Current(chart, (Const(1.0),), (Const(0.0), Const(0.0))),
+                    Current(chart, (Var("u1"),), (Const(0.0), Const(0.0)))):
+        for j in range(len(traj)):
+            s = traj[j]
+            planted = traj[:j] + [GridSection(t=s.t, x=s.x, u=s.u, M=s.M + 1e-3 * (j + 1),
+                                              P=s.P)] + traj[j + 1:]
+            args = (planted, current, model.hamiltonian, config.dt, config.dx)
+            assert verify._field_bracket_residual(*args) == _whole_trajectory_residual(*args)
+
+
 def test_run_suites_unknown_name():
     with pytest.raises(KeyError):
         run_suites(["no-such-suite"])
@@ -142,7 +182,9 @@ def test_all_suites_registered():
 
 @pytest.mark.parametrize("check, seed, limit", [
     (check_representation, None, 0),  # jet forms, never a tree
-    (check_jacobi_currents, 1, 32),  # the oracle's random currents and public current_bracket
+    # the oracle's two coefficient-variable currents (8 trees) and one public
+    # current_bracket of them (4 trees), however many trials it draws
+    (check_jacobi_currents, 1, 12),
 ])
 def test_brackets_and_residuals_emit_no_intermediate_trees(check, seed, limit, monkeypatch):
     calls = []
@@ -153,22 +195,17 @@ def test_brackets_and_residuals_emit_no_intermediate_trees(check, seed, limit, m
         return to_expr(self)
 
     monkeypatch.setattr(NormalForm, "to_expr", counted)
-    assert (check() if seed is None else check(seed=seed, trials=2)).passed
-    assert len(calls) <= limit
-
-
-def test_random_polynomial_is_the_sum_of_its_monomials():
-    names = ("x1", "u1", "p1_1")
-    e = random_polynomial(np.random.default_rng(3), names, degree=3)
-    rng = np.random.default_rng(3)
-    terms = [Const(rng.integers(-64, 65) / 64)]
-    for d in (1, 2, 3):
-        for combo in combinations_with_replacement(names, d):
-            mono = Const(rng.integers(-64, 65) / 64)
-            for name in combo:
-                mono = Mul(mono, Var(name))
-            terms.append(mono)
-    assert e == add_all(terms)
+    if seed is None:
+        assert check().passed
+        assert len(calls) == limit
+        return
+    for trials in (2, 20):
+        calls.clear()
+        assert check(seed=seed, trials=trials).passed
+        assert len(calls) == limit
+    calls.clear()
+    assert check(seed=seed, trials=0).passed
+    assert not calls  # no oracle tree without trials
 
 
 @pytest.mark.parametrize("check, degree", [
@@ -183,7 +220,7 @@ def test_algebraic_suites_are_exact_on_dyadic_draws(check, degree, monkeypatch):
 
     def drawn(prefix, names):
         inputs.add(prefix[0])
-        return verify._random_form(rng, names, 2)
+        return _dyadic_polynomial(rng, names)
 
     monkeypatch.setattr(verify, "_jet", drawn)
     report = check()
@@ -193,16 +230,53 @@ def test_algebraic_suites_are_exact_on_dyadic_draws(check, degree, monkeypatch):
 
 
 def test_every_draw_is_dyadic():
-    # random_polynomial and random_current draw every coefficient as k/64, |k| <= 64
-    def dyadic(forms):
-        return all(abs(c) <= 1.0 and (c * 64).is_integer() for f in forms for c in f.terms.values())
+    # the oracle draws each coefficient variable as k/64, |k| <= 64, and each
+    # coordinate in [-1, 1], one value per trial
+    chart = Chart(m=2, n=2)
+    currents = [verify._coefficient_current(prefix, chart) for prefix in "ab"]
+    forms = [f for c in currents for f in c.Y + c.beta]
+    coefficients = {atom for f in forms for atom in f.atoms} - set(chart.names)
+    assert len(coefficients) == 2 * 4 * 15  # 2 currents, 4 polynomials, 15 monomials each
+    for seed in range(20):
+        points = verify._oracle_points(forms, chart, seed, trials=7)
+        assert set(points) == coefficients | {"x1", "x2", "u1", "u2"}
+        for name, values in points.items():
+            assert values.shape == (7,) and np.all(np.abs(values) <= 1.0)
+            if name in coefficients:
+                assert all((v * 64).is_integer() for v in values)
+        again = verify._oracle_points(forms, chart, seed, trials=7)
+        assert all(np.array_equal(again[name], values) for name, values in points.items())
 
-    for seed in range(50):
-        rng = np.random.default_rng(seed)
-        current = CurrentForms.of(verify.random_current(rng, Chart(m=2, n=2)))
-        assert dyadic([verify._random_form(rng, ("x1", "u1", "p1_1"), 3)])
-        assert dyadic(current.Y + current.beta)
-        assert dyadic([NormalForm.of(random_polynomial(rng, ("x1", "u1", "u2", "p1_2")))])
+
+def test_the_oracle_sees_a_wrong_public_bracket(monkeypatch):
+    # beta^2 of the public, tree-emitting current_bracket off by 1e-3 relative;
+    # the proof builds its brackets with verify's own reference, so only the
+    # oracle can fail the suite
+    bracket_forms = bracket._current_bracket_forms
+
+    def scaled(a, b):
+        ab = bracket_forms(a, b)
+        beta2 = NormalForm.dot([(ab.beta[1], NormalForm.constant(1.0 + 1e-3))])
+        return CurrentForms(ab.chart, ab.Y, (ab.beta[0], beta2))
+
+    monkeypatch.setattr(bracket, "_current_bracket_forms", scaled)
+    report = check_jacobi_currents()
+    assert not report.passed
+    assert report.details["oracle_mismatch"] > 1e-5
+    assert report.max_residual == 0.0 and report.details["residual_terms"] == 0
+
+
+def test_hdw_verify_loads_no_numpy_random():
+    # every draw of hdw verify comes from the standard library's random.Random
+    code = ("import sys\n"
+            "from hdw.cli import main\n"
+            "assert main(['verify']) == 0\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random was loaded'\n")
+    src = str(Path(verify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
 
 
 def test_a_wrong_transport_sign_leaves_residual_terms(monkeypatch):
