@@ -33,8 +33,11 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 # a simulation writes (steps + 1) x columns values to trajectory.csv, about
-# 1.5 GB of text at this limit; it holds O(columns) of them at a time
+# 1.5 GB of text at this limit; it holds one block of them at a time
 MAX_STORED_VALUES = 2 ** 26
+# values per block of trajectory.csv, in whole rows (whole snapshots, at
+# least one, for fields); formatting takes about 200 bytes per value
+_BLOCK_VALUES = 2048
 
 
 class ModelFileError(Exception):
@@ -260,35 +263,54 @@ def _json(obj, allow_nan: bool = True) -> str:
 
 
 def _write_csv(path: Path, header: list[str], blocks) -> None:
-    """Write a CSV file block by block, so its full text is never in memory.
-
-    Each block is a ``%`` template and the flat list of the floats it
-    formats; ``"%.17g" % v`` gives the bytes of ``format(v, ".17g")``.
-    """
-    with path.open("w") as f:
-        f.write(",".join(header) + "\n")
-        for template, values in blocks:
-            f.write(template % tuple(values))
+    """Write a CSV file block by block, so its full text is never in memory;
+    each block is the bytes of whole rows."""
+    with path.open("wb") as f:
+        f.write(",".join(header).encode() + b"\n")
+        for block in blocks:
+            f.write(block)
 
 
 def _ode_blocks(tables):
-    """One block per table of rows t, u..., p..."""
+    """Blocks of about ``_BLOCK_VALUES`` values, rows t, u..., p... of the
+    tables."""
+    from .csvtext import join_rows, slots  # see _field_blocks
     for table in tables:
-        line = ",".join(["%.17g"] * table.shape[1]) + "\n"
-        yield line * len(table), table.ravel().tolist()
+        step = max(1, _BLOCK_VALUES // table.shape[1])
+        for i in range(0, len(table), step):
+            yield join_rows(slots(table[i:i + step]))
 
 
 def _field_blocks(sections):
-    """One block per snapshot: rows t, x, then u, M, P of each fiber
-    coordinate; t and the shared grid x are formatted once."""
-    tails = None
+    """Blocks of whole snapshots, about ``_BLOCK_VALUES`` values of u, M and P
+    each: rows t, x, then u, M, P of each fiber coordinate.  Each t and the
+    shared grid x are formatted once."""
+    # imported on first use: building its tables takes about 0.5 MiB of
+    # resident memory, which hdw verify has no use for
+    from .csvtext import WORDS, join_rows, slots
+
+    def text(batch) -> bytes:
+        S, (n, K) = len(batch), batch[0].u.shape
+        values = slots(np.concatenate([[s.t for s in batch]] + [
+            np.stack([s.u, s.M, s.P], axis=1).ravel() for s in batch]))
+        rows = np.empty((S, K, 2 + 3 * n, WORDS), dtype=x_slots.dtype)
+        rows[:, :, 0] = values[:S, None]
+        rows[:, :, 1] = x_slots
+        rows[:, :, 2:] = values[S:].reshape(S, 3 * n, K, WORDS).transpose(0, 2, 1, 3)
+        return join_rows(rows)
+
+    batch, x_slots = [], None
     for s in sections:
-        if tails is None:
-            n = s.u.shape[0]
-            tails = ["," + "%.17g" % x + ",%.17g" * (3 * n) for x in s.x.tolist()]
-        t = "%.17g" % s.t
-        values = np.stack([s.u, s.M, s.P], axis=1).reshape(3 * n, -1)
-        yield t + ("\n" + t).join(tails) + "\n", values.T.ravel().tolist()
+        if x_slots is None:
+            n, K = s.u.shape
+            per_block = max(1, _BLOCK_VALUES // (3 * n * K))
+            x_slots = slots(s.x)
+        batch.append(s)
+        if len(batch) == per_block:
+            yield text(batch)
+            batch = []
+    if batch:
+        yield text(batch)
 
 
 def _fed(items, add):
@@ -332,6 +354,25 @@ def _output_dir(path: str):
         raise
 
 
+@contextlib.contextmanager
+def _staged(out: Path, *names: str):
+    """Yield temporary paths in ``out`` for the files ``names``.
+
+    They are renamed to those files only when the block has written them all,
+    so a failure never leaves one new file beside an earlier run's other; on
+    any failure they are removed.
+    """
+    partial = {name: out / f".{name}.{os.getpid()}.tmp" for name in names}
+    try:
+        yield partial
+        for name, path in partial.items():
+            path.replace(out / name)
+    except BaseException:
+        for path in partial.values():
+            path.unlink(missing_ok=True)
+        raise
+
+
 def cmd_simulate(args) -> int:
     with _output_dir(args.out or ".") as out:
         model = load_model(args.model)
@@ -369,10 +410,8 @@ def cmd_simulate(args) -> int:
         else:
             raise ModelFileError("simulation supports base dimensions 1 and 2")
 
-        partial = out / f".trajectory.csv.{os.getpid()}.tmp"
-        partial_manifest = out / f".manifest.json.{os.getpid()}.tmp"
-        try:
-            _write_csv(partial, header, blocks)
+        with _staged(out, "trajectory.csv", "manifest.json") as partial:
+            _write_csv(partial["trajectory.csv"], header, blocks)
             norms = residual.norms()
             try:
                 manifest = _json({
@@ -383,15 +422,7 @@ def cmd_simulate(args) -> int:
                 }, allow_nan=False)
             except ValueError as exc:
                 raise FloatingPointError(f"non-finite residual norm ({exc})") from None
-            # both files are complete before either replaces an earlier run's
-            partial_manifest.write_text(manifest)
-            partial.replace(out / "trajectory.csv")
-            partial_manifest.replace(out / "manifest.json")
-        except BaseException:
-            # a failed run leaves nothing behind
-            partial.unlink(missing_ok=True)
-            partial_manifest.unlink(missing_ok=True)
-            raise
+            partial["manifest.json"].write_text(manifest)
     print(f"wrote {out / 'trajectory.csv'} ({residual.snapshots} snapshots)")
     return EXIT_OK
 
@@ -406,9 +437,10 @@ def cmd_verify(args) -> int:
         for report in reports:
             print(report.summary())
         if out is not None:
-            (out / "verification.json").write_text(_json([r.to_dict() for r in reports]))
-            (out / "timings.json").write_text(
-                _json({r.name: r.details["runtime_s"] for r in reports}))
+            with _staged(out, "verification.json", "timings.json") as partial:
+                partial["verification.json"].write_text(_json([r.to_dict() for r in reports]))
+                partial["timings.json"].write_text(
+                    _json({r.name: r.details["runtime_s"] for r in reports}))
     failed = [r.name for r in reports if not r.passed]
     if failed:
         print(f"FAILED: {', '.join(failed)}", file=sys.stderr)

@@ -369,7 +369,7 @@ class TestTrajectoryCsv:
         {"chart": {"m": 1, "n": 2},
          "hamiltonian": "p1_1^2/2 + p1_2^2/2 + u1^2/2 + u2^2/2 + u1^2*u2 - u2^3/3",
          "initial": {"u": ["0.1", "-0.2"], "p": ["0.3", "0"]},
-         "solver": {"dt": 0.01, "t_final": 25.0}},  # 2501 rows: three blocks
+         "solver": {"dt": 0.01, "t_final": 25.0}},  # 2501 rows: three tables
         {"model": "wave", "initial": {"u": ["sin(x2)"], "M": ["-cos(x2)"]},
          "solver": {"dt": 0.05, "t_final": 0.5, "K": 32, "dx": 0.19634954084936207}},
         {"model": "perfect_gas",
@@ -387,13 +387,16 @@ class TestTrajectoryCsv:
         header = text.split("\n", 1)[0].split(",")
         assert _first_difference(text, _per_value_csv(header, rows)) is None
 
-    def test_edge_values(self, tmp_path):
-        values = [-0.0, 5e-324, 1e308, 0.1, 1 / 3]
-        ode = [OdeState(t=v, u=np.array(values[:2]), p=np.array(values[2:4]))
-               for v in values]
-        x = np.array(values)
-        field = [GridSection(t=v, x=x, u=x[None, :], M=x[::-1][None, :], P=-x[None, :])
-                 for v in values]
+    def test_edge_values(self, tmp_path, csv_edge_values):
+        # every edge value in every column: t, u, p of the ODE rows, and t, x,
+        # u, M, P of the field rows, over several blocks of snapshots
+        values = np.array(csv_edge_values)
+        ode = [OdeState(t=v, u=np.roll(values, -k)[:2], p=np.roll(values, -k)[2:4])
+               for k, v in enumerate(values)]
+        field = [GridSection(t=v, x=values, u=np.roll(values, k)[None, :],
+                             M=np.roll(values[::-1], k)[None, :],
+                             P=-np.roll(values, 2 * k)[None, :])
+                 for k, v in enumerate(values)]
         for name, blocks, rows in [("ode", _ode_blocks([np.array(_ode_rows(ode))]),
                                     _ode_rows(ode)),
                                    ("field", _field_blocks(field), _field_rows(field))]:
@@ -582,6 +585,21 @@ def test_a_failed_manifest_write_keeps_the_earlier_run(tmp_path, monkeypatch, ca
     assert main(["simulate", "--model", write_model(tmp_path, model), "--out", str(out)]) == 2
     assert f"error: cannot write {out}: no space left" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_failed_timings_write_leaves_no_report(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "new" / "report"
+    write_text = Path.write_text
+
+    def failing(self, *args, **kwargs):
+        if "timings" in self.name:
+            raise OSError(28, "No space left on device")
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing)
+    assert main(["verify", "--suite", "m1-reduction", "--out", str(out)]) == 2
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", [["verify", "--suite", "m1-reduction"],
