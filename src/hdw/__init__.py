@@ -21,12 +21,12 @@ from .bracket import (ConnectionCheck, GammaSection, PhaseComponents,
                       representation_residual, sharp_aff)
 from .models import (BUILTIN_ALGEBRAS, ContinuumSpec, GasConstants,
                      LieAlgebraSpec, PerfectGasLegendre, PerfectGasModel,
-                     WaveModel, YangMillsModel, abelian_algebra, curvature,
+                     WaveModel, YangMillsModel, abelian_algebra,
                      legendre_momenta, model_perfect_gas, model_td_mechanics,
                      model_wave, model_yang_mills, piola_inverse,
-                     piola_transform, so3_algebra, ym_residual)
+                     piola_transform, so3_algebra)
 from .solver import (GridSection, HamiltonianSystem, NewtonError, OdeState,
-                     SolverConfig, evolve_field, evolve_ym_abelian, hdw_residual,
+                     SolverConfig, evolve_field, hdw_residual,
                      integrate_ode, reconstruct_P, step_ode_rk4)
 from .verify import SUITES, VerificationReport, run_suites
 

@@ -1,26 +1,23 @@
 """Bracket and isomorphism operations in local coordinates.
 
-All operations return symbolic expressions; evaluation is a separate
-step, which enables both simplify-to-zero checks and numeric sampling
-from one implementation.  The brackets are composed on normal forms, so
-a nested bracket builds no intermediate tree: each public bracket emits
-its result once.  A sampled residual is a list of normal forms, and
-:func:`_max_abs_at` evaluates each non-empty one through the tree walk.
-The derivatives of a Hamiltonian section are read from ``h.system``,
-which derives them once.
+All operations return symbolic expressions.  The brackets are composed
+on normal forms, so a nested bracket builds no intermediate tree: each
+public bracket emits its result once.  A residual is a list of normal
+forms and is decided by its coefficients, never by evaluating it:
+:func:`connection_is_hamiltonian` and :func:`representation_residual`
+report the largest |coefficient| left.  The derivatives of a
+Hamiltonian section are read from ``h.system``, which derives them once.
 """
 
 from __future__ import annotations
 
-import random
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .bundle import (Chart, Current, CurrentDifferential, CurrentForms,
+from .bundle import (Current, CurrentDifferential, CurrentForms,
                      DensityCoefficient, DensityForm, HamiltonianSection,
-                     d_current, require_valid)
+                     _as_expr, d_current, require_valid)
 from .expr import Const, Expression, NormalForm, simplify
 
 
@@ -99,40 +96,33 @@ class ConnectionCheck:
     max_residual: float
 
 
-def _default_samples(chart: Chart, count: int = 20, seed: int = 0) -> dict[str, np.ndarray]:
-    """``count`` points uniform in [-1, 1], drawn from ``random.Random(seed)`` one
-    point at a time, in sorted name order."""
-    names = sorted(chart.names)
-    rng = random.Random(seed)
-    points = [[rng.uniform(-1.0, 1.0) for _ in names] for _ in range(count)]
-    return dict(zip(names, np.array(points).T))
+# the largest |coefficient| a connection residual may keep: a trace split as
+# -(1/3)*dH/du over three diagonal slots leaves terms of about 5.6e-17
+_COEFFICIENT_TOL = 1e-9
 
 
-def _max_abs_at(forms: Iterable[NormalForm], samples: Sequence[dict] | dict) -> float:
-    """Largest absolute value of the non-empty ``forms`` at ``samples``, a list
-    of points or a dict of arrays; 0.0 when every form is empty.
+def _terms_left(forms: Iterable[NormalForm]) -> list[float]:
+    """The |coefficient| of each term left in the residual ``forms``."""
+    return [abs(c) for f in forms for c in f.terms.values()]
 
-    Each non-empty form is evaluated by the tree walk of its tree
-    (:meth:`Expression.eval_many`), and a nan value is returned as nan.
-    """
-    if not isinstance(samples, dict):
-        samples = {name: [s[name] for s in samples] for name in set().union(*samples)}
-    return float(np.max([np.max(np.abs(f.to_expr().eval_many(samples)), initial=0.0)
-                         for f in forms if f.terms], initial=0.0))
+
+def _largest(left: Sequence[float]) -> float:
+    """The largest of the |coefficients| ``left``: 0.0 when there is none, nan
+    when one is nan."""
+    return math.nan if any(map(math.isnan, left)) else max(left, default=0.0)
 
 
 def connection_is_hamiltonian(Hu: Sequence[Sequence], Hp: Sequence[Sequence[Sequence]],
-                              h: HamiltonianSection,
-                              samples: Sequence[dict] | dict | None = None,
-                              tol: float = 1e-9) -> ConnectionCheck:
+                              h: HamiltonianSection) -> ConnectionCheck:
     """Decide whether connection coefficients define an evolution operator for ``h``.
 
     ``Hu[i][a]`` is the u-coefficient of the i-th horizontal lift and
-    ``Hp[i][a][j]`` its p^j_a coefficient.  Only the u-coefficients and
-    the momentum trace are constrained: Hu must equal dH/dp and the
-    trace sum_i Hp[i][a][i] must equal -dH/du.  Trace-free momentum
-    perturbations are accepted.  ``samples`` is a list of points or a dict
-    of arrays, 20 uniform points in [-1, 1] by default.
+    ``Hp[i][a][j]`` its p^j_a coefficient, each an expression, its text or
+    a number on the chart of ``h``.  Only the u-coefficients and the
+    momentum trace are constrained: Hu must equal dH/dp and the trace
+    sum_i Hp[i][a][i] must equal -dH/du.  Trace-free momentum perturbations
+    are accepted.  The residuals are normal forms, so an identity that the
+    normal form does not reduce (sin^2 + cos^2 = 1) is not recognised.
     """
     chart = h.chart
     m, n = chart.m, chart.n
@@ -142,16 +132,32 @@ def connection_is_hamiltonian(Hu: Sequence[Sequence], Hp: Sequence[Sequence[Sequ
             any(len(cell) != m for row in Hp for cell in row):
         raise ValueError(f"Hp must have shape ({m}, {n}, {m})")
 
-    def as_form(v) -> NormalForm:
-        return NormalForm.of(v if isinstance(v, Expression) else Const(float(v)))
+    def as_form(v, where: str) -> NormalForm:
+        e = _as_expr(v) if isinstance(v, (str, Expression)) else Const(float(v))
+        chart.check_scope(e, where)
+        return NormalForm.of(e)
 
-    dH_du, dH_dp = h.system.dH_du, h.system.dH_dp
-    forms = [NormalForm.sum([as_form(Hu[i][a]), -NormalForm.of(dH_dp[i][a])])
-             for i in range(m) for a in range(n)]
-    forms += [NormalForm.sum([as_form(Hp[i][a][i]) for i in range(m)] + [NormalForm.of(dH_du[a])])
-              for a in range(n)]
-    worst = _max_abs_at(forms, _default_samples(chart) if samples is None else samples)
-    return ConnectionCheck(is_hamiltonian=worst <= tol, max_residual=worst)
+    system = h.system
+    return _connection_check(
+        [[as_form(v, f"Hu[{i}][{a}]") for a, v in enumerate(row)] for i, row in enumerate(Hu)],
+        [[[as_form(v, f"Hp[{i}][{a}][{j}]") for j, v in enumerate(cell)]
+          for a, cell in enumerate(row)] for i, row in enumerate(Hp)],
+        [NormalForm.of(e) for e in system.dH_du],
+        [[NormalForm.of(e) for e in row] for row in system.dH_dp])
+
+
+def _connection_check(Hu: Sequence[Sequence[NormalForm]],
+                      Hp: Sequence[Sequence[Sequence[NormalForm]]],
+                      dH_du: Sequence[NormalForm],
+                      dH_dp: Sequence[Sequence[NormalForm]]) -> ConnectionCheck:
+    """:func:`connection_is_hamiltonian` on the normal forms of the coefficients
+    and of H's derivatives: decided by the largest |coefficient| left in the
+    residuals Hu - dH/dp and sum_i Hp[i][a][i] + dH/du."""
+    m, n = len(dH_dp), len(dH_du)
+    forms = [NormalForm.sum([Hu[i][a], -dH_dp[i][a]]) for i in range(m) for a in range(n)]
+    forms += [NormalForm.sum([Hp[i][a][i] for i in range(m)] + [dH_du[a]]) for a in range(n)]
+    worst = _largest(_terms_left(forms))
+    return ConnectionCheck(is_hamiltonian=worst <= _COEFFICIENT_TOL, max_residual=worst)
 
 
 def bracket_affine(c: Current | DensityCoefficient, h: HamiltonianSection) -> DensityCoefficient:
@@ -290,11 +296,9 @@ def hamiltonian_field(c: Current, extended: bool = False) -> VerticalField:
     return VerticalField(vu=vu, vp=vp, vpext=vpext)
 
 
-def representation_residual(a: Current, b: Current, h: HamiltonianSection,
-                            samples: Sequence[dict] | dict) -> float:
-    """Max absolute defect of the affine-representation identity.
-
-    residual = {{a,b}, h} - {a, {b,h}}_l + {b, {a,h}}_l  at each sample.
-    """
+def representation_residual(a: Current, b: Current, h: HamiltonianSection) -> float:
+    """Largest |coefficient| left in the affine-representation identity's residual
+    {{a,b}, h} - {a, {b,h}}_l + {b, {a,h}}_l; 0.0 when the identity holds."""
     _check_pair(a, b)
-    return _max_abs_at([_representation_form(_forms(a), _forms(b), NormalForm.of(h.H))], samples)
+    form = _representation_form(_forms(a), _forms(b), NormalForm.of(h.H))
+    return _largest(_terms_left([form]))

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .bundle import Chart, HamiltonianSection
-from .expr import (Add, Const, Div, Expression, Func, Mul, Neg, Pow, Var,
-                   add_all, parse, simplify)
-from .solver import ddx, norms
+from .expr import (Add, Const, Div, Expression, Func, Mul, Neg, NormalForm, Pow, Sub,
+                   Var, add_all, parse, simplify)
 
 
 # ---------------------------------------------------------------------------
@@ -31,6 +31,8 @@ class LieAlgebraSpec:
         n = self.dim
         if c.shape != (n, n, n):
             raise ValueError(f"structure constants must have shape ({n}, {n}, {n})")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("structure constants must be finite")
         if np.max(np.abs(c + np.swapaxes(c, 1, 2))) > 1e-12:
             raise ValueError("structure constants must be antisymmetric in the lower indices")
         # Jacobi: sum_mu (c^mu_ab c^s_mc + c^mu_bc c^s_ma + c^mu_ca c^s_mb) = 0
@@ -281,11 +283,13 @@ def piola_inverse(F: np.ndarray, sigma: np.ndarray, g: np.ndarray) -> np.ndarray
 class YangMillsModel:
     """Gauge theory on an m-dimensional Euclidean base.
 
-    Fiber coordinates are the connection components, named ``a{alpha}_{i}``;
-    the antisymmetric momenta are stored for i < j only, named
-    ``piI_J_{alpha}``, with the i > j and i = j components fixed by
-    antisymmetry.  The base metric and the pairing on the algebra are the
-    identity.
+    ``chart`` has n = dim * m fiber coordinates: the connection component
+    A^alpha_i is u_k with k = (alpha-1)*m + i (:meth:`fiber_index`).  The
+    field momenta pi^{ij}_alpha = -pi^{ji}_alpha are read two ways:
+    ``hamiltonian_expr`` holds them as variables ``piI_J_{alpha}`` for
+    i < j, and ``hamiltonian`` is the same H on the chart, with
+    pi^{ij}_alpha = p^i_(alpha,j) - p^j_(alpha,i) (:meth:`chart_pi`).  The
+    base metric and the pairing on the algebra are the identity.
     """
 
     def __init__(self, algebra: LieAlgebraSpec, m: int = 2):
@@ -293,12 +297,21 @@ class YangMillsModel:
             raise ValueError("gauge fields need at least two base directions")
         self.algebra = algebra
         self.m = m
-        self.hamiltonian_expr = self._build_hamiltonian()
+        self.chart = Chart(m=m, n=algebra.dim * m)
+        self.hamiltonian = HamiltonianSection(self.chart, self._build_hamiltonian(self.chart_pi))
 
-    def u_name(self, alpha: int, i: int) -> str:
+    @cached_property
+    def hamiltonian_expr(self) -> Expression:
+        """H in the chart's u and the variables ``piI_J_{alpha}`` (i < j)."""
+        return self._build_hamiltonian(self.pi_expr)
+
+    def fiber_index(self, alpha: int, i: int) -> int:
         if not (1 <= alpha <= self.algebra.dim and 1 <= i <= self.m):
             raise IndexError("gauge-field index out of range")
-        return f"a{alpha}_{i}"
+        return (alpha - 1) * self.m + i
+
+    def u_name(self, alpha: int, i: int) -> str:
+        return self.chart.u_name(self.fiber_index(alpha, i))
 
     def pi_name(self, i: int, j: int, alpha: int) -> str:
         if not (1 <= i < j <= self.m) or not 1 <= alpha <= self.algebra.dim:
@@ -313,39 +326,30 @@ class YangMillsModel:
             return Var(self.pi_name(i, j, alpha))
         return Neg(Var(self.pi_name(j, i, alpha)))
 
-    def _build_hamiltonian(self) -> Expression:
+    def chart_pi(self, i: int, j: int, alpha: int) -> Expression:
+        """pi^{ij}_alpha on the chart: p^i_(alpha,j) - p^j_(alpha,i)."""
+        return Sub(self.chart.p(i, self.fiber_index(alpha, j)),
+                   self.chart.p(j, self.fiber_index(alpha, i)))
+
+    def _build_hamiltonian(self, pi: Callable[[int, int, int], Expression]) -> Expression:
+        """The canonical tree of the sum over i != j and alpha of pi^2/16 +
+        c^gamma_{alpha beta}/4 A^alpha_i A^beta_j pi^{ij}_gamma, with
+        pi^{ij}_alpha = ``pi(i, j, alpha)``."""
         n, m, c = self.algebra.dim, self.m, self.algebra.c
-        terms: list[Expression] = []
+        sixteenth = NormalForm.constant(1.0 / 16.0)
+        pairs = []
         for i in range(1, m + 1):
             for j in range(1, m + 1):
                 if i == j:
                     continue
-                for al in range(1, n + 1):
-                    pi = self.pi_expr(i, j, al)
-                    terms.append(Mul(Const(1.0 / 16.0), Mul(pi, pi)))
-                    for be in range(1, n + 1):
-                        for ga in range(1, n + 1):
-                            coeff = c[ga - 1, al - 1, be - 1]
-                            if coeff == 0.0:
-                                continue
-                            terms.append(Mul(Const(coeff / 4.0),
-                                             Mul(Mul(Var(self.u_name(al, i)),
-                                                     Var(self.u_name(be, j))),
-                                                 self.pi_expr(i, j, ga))))
-        return add_all(terms)
-
-    def hamiltonian_in_p(self) -> Expression:
-        """The same Hamiltonian in the halved momentum coordinates p = pi/2.
-
-        p variables are named ``pI_J_{alpha}``.
-        """
-        mapping = {}
-        for i in range(1, self.m + 1):
-            for j in range(i + 1, self.m + 1):
-                for al in range(1, self.algebra.dim + 1):
-                    mapping[self.pi_name(i, j, al)] = \
-                        Mul(Const(2.0), Var(f"p{i}_{j}_{al}"))
-        return simplify(self.hamiltonian_expr.substitute(mapping))
+                forms = [NormalForm.of(pi(i, j, al)) for al in range(1, n + 1)]
+                pairs += [(sixteenth * f, f) for f in forms]
+                pairs += [(NormalForm.polynomial([((self.u_name(al, i), self.u_name(be, j)),
+                                                   c[ga - 1, al - 1, be - 1] / 4.0)
+                                                  for al in range(1, n + 1)
+                                                  for be in range(1, n + 1)]), forms[ga - 1])
+                          for ga in range(1, n + 1)]
+        return NormalForm.dot(pairs).to_expr()
 
 
 def model_yang_mills(algebra: LieAlgebraSpec, m: int = 2,
@@ -353,61 +357,6 @@ def model_yang_mills(algebra: LieAlgebraSpec, m: int = 2,
     if metric is not None and np.max(np.abs(np.asarray(metric) - np.eye(m))) > 0.0:
         raise ValueError("only the Euclidean identity base metric is supported")
     return YangMillsModel(algebra, m)
-
-
-def curvature(u: np.ndarray, du: np.ndarray, algebra: LieAlgebraSpec) -> np.ndarray:
-    """Field strength F[gamma][k][l] from potentials and their derivatives.
-
-    ``u[gamma][k]`` are the connection components and ``du[gamma][k][l]``
-    the derivatives d u^gamma_k / d x^l.
-    """
-    u = np.asarray(u, dtype=float)
-    du = np.asarray(du, dtype=float)
-    n, m = algebra.dim, u.shape[1]
-    if u.shape != (n, m) or du.shape != (n, m, m):
-        raise ValueError(f"expected shapes ({n}, m) and ({n}, m, m)")
-    F = np.swapaxes(du, 1, 2) - du
-    F += np.einsum("gab,ak,bl->gkl", algebra.c, u, u)
-    return F
-
-
-def ym_residual(u: np.ndarray, pi: np.ndarray, algebra: LieAlgebraSpec,
-                dt: float, dx: float) -> dict[str, dict[str, float]]:
-    """Field-equation residual norms of a 1+1-D gauge trajectory.
-
-    ``u`` has shape (T, K, n, 2) holding the temporal (index 0) and
-    spatial (index 1) connection components on a periodic grid;
-    ``pi`` has shape (T, K, n) holding the single independent momentum
-    component.  Residuals are evaluated with second-order central
-    differences on interior snapshots.
-    """
-    u = np.asarray(u, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    T, K, n = pi.shape
-    if u.shape != (T, K, n, 2):
-        raise ValueError(f"expected gauge-field shape ({T}, {K}, {n}, 2)")
-    if T < 3 or K < 8:
-        raise ValueError("grid too small for the central stencils")
-    c = algebra.c
-
-    def ddt(a):
-        return (a[2:] - a[:-2]) / (2.0 * dt)
-
-    interior = slice(1, T - 1)
-    # curvature F_12 = d_t u_x - d_x u_t + [u_t, u_x]
-    F12 = ddt(u[:, :, :, 1]) - ddx(u[:, :, :, 0], dx, axis=1)[interior]
-    F12 += np.einsum("gab,tka,tkb->tkg", c, u[interior, :, :, 0], u[interior, :, :, 1])
-    res_curvature = -F12 - 0.5 * pi[interior]
-
-    # momentum equation, spatial component: d_t pi + [u_t, .] pi = 0
-    res_evolution = ddt(pi) + np.einsum("gab,tkb,tkg->tka",
-                                        c, u[interior, :, :, 0], pi[interior])
-    # momentum equation, temporal component (Gauss law): -(d_x pi + [u_x, .] pi) = 0
-    res_gauss = -(ddx(pi, dx, axis=1)[interior]
-                  + np.einsum("gab,tkb,tkg->tka", c, u[interior, :, :, 1], pi[interior]))
-    return {"curvature": norms(res_curvature),
-            "evolution": norms(res_evolution),
-            "gauss": norms(res_gauss)}
 
 
 BUILTIN_ALGEBRAS: dict[str, Callable[[], LieAlgebraSpec]] = {

@@ -30,7 +30,7 @@ from .expr import Neg, compile_exprs, define_kernel
 __all__ = [
     "OdeState", "GridSection", "SolverConfig", "NewtonError", "HamiltonianSystem",
     "step_ode_rk4", "integrate_ode", "evolve_field", "reconstruct_P",
-    "hdw_residual", "evolve_ym_abelian",
+    "hdw_residual",
 ]
 
 
@@ -408,11 +408,6 @@ def reconstruct_P(u: np.ndarray, model, config: SolverConfig,
 # Residual of the first-order equations along a trajectory
 
 
-def norms(r: np.ndarray) -> dict[str, float]:
-    """Max and root-mean-square norms of a residual array."""
-    return {"max": float(np.max(np.abs(r))), "l2": float(np.sqrt(np.mean(r ** 2)))}
-
-
 def hdw_residual(traj, h: HamiltonianSection, dt: float,
                  dx: float | None = None,
                  boundary: str = "periodic") -> dict[str, dict[str, float]]:
@@ -538,33 +533,3 @@ class _ResidualNorms:
 def _sections(parts: list[list[GridSection]]) -> list[GridSection]:
     return [s for part in parts for s in part]
 
-
-# ---------------------------------------------------------------------------
-# Abelian gauge field in temporal gauge (1+1-D)
-
-
-def evolve_ym_abelian(E0: np.ndarray, u0: np.ndarray,
-                      config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Temporal-gauge evolution of the 1+1-D abelian gauge field.
-
-    State: spatial potential u_x(x) and the single momentum component
-    E(x).  The momentum equation forces dE/dt = 0 and the curvature
-    relation gives du_x/dt = -E/2.  Returns arrays shaped for
-    :func:`models.ym_residual`: gauge field (T, K, 1, 2) and momentum
-    (T, K, 1).
-    """
-    E = np.asarray(E0, dtype=float).copy()
-    ux = np.asarray(u0, dtype=float).copy()
-    K = E.shape[0]
-    steps = int(round(config.t_final / config.dt))
-    dt = config.dt
-    u_traj = np.zeros((steps + 1, K, 1, 2))
-    pi_traj = np.zeros((steps + 1, K, 1))
-    u_traj[0, :, 0, 1] = ux
-    pi_traj[0, :, 0] = E
-    for s in range(steps):
-        # exact: E is frozen, so du/dt = -E/2 is constant over the step
-        ux = ux + dt * (-0.5 * E)
-        u_traj[s + 1, :, 0, 1] = ux
-        pi_traj[s + 1, :, 0] = E
-    return u_traj, pi_traj

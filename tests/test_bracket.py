@@ -6,10 +6,9 @@ from hdw.bracket import (PhaseComponents, a_hat, bracket_affine,
                          current_bracket, dh_components, gamma_h,
                          hamiltonian_field, representation_residual,
                          sharp_aff)
-from hdw import bracket
-from hdw.bundle import (Chart, Current, CurrentForms, DensityCoefficient,
-                        HamiltonianSection, validate_current)
-from hdw.expr import Const, NormalForm, Var, parse
+from hdw.bundle import (Chart, Current, DensityCoefficient, HamiltonianSection,
+                        validate_current)
+from hdw.expr import Const, NormalForm, ParseError, Var, parse
 
 
 def _bindings(chart, count, seed):
@@ -142,17 +141,75 @@ class TestConnectionIsHamiltonian:
         with pytest.raises(ValueError, match="shape"):
             connection_is_hamiltonian(Hu[:1], Hp, h)
 
-    def test_points_and_arrays_give_the_tree_walk(self):
+    def test_entries_are_parsed_and_scope_checked(self):
+        # each entry is read as Current and HamiltonianSection read theirs: text is
+        # parsed, and an unknown variable is refused in any slot, read or not
         h, Hu, Hp = self._setup()
-        bump = Var("u1") * Var("x2")
-        Hp[0][0][0] = Hp[0][0][0] + bump
-        points = _bindings(h.chart, 30, seed=5)
-        arrays = {n: np.array([p[n] for p in points]) for n in points[0]}
-        walked = max(abs(bump.eval(p)) for p in points)
-        assert walked > 0.0
-        for samples in (points, arrays):
-            check = connection_is_hamiltonian(Hu, Hp, h, samples)
-            assert not check.is_hamiltonian and check.max_residual == walked
+        Hu[0][0] = "p1_1"
+        check = connection_is_hamiltonian(Hu, Hp, h)
+        assert check.is_hamiltonian and check.max_residual == 0.0
+        h, Hu, Hp = self._setup()
+        Hp[0][0][0] = Hp[0][0][0] + Var("q7")
+        with pytest.raises(ValueError, match=r"Hp\[0\]\[0\]\[0\] references unknown "
+                                             r"variables \['q7'\]"):
+            connection_is_hamiltonian(Hu, Hp, h)
+        h, Hu, Hp = self._setup()
+        Hp[0][0][1] = Var("q7")  # off-diagonal: unconstrained, but still on the chart
+        with pytest.raises(ValueError, match="unknown variables"):
+            connection_is_hamiltonian(Hu, Hp, h)
+        Hp[0][0][1] = "u1 +"
+        with pytest.raises(ParseError):
+            connection_is_hamiltonian(Hu, Hp, h)
+
+    def test_a_trace_split_in_thirds_is_within_the_tolerance(self):
+        # -(1/3)*dH/du in each of three diagonal slots misses -dH/du by one
+        # rounding, 2^-54 on the coefficient of u1; the coefficient bound accepts it
+        chart = Chart(m=3, n=1)
+        h = HamiltonianSection(chart, "p1_1^2/2 + p2_1^2/2 + p3_1^2/2 + u1^2/2")
+        g = gamma_h(h)
+        Hu = [[g.hu[i][0]] for i in range(3)]
+        Hp = [[[Const(1.0 / 3.0) * g.hp[0] if j == i else 0.0 for j in range(3)]]
+              for i in range(3)]
+        check = connection_is_hamiltonian(Hu, Hp, h)
+        assert check.is_hamiltonian and check.max_residual == 2.0 ** -54
+
+
+def test_connection_class_property():
+    # every trace-free bump is accepted exactly, and every non-zero trace c is
+    # rejected with |c| left; the bumps are polynomials with coefficients k/64
+    # on the chart's monomials, so every sum is exact
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    chart = Chart(m=2, n=2)
+    h = HamiltonianSection(chart, "p1_1^2/2 + p2_1*p1_2 + sin(u1)*p2_2 + x1*u2^2")
+    g = gamma_h(h)
+    names = sorted(chart.names)
+    monomials = [()] + [(a,) for a in names] + [(a, b) for a in names for b in names if a <= b]
+    dyadic = st.integers(-64, 64).map(lambda k: k / 64)
+    bumps = st.lists(st.tuples(st.sampled_from(monomials), dyadic), max_size=6).map(
+        lambda terms: NormalForm.polynomial(terms).to_expr())
+
+    def connection():
+        Hu = [[g.hu[i][a] for a in range(2)] for i in range(2)]
+        Hp = [[[g.hp[a] if j == i == 0 else Const(0.0) for j in range(2)] for a in range(2)]
+              for i in range(2)]
+        return Hu, Hp
+
+    @hypothesis.settings(max_examples=50, deadline=None,
+                         phases=[hypothesis.Phase.generate])
+    @hypothesis.given(st.integers(0, 1), bumps, bumps, dyadic.filter(bool))
+    def check(a, bump, free, c):
+        Hu, Hp = connection()
+        Hp[0][a][0] = Hp[0][a][0] + bump
+        Hp[1][a][1] = Hp[1][a][1] - bump
+        Hp[0][a][1] = free  # off-diagonal slots are unconstrained
+        accepted = connection_is_hamiltonian(Hu, Hp, h)
+        assert accepted.is_hamiltonian and accepted.max_residual == 0.0
+        Hp[1][a][1] = Hp[1][a][1] + c
+        rejected = connection_is_hamiltonian(Hu, Hp, h)
+        assert not rejected.is_hamiltonian and rejected.max_residual == abs(c)
+
+    check()
 
 
 class TestBracketAffine:
@@ -340,7 +397,7 @@ class TestRepresentationResidual:
         chart = Chart(m=2, n=2)
         a = Current(chart, ("u1*u2", "sin(u2)"), ("x1*u1", "u2"))
         h = HamiltonianSection(chart, "p1_1*u2 + p2_2^2/2 + cos(u1)")
-        assert representation_residual(a, a, h, _bindings(chart, 50, seed=7)) <= 1e-12
+        assert representation_residual(a, a, h) == 0.0
 
     def test_constant_hamiltonian(self):
         # with constant H the identity still holds; the outer bracket
@@ -349,29 +406,11 @@ class TestRepresentationResidual:
         a = Current(chart, ("u1", "u2^2"), ("x1", "x2*u1"))
         b = Current(chart, ("sin(u2)", "u1*u2"), ("u2", "0"))
         h = HamiltonianSection(chart, "5")
-        assert representation_residual(a, b, h, _bindings(chart, 50, seed=8)) <= 1e-12
+        assert representation_residual(a, b, h) == 0.0
 
     def test_random_currents(self):
         chart = Chart(m=2, n=2)
         a = Current(chart, ("u1*u2", "x1 + u1"), ("u2^2", "x2*u1"))
         b = Current(chart, ("cos(u1)", "u2"), ("u1*x1", "u2*x2"))
         h = HamiltonianSection(chart, "p1_1*p2_2 + sin(u1)*p2_1 + u2^2/2 + x1*x2")
-        assert representation_residual(a, b, h, _bindings(chart, 100, seed=9)) <= 1e-9
-
-    def test_points_and_arrays_give_the_tree_walk(self, monkeypatch):
-        # a wrong transport sign leaves a nonzero residual
-        pairs = bracket._current_bracket_pairs
-        monkeypatch.setattr(bracket, "_current_bracket_pairs", lambda a, b: [
-            [(x, -y) for x, y in coefficient] for coefficient in pairs(a, b)])
-        chart = Chart(m=2, n=2)
-        a = Current(chart, ("u1*u2", "x1 + u1"), ("u2^2", "x2*u1"))
-        b = Current(chart, ("u1", "u2"), ("u1*x1", "u2*x2"))
-        h = HamiltonianSection(chart, "p1_1*p2_2 + u2*p2_1 + u2^2/2 + x1*x2")
-        residual = bracket._representation_form(CurrentForms.of(a), CurrentForms.of(b),
-                                                 NormalForm.of(h.H)).to_expr()
-        points = _bindings(chart, 30, seed=6)
-        arrays = {n: np.array([p[n] for p in points]) for n in points[0]}
-        walked = max(abs(residual.eval(p)) for p in points)
-        assert walked > 0.0
-        assert representation_residual(a, b, h, points) == walked
-        assert representation_residual(a, b, h, arrays) == walked
+        assert representation_residual(a, b, h) == 0.0

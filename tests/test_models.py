@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from hdw.bracket import gamma_h
 from hdw.bundle import Chart
-from hdw.expr import Const, parse
+from hdw.expr import Const, NormalForm, parse
 from hdw.models import (BUILTIN_ALGEBRAS, ContinuumSpec, GasConstants,
                         LieAlgebraSpec, PerfectGasModel, WaveModel,
-                        YangMillsModel, abelian_algebra, curvature,
+                        YangMillsModel, abelian_algebra,
                         legendre_momenta, model_perfect_gas,
                         model_td_mechanics, model_wave, model_yang_mills,
                         piola_inverse, piola_transform, so3_algebra)
@@ -37,6 +39,15 @@ class TestLieAlgebraSpec:
         c[0, 1, 2], c[0, 2, 1] = 1.0, -1.0
         with pytest.raises(ValueError, match="Jacobi"):
             LieAlgebraSpec(dim=3, c=c)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_constants_rejected(self, value):
+        c = so3_algebra().c.copy()
+        c[0, 1, 2] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any arithmetic on them
+            with pytest.raises(ValueError, match="finite"):
+                LieAlgebraSpec(dim=3, c=c)
 
     def test_builtin_registry(self):
         for name, factory in BUILTIN_ALGEBRAS.items():
@@ -179,19 +190,19 @@ class TestYangMills:
         ym = YangMillsModel(abelian_algebra(1), m=2)
         assert ym.hamiltonian_expr.eval({"pi1_2_1": 4.0}) == pytest.approx(2.0)
 
-    def test_halved_coordinates_consistent(self):
-        # the two momentum normalizations describe the same energy
-        ym = YangMillsModel(so3_algebra(), m=2)
-        rng = np.random.default_rng(13)
-        pi_names = [ym.pi_name(1, 2, a) for a in range(1, 4)]
-        u_names = [ym.u_name(a, i) for a in range(1, 4) for i in range(1, 3)]
-        hp = ym.hamiltonian_in_p()
-        for _ in range(20):
-            b = {n: float(rng.uniform(-1.0, 1.0)) for n in pi_names + u_names}
-            bp = dict(b)
-            for name in pi_names:
-                bp["p" + name[2:]] = b[name] / 2.0
-            assert hp.eval(bp) == pytest.approx(ym.hamiltonian_expr.eval(b), rel=1e-12)
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_the_chart_hamiltonian_is_h_at_pi_from_p(self, m):
+        # hamiltonian_expr in the variables pi^{ij}_alpha (i < j) at
+        # pi^{ij}_alpha = p^i_(alpha,j) - p^j_(alpha,i) is the chart H
+        ym = YangMillsModel(so3_algebra(), m=m)
+        assert ym.chart == Chart(m=m, n=3 * m) and ym.hamiltonian.chart == ym.chart
+        assert ym.u_name(2, 1) == f"u{m + 1}"
+        p = ym.chart.p
+        pi = {ym.pi_name(i, j, al): p(i, (al - 1) * m + j) - p(j, (al - 1) * m + i)
+              for i in range(1, m + 1) for j in range(i + 1, m + 1) for al in range(1, 4)}
+        at_p = NormalForm.of(ym.hamiltonian_expr.substitute(pi))
+        chart_h = NormalForm.of(ym.hamiltonian.H)
+        assert chart_h.terms and not NormalForm.sum([at_p, -chart_h]).terms
 
     def test_momentum_antisymmetry(self):
         ym = YangMillsModel(abelian_algebra(1), m=3)
@@ -201,32 +212,6 @@ class TestYangMills:
     def test_non_euclidean_metric_rejected(self):
         with pytest.raises(ValueError, match="Euclidean"):
             model_yang_mills(abelian_algebra(1), m=2, metric=2.0 * np.eye(2))
-
-
-class TestCurvature:
-    def test_abelian_frozen(self):
-        du = np.zeros((1, 2, 2))
-        du[0, 1, 0] = 5.0  # du_2/dx_1
-        du[0, 0, 1] = 2.0  # du_1/dx_2
-        F = curvature(np.zeros((1, 2)), du, abelian_algebra(1))
-        assert F[0, 0, 1] == pytest.approx(3.0)
-
-    def test_constant_potential(self):
-        F = curvature(np.ones((1, 2)), np.zeros((1, 2, 2)), abelian_algebra(1))
-        assert np.allclose(F, 0.0)
-
-    def test_antisymmetry(self):
-        rng = np.random.default_rng(14)
-        la = so3_algebra()
-        for _ in range(20):
-            u = rng.uniform(-1.0, 1.0, (3, 2))
-            du = rng.uniform(-1.0, 1.0, (3, 2, 2))
-            F = curvature(u, du, la)
-            assert np.max(np.abs(F + np.swapaxes(F, 1, 2))) <= 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            curvature(np.zeros((1, 2)), np.zeros((1, 2, 3)), abelian_algebra(1))
 
 
 def test_continuum_spec_validation():

@@ -9,11 +9,10 @@ from hdw import solver
 from hdw.bundle import Chart, HamiltonianSection
 from hdw.expr import DomainError, compile_exprs, parse, simplify
 from hdw.models import (ContinuumSpec, GasConstants, PerfectGasModel,
-                        WaveModel, abelian_algebra, model_td_mechanics,
-                        ym_residual)
+                        WaveModel, model_td_mechanics)
 from hdw.solver import (GridSection, NewtonError, OdeState, SolverConfig,
-                        _FieldSystem, ddx, evolve_field, evolve_ym_abelian,
-                        hdw_residual, integrate_ode, reconstruct_P, step_ode_rk4)
+                        _FieldSystem, ddx, evolve_field, hdw_residual,
+                        integrate_ode, reconstruct_P, step_ode_rk4)
 
 
 def _oscillator():
@@ -159,8 +158,8 @@ class TestDdx:
     def test_floats(self, boundary, shape, axis):
         a = np.random.default_rng(3).uniform(-2.0, 2.0, shape)
         before = a.copy()
-        # the (T, K, 1, 2) gauge field is read through a strided view, as
-        # models.ym_residual reads it
+        # a (T, K, 1, 2) array is read through a strided view, along a
+        # non-last axis
         view = a[..., 0] if axis == 1 else a
         out = ddx(view, 0.37, boundary, axis=axis)
         expected = _roll_ddx(view, 0.37, boundary, axis=axis)
@@ -517,32 +516,6 @@ class TestTimeGrid:
                                                      p=np.array([0.0])),
                              SolverConfig(dt=0.2, t_final=1.3))
         assert len(traj) == 7 and traj[-1].t == 6 * 0.2
-
-
-class TestEvolveYmAbelian:
-    def test_constant_E_preserved(self):
-        K = 32
-        config = SolverConfig(dt=1e-3, t_final=1.0, K=K, dx=2 * np.pi / K)
-        E0 = np.full(K, 0.7)
-        u_traj, pi_traj = evolve_ym_abelian(E0, np.zeros(K), config)
-        assert np.max(np.abs(pi_traj - 0.7)) == 0.0
-
-    def test_gauge_field_slope(self):
-        K = 16
-        config = SolverConfig(dt=0.1, t_final=1.0, K=K, dx=0.1)
-        E0 = np.full(K, 2.0)
-        u_traj, _ = evolve_ym_abelian(E0, np.zeros(K), config)
-        # du_x/dt = -E/2 exactly
-        assert u_traj[-1, 0, 0, 1] == pytest.approx(-1.0, abs=1e-12)
-
-    def test_residuals_vanish_for_constant_solution(self):
-        K = 32
-        dx = 2 * np.pi / K
-        config = SolverConfig(dt=1e-2, t_final=0.1, K=K, dx=dx)
-        u_traj, pi_traj = evolve_ym_abelian(np.full(K, 1.5), np.zeros(K), config)
-        norms = ym_residual(u_traj, pi_traj, abelian_algebra(1), config.dt, dx)
-        for key in ("curvature", "evolution", "gauss"):
-            assert norms[key]["max"] <= 1e-13
 
 
 # forced Henon-Heiles, as in the benchmark's mechanics workload

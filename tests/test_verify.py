@@ -15,7 +15,7 @@ from hdw.solver import GridSection, SolverConfig, ddx, evolve_field
 from hdw.verify import (SUITES, check_bracket_evolution_converse,
                         check_bracket_evolution_ode, check_connection_class,
                         check_jacobi_currents, check_m1_reduction,
-                        check_representation, run_suites)
+                        check_representation, check_ym_conservation, run_suites)
 
 
 def _dyadic_polynomial(rng: np.random.Generator, names: tuple[str, ...]) -> NormalForm:
@@ -425,3 +425,74 @@ def test_generic_brackets_agree_with_sympy():
     want -= sum(Ya[c] * sympy.diff(h, u[c]) for c in range(2))
     got = bracket.bracket_affine(a.to_current(), HamiltonianSection(chart, H.to_expr())).F
     assert sympy.expand(sym(NormalForm.of(got)) - want) == 0
+
+
+def test_the_connection_class_is_proved_on_a_larger_chart(monkeypatch):
+    # the suite splits the trace over the diagonal slots with weights 1/2, 1/4,
+    # 1/4, so on m = 3 too the accepted connections leave no term at all
+    monkeypatch.setattr(verify, "_CONNECTION_CHART", Chart(m=3, n=2))
+    report = check_connection_class()
+    d = report.details
+    assert report.passed and report.max_residual == 0.0 and report.sample_count == 0
+    assert d["canonical"] == d["trace_free_perturbation"] == {"is_hamiltonian": True,
+                                                              "max_residual": 0.0}
+    assert d["trace_perturbation"] == {"is_hamiltonian": False, "max_residual": 1.0}
+
+
+def test_a_wrong_sharp_aff_sign_fails_the_connection_class(monkeypatch):
+    sharp = verify.sharp_aff
+
+    def wrong_sign(pc):
+        g = sharp(pc)
+        return bracket.GammaSection(hu=g.hu, hp=tuple(-x for x in g.hp))
+
+    monkeypatch.setattr(verify, "sharp_aff", wrong_sign)
+    report = check_connection_class()
+    assert not report.passed and not report.details["canonical"]["is_hamiltonian"]
+    # -dH/du is left twice: 2 * 1.0 on the jet h_u1
+    assert report.max_residual == 2.0
+
+
+def test_yang_mills_is_proved_on_m3(monkeypatch):
+    monkeypatch.setattr(verify, "_YM_BASE", 3)
+    report = check_ym_conservation()
+    assert report.passed and report.max_residual == 0.0 and report.sample_count == 0
+    assert report.details["residual_terms"] == 0
+    assert all(report.details["control_terms"].values())
+
+
+def test_yang_mills_controls_leave_terms():
+    report = check_ym_conservation()
+    assert report.passed and report.tolerance == 0.0
+    assert report.summary().startswith("[PASS] ") and report.summary().endswith(", exact)")
+    # 0.1*(pi^12_1)^2 is fixed by rotations about e1 only, so e2 sees it
+    assert report.details["control_terms"] == {"generator_u2": 8, "h_plus_pi12_1_squared": 4}
+
+
+def test_a_transport_sign_error_fails_yang_mills(monkeypatch):
+    pairs = bracket._linear_pairs
+
+    def wrong_sign(c, g):
+        # +dg/du^a dC^1/dp^1_a in place of -: the last pair of each fiber index
+        m = c.chart.m
+        return [(x, -y) if k % (m + 1) == m else (x, y) for k, (x, y) in enumerate(pairs(c, g))]
+
+    monkeypatch.setattr(bracket, "_linear_pairs", wrong_sign)
+    report = check_ym_conservation()
+    assert not report.passed
+    assert report.details["residual_terms"] > 0 and report.max_residual > 0.0
+
+
+def test_a_gauge_current_without_one_structure_constant_term_leaves_terms(monkeypatch):
+    gauge_current = verify._gauge_current
+
+    def dropped(model, xi):
+        # Y^(alpha,1) of the first non-zero alpha loses its c-term
+        J = gauge_current(model, xi)
+        k = next(k for k, y in enumerate(J.Y) if y.terms)
+        Y = J.Y[:k] + (NormalForm.constant(0.0),) + J.Y[k + 1:]
+        return CurrentForms(J.chart, Y, J.beta)
+
+    monkeypatch.setattr(verify, "_gauge_current", dropped)
+    report = check_ym_conservation()
+    assert not report.passed and report.details["residual_terms"] > 0
