@@ -20,7 +20,7 @@ import numpy as np
 
 from .bracket import bracket_affine
 from .bundle import Chart, Current, DensityCoefficient, HamiltonianSection
-from .expr import DomainError, ExprError, ParseError, compile_exprs, parse, simplify
+from .expr import DomainError, ExprError, ParseError, parse, simplify
 from .models import (ContinuumSpec, GasConstants, PerfectGasModel, WaveModel,
                      model_td_mechanics)
 from .solver import NewtonError, OdeState, SolverConfig, _field_sections, _quiet, \
@@ -238,8 +238,13 @@ def cmd_bracket(args) -> int:
 
 
 def _eval_constant(text: str) -> float:
-    """Value of a constant expression; compiled, so a deep parsed tree is fine."""
-    return compile_exprs([parse(text)], [])()[0]
+    """Value of a constant expression (the tree walk is iterative, so a deep
+    parsed tree is fine); a variable is refused before anything is evaluated."""
+    e = parse(text)
+    names = e.variables()
+    if names:
+        raise ModelFileError(f"initial value may not use variables, got {sorted(names)}")
+    return e.eval({})
 
 
 def _eval_profile(exprs: list[str], x: np.ndarray, chart: Chart) -> np.ndarray:
@@ -249,8 +254,7 @@ def _eval_profile(exprs: list[str], x: np.ndarray, chart: Chart) -> np.ndarray:
         extra = e.variables() - {"x2"}
         if extra:
             raise ModelFileError(f"initial profile may only use x2, got {sorted(extra)}")
-        # compiled rather than walked, so a deep parsed tree is fine
-        value = compile_exprs([e], ["x2"], numpy=True)(x)[0]
+        value = e.eval_many({"x2": x})
         rows.append(np.broadcast_to(np.atleast_1d(value), x.shape))
     if len(rows) != chart.n:
         raise ModelFileError(f"expected {chart.n} initial profiles, got {len(rows)}")

@@ -282,17 +282,30 @@ class Func(Expression):
 
 _NAMESPACES = tuple({"sin": m.sin, "cos": m.cos, "exp": m.exp, "ln": m.log, "sqrt": m.sqrt}
                     for m in (math, np))
+# the reductions of the array domain checks (see _Check)
+_NAMESPACES[1].update(_all=np.logical_and.reduce, _fmin=np.fmin.reduce, _inf=np.inf)
 
 
 class _Check:
-    """A domain check of an operand: where ``test``, a format over the
-    operand, holds (on an array: anywhere), the operation raises
+    """A domain check of an operand: where the operand compares with 0.0 by
+    ``operator`` (on an array: anywhere), the operation raises
     :class:`DomainError` with ``message``, a format over the node; with
-    ``shows_value`` a scalar message ends with the operand's value."""
+    ``shows_value`` a scalar message ends with the operand's value.
 
-    def __init__(self, test: str, message: str, shows_value: bool = False):
-        self.tests = (test, f"({test}).any()")
-        self.holds = tuple(eval(f"lambda x: {t.format('x')}") for t in self.tests)
+    On an array the check is one C-level reduction that holds where
+    ``(x operator 0.0).any()`` would: for ``==``, not every value is
+    non-zero (nan is non-zero); for ``<=`` and ``<``, the least value that
+    is not nan (inf if there is none) compares so.
+    """
+
+    _ARRAY_TESTS = {"==": "not _all({}, None)",
+                    "<=": "_fmin({}, None, initial=_inf) <= 0.0",
+                    "<": "_fmin({}, None, initial=_inf) < 0.0"}
+
+    def __init__(self, operator: str, message: str, shows_value: bool = False):
+        self.tests = (f"{{}} {operator} 0.0", self._ARRAY_TESTS[operator])
+        self.holds = tuple(eval(f"lambda x: {t.format('x')}", dict(ns))
+                           for t, ns in zip(self.tests, _NAMESPACES))
         self.message, self.shows_value = message, shows_value
 
     def __call__(self, value, numpy: bool, node=None) -> None:
@@ -340,10 +353,10 @@ class _Op:
 
 
 _ADD, _MUL, _UNARY, _POW, _ATOM = 1, 2, 3, 4, 5
-_ZERO = _Check("{} == 0.0", "division by zero")
-_POW_ZERO = _Check(_ZERO.tests[0], "0^{0.exponent} is undefined")
-_DOMAINS = {"ln": _Check("{} <= 0.0", "ln of non-positive value", shows_value=True),
-            "sqrt": _Check("{} < 0.0", "sqrt of negative value", shows_value=True)}
+_ZERO = _Check("==", "division by zero")
+_POW_ZERO = _Check("==", "0^{0.exponent} is undefined")
+_DOMAINS = {"ln": _Check("<=", "ln of non-positive value", shows_value=True),
+            "sqrt": _Check("<", "sqrt of negative value", shows_value=True)}
 
 
 _OPS = {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -26,9 +27,11 @@ class LieAlgebraSpec:
     name: str = ""
 
     def __post_init__(self):
+        n = self.dim
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"Lie algebra dimension must be an integer >= 1, got {n!r}")
         c = np.asarray(self.c, dtype=float)
         object.__setattr__(self, "c", c)
-        n = self.dim
         if c.shape != (n, n, n):
             raise ValueError(f"structure constants must have shape ({n}, {n}, {n})")
         if not np.all(np.isfinite(c)):
@@ -218,13 +221,13 @@ class PerfectGasModel:
         g_inv = float(np.linalg.inv(spec.g)[0, 0])
         M, P = self.chart.p(1, 1), self.chart.p(2, 1)
         kinetic = Div(Mul(Const(g_inv), Pow(M, 2)), Const(2.0 * spec.rho_bar))
-        # potential energy (1 + N(gamma-1)) ebar detF with detF recovered from P:
-        # detF = ((gamma-1) K / P)^(1/gamma), expressed through exp/ln.
+        # potential energy (1 + N(gamma-1)) ebar detF = gamma K detF^(1-gamma) with
+        # detF recovered from P: detF = ((gamma-1) K / P)^(1/gamma), so the power
+        # is one exp of ((1-gamma)/gamma) ln((gamma-1) K / P)
         gamma = leg.gamma
-        detF = Func("exp", Mul(Const(1.0 / gamma),
-                               Func("ln", Div(Const((gamma - 1.0) * leg.K), P))))
         potential = Mul(Const(gamma * leg.K),
-                        Func("exp", Mul(Const(1.0 - gamma), Func("ln", detF))))
+                        Func("exp", Mul(Const((1.0 - gamma) / gamma),
+                                        Func("ln", Div(Const((gamma - 1.0) * leg.K), P)))))
         self.hamiltonian = HamiltonianSection(self.chart, simplify(Add(kinetic, potential)))
 
     def reconstruct_P(self, du_dx: np.ndarray) -> np.ndarray:

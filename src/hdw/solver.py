@@ -301,7 +301,7 @@ class _FieldSystem:
         self.n = model.chart.n
         self.config = config
         self.system = model.hamiltonian.system
-        self._prev_P: np.ndarray | None = None
+        self._last: tuple | None = None  # (P, target, slope) of the last converged solve
 
     def reconstruct_P(self, t: float, x: np.ndarray, u: np.ndarray,
                       M: np.ndarray) -> np.ndarray:
@@ -311,10 +311,15 @@ class _FieldSystem:
         return self._newton_P(t, x, u, M, du_dx)
 
     def _newton_P(self, t, x, u, M, du_dx) -> np.ndarray:
+        """Newton's solve of dH/dP = du/dx.  The first solve starts from the
+        model's closed form; each later one starts one Newton step, taken
+        with the last converged slope, from the last converged P:
+        P0 = P_prev + (target - target_prev) / slope_prev."""
         cfg = self.config
         target = du_dx[0]
-        if self._prev_P is not None:
-            P = self._prev_P.copy()
+        if self._last is not None:
+            P_prev, target_prev, slope_prev = self._last
+            P = P_prev + (target - target_prev) / slope_prev
         else:
             P = np.asarray(self.model.reconstruct_P(du_dx), dtype=float)
         residual = None
@@ -322,8 +327,8 @@ class _FieldSystem:
             # each a grid row or a scalar; the (K,) target broadcasts them
             stress, slope = self.system.stress_and_slope(t, x, *u, *M, *P)
             residual = stress - target
-            if np.abs(residual).max() <= cfg.newton_tol:
-                self._prev_P = P
+            if np.maximum.reduce(np.abs(residual), None) <= cfg.newton_tol:
+                self._last = (P, target, slope)
                 return P
             P = P - residual / slope
         worst = int(np.argmax(np.abs(residual)))

@@ -641,6 +641,16 @@ def test_deep_parsed_initial_data(model, entry, shallow, tmp_path):
     assert rows[0] == rows[1]
 
 
+def test_initial_value_with_a_variable_is_refused_before_evaluation(tmp_path, capsys):
+    # ln(0) would fail first if the value were evaluated
+    model = {"chart": {"m": 1, "n": 1}, "hamiltonian": "p1_1^2/2 + u1^2/2",
+             "initial": {"u": ["ln(0) + u1"], "p": ["0"]},
+             "solver": {"dt": 0.01, "t_final": 0.1}}
+    assert main(["simulate", "--model", write_model(tmp_path, model),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "error: initial value may not use variables, got ['u1']\n"
+
+
 def test_parse_check_infinite_constant(capsys):
     assert main(["parse-check", "1e400"]) == 0
     assert capsys.readouterr().out == "ok: 1e999\n"

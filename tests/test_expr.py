@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hdw.expr import (MAX_NESTING, Add, Const, Div, DomainError, ExprError, Func, Mul, Neg,
-                      ParseError, Pow, Sub, UnboundVariableError, Var, parse, simplify)
+                      ParseError, Pow, Sub, UnboundVariableError, Var, _Check, compile_exprs,
+                      parse, simplify)
 
 
 class TestParse:
@@ -281,3 +282,62 @@ _u, _p, _x = Var("u1"), Var("p1_1"), Var("x1")
 ])
 def test_printed_parentheses(e, text):
     assert str(e) == text
+
+
+# ---------------------------------------------------------------------------
+# Array domain checks: one reduction each, holding where the comparison
+# with 0.0 holds anywhere
+
+
+def _float_arrays(hypothesis):
+    """Float64 arrays of 0 to 2 dimensions, empty ones included, whose
+    values are often nan, a signed zero, an infinity or a subnormal."""
+    st, npst = hypothesis.strategies, pytest.importorskip("hypothesis.extra.numpy")
+    edges = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                             2.2250738585072014e-308, -2.2250738585072014e-308])
+    return npst.arrays(np.float64, npst.array_shapes(min_dims=0, max_dims=2, min_side=0,
+                                                     max_side=5),
+                       elements=st.one_of(edges, st.floats()))
+
+
+@pytest.mark.parametrize("operator, compare", [("==", np.equal), ("<=", np.less_equal),
+                                               ("<", np.less)])
+def test_array_domain_check_holds_where_the_comparison_does(operator, compare):
+    hypothesis = pytest.importorskip("hypothesis")
+    check = _Check(operator, "")
+
+    # a failing draw is reported as drawn: shrinking arrays can take minutes
+    @hypothesis.settings(max_examples=200, deadline=None, phases=[hypothesis.Phase.generate])
+    @hypothesis.given(_float_arrays(hypothesis))
+    def run(x):
+        assert bool(check.holds[True](x)) == bool(compare(x, 0.0).any()), x
+
+    run()
+
+
+@pytest.mark.parametrize("e, compare, message", [
+    (Func("ln", Var("u1")), np.less_equal, "ln of non-positive value"),
+    (Func("sqrt", Var("u1")), np.less, "sqrt of negative value"),
+    (Div(Const(1.0), Var("u1")), np.equal, "division by zero"),
+    (Pow(Var("u1"), -2), np.equal, "0^-2 is undefined"),
+], ids=["ln", "sqrt", "division", "power"])
+def test_compiled_kernel_and_eval_many_refuse_alike(e, compare, message):
+    hypothesis = pytest.importorskip("hypothesis")
+    kernel = compile_exprs([e], ["u1"], numpy=True)
+
+    def outcome(compute):
+        try:
+            with np.errstate(all="ignore"):
+                value = np.asarray(compute())
+        except DomainError as exc:
+            return str(exc)
+        return value.shape, value.tobytes()
+
+    @hypothesis.settings(max_examples=200, deadline=None, phases=[hypothesis.Phase.generate])
+    @hypothesis.given(_float_arrays(hypothesis))
+    def run(x):
+        walked = outcome(lambda: e.eval_many({"u1": x}))
+        assert outcome(lambda: kernel(x)[0]) == walked, x
+        assert (walked == message) == bool(compare(x, 0.0).any()), x
+
+    run()

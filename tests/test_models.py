@@ -31,6 +31,12 @@ class TestLieAlgebraSpec:
         with pytest.raises(ValueError, match="antisymmetric"):
             LieAlgebraSpec(dim=2, c=c)
 
+    @pytest.mark.parametrize("dim", [0, -1, True, 2.0, "2"])
+    def test_dimension_refused_by_name(self, dim):
+        # checked before the structure constants reach any reduction
+        with pytest.raises(ValueError, match="Lie algebra dimension must be an integer >= 1"):
+            LieAlgebraSpec(dim=dim, c=np.zeros((0, 0, 0)))
+
     def test_jacobi_violation(self):
         # [e1,e2]=e2, [e1,e3]=e3, [e2,e3]=e1: antisymmetric but not a Lie algebra
         c = np.zeros((3, 3, 3))

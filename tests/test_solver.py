@@ -187,28 +187,31 @@ def _slope_kernel(system):
 def _reference_field_rk4(model, config, u0, M0):
     """Reference field RK4: the np.roll stencil, stacked right-hand sides and
     the Newton loop on one argument tuple with separate stress and slope
-    kernels, as the field stepper was first written.  Returns the snapshots
-    as (t, u, M, P)."""
+    kernels, as the field stepper was first written.  Each Newton solve
+    after the first starts one step, with the last converged slope, from
+    the last converged stress.  Returns the snapshots as (t, u, M, P)."""
     system = model.hamiltonian.system
     n, dx, boundary = model.chart.n, config.dx, config.boundary
     stress_slope = _slope_kernel(system)
     x = config.x0 + dx * np.arange(u0.shape[-1])
-    prev = []
+    prev = []  # (P, du/dx, slope) of each converged solve
 
     def reconstruct(t, u, M):
         du_dx = _roll_ddx(u, dx, boundary)
         P = np.asarray(model.reconstruct_P(du_dx), dtype=float)
         if config.p_reconstruction == "closed_form":
             return P
-        P = prev[-1].copy() if prev else P
+        if prev:
+            P_prev, target_prev, slope_prev = prev[-1]
+            P = P_prev + (du_dx[0] - target_prev) / slope_prev
         for _ in range(config.newton_max_iter):
             args = (t, x, *u, *M, *P)
             residual = np.atleast_1d(system.stress(*args)[0]) - du_dx[0]
-            if np.max(np.abs(residual)) <= config.newton_tol:
-                prev.append(P)
-                return P
             slope = np.broadcast_to(np.atleast_1d(stress_slope(*args)[0]),
                                     residual.shape)
+            if np.max(np.abs(residual)) <= config.newton_tol:
+                prev.append((P, du_dx[0], slope))
+                return P
             P = P - residual / slope
         raise AssertionError("the reference Newton loop did not converge")
 
@@ -315,8 +318,9 @@ class TestReconstructP:
     def test_newton_non_convergence_raises(self):
         # the closed form solves the constraint at step 0 to rounding, so one
         # Newton evaluation suffices there; the second stage of step 1 starts
-        # from that stress, and one Newton step cannot close the gap, so the
-        # error names the grid point of the largest residual left
+        # one Newton step from that stress, taken with its slope, and that
+        # step does not close the gap to the tolerance, so the error names
+        # the grid point of the largest residual left
         model = PerfectGasModel(ContinuumSpec(gas=GasConstants()))
         K = 32
         dx = 1.0 / K
@@ -326,13 +330,16 @@ class TestReconstructP:
         M = (0.01 * np.sin(2.0 * np.pi * x))[None, :]
         config = SolverConfig(dt=dt, t_final=0.1, K=K, dx=dx, boundary="dirichlet",
                               p_reconstruction="newton", newton_max_iter=1)
-        stress = model.hamiltonian.system.stress
+        system = model.hamiltonian.system
         du_dx = ddx(u, dx, "dirichlet")
         P = np.asarray(model.reconstruct_P(du_dx), dtype=float)
-        assert np.abs(stress(0.0, x, *u, *M, *P)[0] - du_dx[0]).max() <= config.newton_tol
+        assert np.abs(system.stress(0.0, x, *u, *M, *P)[0] - du_dx[0]).max() <= config.newton_tol
+        slope = _slope_kernel(system)(0.0, x, *u, *M, *P)[0]
         k1u, k1M, _ = _FieldSystem(model, config).rhs(0.0, x, u, M, P)
         u2, M2 = u + dt / 2 * k1u, M + dt / 2 * k1M
-        residual = np.abs(stress(dt / 2, x, *u2, *M2, *P)[0] - ddx(u2, dx, "dirichlet")[0])
+        target = ddx(u2, dx, "dirichlet")[0]
+        P2 = P + (target - du_dx[0]) / slope
+        residual = np.abs(system.stress(dt / 2, x, *u2, *M2, *P2)[0] - target)
         index = int(np.argmax(residual))
         assert residual[index] > config.newton_tol
         with pytest.raises(NewtonError) as info:
@@ -341,6 +348,40 @@ class TestReconstructP:
         assert info.value.residual == residual[index]
         assert str(info.value) == ("stress reconstruction did not converge at grid index "
                                    f"{index} (last residual {residual[index]:.3e})")
+
+    def test_predicted_start_bounds_the_kernel_calls(self, monkeypatch):
+        # the perfect gas at K = 128 with Dirichlet ends, dt = dx/8 to t = 0.5
+        # (2,049 solves): from the predicted start every solve after the
+        # first converges within two stress_and_slope calls
+        model = PerfectGasModel(ContinuumSpec(gas=GasConstants()))
+        K = 128
+        dx = 1.0 / K
+        x = dx * np.arange(K)
+        u0 = (x + 0.0353546487410077 * np.sin(6.283185307179586 * x))[None, :]
+        M0 = (0.009504636963259353 * np.sin(6.283185307179586 * x))[None, :]
+        config = SolverConfig(dt=dx / 8.0, t_final=0.5, K=K, dx=dx, boundary="dirichlet",
+                              p_reconstruction="newton")
+        system = model.hamiltonian.system
+        kernel, calls, per_solve = system.stress_and_slope, [0], []
+
+        def counted(*args):
+            calls[0] += 1
+            return kernel(*args)
+
+        def newton_P(self, *args):
+            before = calls[0]
+            P = newton(self, *args)
+            per_solve.append(calls[0] - before)
+            return P
+
+        newton = _FieldSystem._newton_P
+        monkeypatch.setitem(system.__dict__, "stress_and_slope", counted)
+        monkeypatch.setattr(_FieldSystem, "_newton_P", newton_P)
+        for _ in solver._field_sections(model, config, u0, M0):
+            pass
+        assert len(per_solve) == 2049
+        assert max(per_solve[1:]) <= 2
+        assert calls[0] <= 3600
 
 
 class TestHdwResidual:
