@@ -10,21 +10,18 @@ from .expr import (Add, Binding, Const, Div, DomainError, ExprError,
                    Expression, Func, Mul, Neg, ParseError, Pow, Sub,
                    UnboundVariableError, Var, add_all, compile_exprs, parse,
                    simplify)
-from .bundle import (EXTENDED_MOMENTUM, Chart, Current, CurrentDifferential,
-                     DensityCoefficient, HamiltonianSection, ValidationReport,
-                     current_coefficients, d_current, extended_density,
-                     extract_decomposition, validate_current)
+from .bundle import (EXTENDED_MOMENTUM, Chart, Current, DensityCoefficient,
+                     HamiltonianSection, ValidationReport, current_coefficients,
+                     validate_current)
 from .bracket import (ConnectionCheck, GammaSection, PhaseComponents,
                       VerticalField, a_hat, bracket_affine, bracket_linear,
                       connection_is_hamiltonian, current_bracket,
                       dh_components, gamma_h, hamiltonian_field,
                       representation_residual, sharp_aff)
-from .models import (BUILTIN_ALGEBRAS, ContinuumSpec, GasConstants,
-                     LieAlgebraSpec, PerfectGasLegendre, PerfectGasModel,
-                     WaveModel, YangMillsModel, abelian_algebra,
-                     legendre_momenta, model_perfect_gas, model_td_mechanics,
-                     model_wave, model_yang_mills, piola_inverse,
-                     piola_transform, so3_algebra)
+from .models import (ContinuumSpec, GasConstants, LieAlgebraSpec,
+                     PerfectGasLegendre, PerfectGasModel, WaveModel,
+                     YangMillsModel, abelian_algebra, model_td_mechanics,
+                     so3_algebra)
 from .solver import (GridSection, HamiltonianSystem, NewtonError, OdeState,
                      SolverConfig, evolve_field, hdw_residual,
                      integrate_ode, reconstruct_P, step_ode_rk4)

@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bundle import (Current, CurrentDifferential, CurrentForms,
-                     DensityCoefficient, DensityForm, HamiltonianSection,
-                     _as_expr, d_current, require_valid)
-from .expr import Const, Expression, NormalForm, simplify
+from .bundle import (Current, CurrentForms, DensityCoefficient, DensityForm,
+                     HamiltonianSection, _as_expr, require_valid)
+from .expr import Const, Expression, NormalForm
 
 
 @dataclass(frozen=True)
@@ -281,18 +280,14 @@ def _representation_form(a: CurrentForms, b: CurrentForms, H: NormalForm) -> Nor
 
 
 def hamiltonian_field(c: Current, extended: bool = False) -> VerticalField:
-    """Vertical vector field generated by an observable.
-
-    With ``extended=True`` the extended-momentum component is included.
-    """
-    dc: CurrentDifferential = d_current(c)
-    chart = c.chart
-    vu = tuple(simplify(y) for y in c.Y)
-    vp = tuple(
-        tuple(_neg(dc.cu[b][i]) for b in range(chart.n))
-        for i in range(chart.m)
-    )
-    vpext = _neg(dc.c0) if extended else None
+    """Vertical vector field generated by an observable, read from its
+    components C^i: vu[a] = Y^a, vp[i][b] = -dC^i/du^b and, with
+    ``extended=True``, vpext = -dC^i/dx^i."""
+    forms = _forms(c)
+    vu = tuple(y.to_expr() for y in forms.Y)
+    vp = tuple(tuple((-Ci.diff(u)).to_expr() for u in c.chart.u_names)
+               for Ci in forms.components)
+    vpext = (-NormalForm.sum(_explicit_forms(forms))).to_expr() if extended else None
     return VerticalField(vu=vu, vp=vp, vpext=vpext)
 
 

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
-from .expr import Add, Expression, NormalForm, Var, parse, simplify
+from .expr import Expression, NormalForm, Var, parse
 
 EXTENDED_MOMENTUM = "pext"
 
@@ -61,15 +60,9 @@ class Chart:
         return tuple(self.p_name(i, a)
                      for i in range(1, self.m + 1) for a in range(1, self.n + 1))
 
-    @property
+    @cached_property
     def names(self) -> frozenset[str]:
         return frozenset(self.x_names) | frozenset(self.u_names) | frozenset(self.p_names)
-
-    def x(self, i: int) -> Var:
-        return Var(self.x_name(i))
-
-    def u(self, a: int) -> Var:
-        return Var(self.u_name(a))
 
     def p(self, i: int, a: int) -> Var:
         return Var(self.p_name(i, a))
@@ -94,9 +87,6 @@ class HamiltonianSection:
     def __post_init__(self):
         object.__setattr__(self, "H", _as_expr(self.H))
         self.chart.check_scope(self.H, "Hamiltonian")
-
-    def replace(self, H: Expression) -> "HamiltonianSection":
-        return HamiltonianSection(self.chart, H)
 
     @cached_property
     def system(self):
@@ -224,45 +214,3 @@ def current_coefficients(c: Current) -> tuple[Expression, ...]:
     forms = CurrentForms.of(c)
     require_valid(forms)
     return tuple(f.to_expr() for f in forms.components)
-
-
-@dataclass(frozen=True)
-class CurrentDifferential:
-    """Coefficients of the exterior derivative of an observable.
-
-    ``c0`` multiplies the volume form, ``cu[b][i]`` multiplies
-    du^b ^ d^{m-1}x_i and ``cp[a]`` multiplies sum_i dp^i_a ^ d^{m-1}x_i.
-    """
-
-    c0: Expression
-    cu: tuple[tuple[Expression, ...], ...]
-    cp: tuple[Expression, ...]
-
-
-def d_current(c: Current) -> CurrentDifferential:
-    forms = CurrentForms.of(c)
-    require_valid(forms)
-    chart, C = forms.chart, forms.components
-    c0 = NormalForm.sum(Ci.diff(x) for Ci, x in zip(C, chart.x_names)).to_expr()
-    cu = tuple(tuple(Ci.diff(u).to_expr() for Ci in C) for u in chart.u_names)
-    cp = tuple(simplify(y) for y in c.Y)
-    return CurrentDifferential(c0=c0, cu=cu, cp=cp)
-
-
-def extended_density(h: HamiltonianSection) -> Expression:
-    """Coefficient of the extended density attached to a Hamiltonian section."""
-    return simplify(Add(Var(EXTENDED_MOMENTUM), h.H))
-
-
-def extract_decomposition(chart: Chart, coeffs: Sequence[Expression]) -> tuple[tuple[Expression, ...], tuple[Expression, ...]]:
-    """Recover (Y, beta) from component coefficients of a valid observable.
-
-    Y^a is read off as the p^1_a derivative of the first component and
-    beta^i as the i-th component at p = 0.
-    """
-    if len(coeffs) != chart.m:
-        raise ValueError(f"expected {chart.m} coefficients")
-    zeros = {name: 0.0 for name in chart.p_names}
-    Y = tuple(coeffs[0].diff(chart.p_name(1, a)) for a in range(1, chart.n + 1))
-    beta = tuple(simplify(e.substitute(zeros)) for e in coeffs)
-    return Y, beta

@@ -32,9 +32,13 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-# a simulation writes (steps + 1) x columns values to trajectory.csv, about
-# 1.5 GB of text at this limit; it holds one block of them at a time
+# a simulation writes (steps + 1) x columns values to trajectory.csv, t and x
+# included: about 1.3 GB of text at this limit, at the wave model's 19.6 bytes
+# a value; it holds one block of them at a time
 MAX_STORED_VALUES = 2 ** 26
+# the most names (m + n + m*n) a model file's chart may have; Yang-Mills so(3)
+# at m = 3, the largest chart the suites build, has 39
+MAX_CHART_NAMES = 4096
 # values per block of trajectory.csv, in whole rows (whole snapshots, at
 # least one, for fields); formatting takes about 200 bytes per value
 _BLOCK_VALUES = 2048
@@ -128,8 +132,12 @@ class ModelFile:
                                      f"'chart' and 'hamiltonian'")
             chart_obj = _expect(data["chart"], dict, f"{source}: chart")
             _check_keys(chart_obj, {"m", "n"}, f"{source}: chart")
-            chart = Chart(**{k: _expect(chart_obj.get(k), int, f"{source}: chart.{k}")
-                             for k in ("m", "n")})
+            m, n = (_expect(chart_obj.get(k), int, f"{source}: chart.{k}") for k in ("m", "n"))
+            names = m + n + m * n
+            if names > MAX_CHART_NAMES:
+                raise ModelFileError(f"{source}: chart m={m}, n={n} has {names} names, "
+                                     f"above the limit of {MAX_CHART_NAMES}")
+            chart = Chart(m, n)
             self.hamiltonian = HamiltonianSection(
                 chart, parse(_expect(data["hamiltonian"], str, f"{source}: hamiltonian")))
         self.chart = self.hamiltonian.chart
@@ -148,10 +156,14 @@ class ModelFile:
             else:
                 if "Y" not in entry or "beta" not in entry:
                     raise ModelFileError(f"{where} needs 'F' or both 'Y' and 'beta'")
-                self.currents[name] = Current(self.chart,
-                                              tuple(map(parse, _texts(entry["Y"], f"{where}.Y"))),
-                                              tuple(map(parse, _texts(entry["beta"],
-                                                                      f"{where}.beta"))),
+                coeffs = {key: tuple(map(parse, _texts(entry[key], f"{where}.{key}")))
+                          for key in ("Y", "beta")}
+                # Current itself accepts any variable: the Jacobi suite's oracle
+                # gives its currents coefficient variables
+                for key, exprs in coeffs.items():
+                    for j, e in enumerate(exprs, start=1):
+                        self.chart.check_scope(e, f"{where}.{key}[{j}]")
+                self.currents[name] = Current(self.chart, coeffs["Y"], coeffs["beta"],
                                               name=name)
 
         initial = _expect(data.get("initial", {}), dict, f"{source}: initial")
@@ -389,7 +401,7 @@ def cmd_simulate(args) -> int:
             if u0.shape != (chart.n,) or p0.shape != (chart.n,):
                 raise ModelFileError(f"mechanics initial data needs {chart.n} 'u' "
                                      f"and {chart.n} 'p' entries")
-            _check_size(config, 2 * chart.n)
+            _check_size(config, 1 + 2 * chart.n)
             residual = _ResidualNorms(model.hamiltonian, config.dt)
             tables = _ode_tables(model.hamiltonian, OdeState(t=0.0, u=u0, p=p0), config)
             header = ["t"] + list(chart.u_names) + list(chart.p_names)
@@ -400,7 +412,7 @@ def cmd_simulate(args) -> int:
                                      "(closed-form stress reconstruction)")
             if not config.K or not config.dx:
                 raise ModelFileError("field simulation needs solver.K and solver.dx")
-            _check_size(config, 3 * chart.n * config.K)
+            _check_size(config, (2 + 3 * chart.n) * config.K)
             x = config.x0 + config.dx * np.arange(config.K)
             with _quiet():  # a non-finite profile fails at step 0, not as a numpy warning
                 u0 = _eval_profile(model.initial.get("u", []), x, chart)

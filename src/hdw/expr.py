@@ -18,7 +18,7 @@ by structure without recursion.  Printing a parsed or simplified tree
 and re-parsing it yields an evaluation-equivalent tree (a tree built in
 Python deeper than :data:`MAX_NESTING` prints text the parser refuses).
 
-Evaluation, printing, substitution and :func:`compile_exprs` share one
+Evaluation, printing and :func:`compile_exprs` share one
 iterative walk over the tree, driven by one table of operations, so any
 tree that parses also evaluates and prints.
 
@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 import re
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Mapping
 
@@ -135,17 +135,6 @@ class Expression:
             elif type(node) is not Const:
                 stack += [getattr(node, f) for f in _op(node).operands]
         return frozenset(names)
-
-    def substitute(self, mapping: Mapping[str, "Expression | float"]) -> "Expression":
-        """A copy with each variable named in ``mapping`` replaced by its value."""
-        out: list[Expression] = []
-        for node, op in _steps(self):
-            if type(op) is _Op:
-                out.append(replace(node, **dict(zip(op.operands, _pop(out, op)))))
-            elif op is None:
-                out.append(_coerce(mapping[node.name])
-                           if type(node) is Var and node.name in mapping else node)
-        return out[0]
 
     def __eq__(self, other):
         """Structural equality: same node types and equal fields, compared

@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
 from .bundle import Chart, HamiltonianSection
 from .expr import (Add, Const, Div, Expression, Func, Mul, Neg, NormalForm, Pow, Sub,
-                   Var, add_all, parse, simplify)
+                   add_all, parse, simplify)
 
 
 # ---------------------------------------------------------------------------
@@ -44,10 +42,6 @@ class LieAlgebraSpec:
                + np.einsum("mca,smb->sabc", c, c))
         if np.max(np.abs(jac)) > 1e-12:
             raise ValueError("structure constants violate the Jacobi identity")
-
-    @property
-    def is_abelian(self) -> bool:
-        return bool(np.all(self.c == 0.0))
 
 
 def abelian_algebra(dim: int = 1) -> LieAlgebraSpec:
@@ -235,50 +229,6 @@ class PerfectGasModel:
         return self.legendre.forward(du_dx)
 
 
-def model_wave(spec: ContinuumSpec | None = None) -> HamiltonianSection:
-    return WaveModel(spec).hamiltonian
-
-
-def model_perfect_gas(spec: ContinuumSpec | None = None) -> tuple[HamiltonianSection, PerfectGasLegendre]:
-    model = PerfectGasModel(spec)
-    return model.hamiltonian, model.legendre
-
-
-def legendre_momenta(V: np.ndarray, F: np.ndarray, spec: ContinuumSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Momentum density and stress density of the simplified elastic model.
-
-    ``V[a]`` is the material velocity and ``F[a][j]`` the deformation
-    gradient; returns (M[a], P[i][a]).
-    """
-    V = np.asarray(V, dtype=float)
-    F = np.asarray(F, dtype=float)
-    M = spec.rho_bar * spec.g @ V
-    P = -spec.rho_bar * np.einsum("ij,bj,ab->ia", spec.G, F, spec.g)
-    return M, P
-
-
-def piola_transform(F: np.ndarray, P: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Cauchy stress density from the material stress density."""
-    F = np.asarray(F, dtype=float)
-    P = np.asarray(P, dtype=float)
-    detF = np.linalg.det(F)
-    if abs(detF) < 1e-300:
-        raise ValueError("deformation gradient is singular")
-    g_inv = np.linalg.inv(np.asarray(g, dtype=float))
-    return -np.einsum("ai,ig,bg->ab", F, P, g_inv) / detF
-
-
-def piola_inverse(F: np.ndarray, sigma: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Material stress density from the Cauchy stress density."""
-    F = np.asarray(F, dtype=float)
-    detF = np.linalg.det(F)
-    if abs(detF) < 1e-300:
-        raise ValueError("deformation gradient is singular")
-    F_inv = np.linalg.inv(F)
-    return -detF * np.einsum("ig,gb,ba->ia", F_inv, np.asarray(sigma, dtype=float),
-                             np.asarray(g, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # Yang-Mills
 
@@ -288,11 +238,10 @@ class YangMillsModel:
 
     ``chart`` has n = dim * m fiber coordinates: the connection component
     A^alpha_i is u_k with k = (alpha-1)*m + i (:meth:`fiber_index`).  The
-    field momenta pi^{ij}_alpha = -pi^{ji}_alpha are read two ways:
-    ``hamiltonian_expr`` holds them as variables ``piI_J_{alpha}`` for
-    i < j, and ``hamiltonian`` is the same H on the chart, with
-    pi^{ij}_alpha = p^i_(alpha,j) - p^j_(alpha,i) (:meth:`chart_pi`).  The
-    base metric and the pairing on the algebra are the identity.
+    field momenta pi^{ij}_alpha = -pi^{ji}_alpha are read on the chart as
+    p^i_(alpha,j) - p^j_(alpha,i) (:meth:`chart_pi`), and ``hamiltonian``
+    is H in them.  The base metric and the pairing on the algebra are the
+    identity.
     """
 
     def __init__(self, algebra: LieAlgebraSpec, m: int = 2):
@@ -301,12 +250,7 @@ class YangMillsModel:
         self.algebra = algebra
         self.m = m
         self.chart = Chart(m=m, n=algebra.dim * m)
-        self.hamiltonian = HamiltonianSection(self.chart, self._build_hamiltonian(self.chart_pi))
-
-    @cached_property
-    def hamiltonian_expr(self) -> Expression:
-        """H in the chart's u and the variables ``piI_J_{alpha}`` (i < j)."""
-        return self._build_hamiltonian(self.pi_expr)
+        self.hamiltonian = HamiltonianSection(self.chart, self._build_hamiltonian())
 
     def fiber_index(self, alpha: int, i: int) -> int:
         if not (1 <= alpha <= self.algebra.dim and 1 <= i <= self.m):
@@ -316,28 +260,15 @@ class YangMillsModel:
     def u_name(self, alpha: int, i: int) -> str:
         return self.chart.u_name(self.fiber_index(alpha, i))
 
-    def pi_name(self, i: int, j: int, alpha: int) -> str:
-        if not (1 <= i < j <= self.m) or not 1 <= alpha <= self.algebra.dim:
-            raise IndexError("momentum indices must satisfy 1 <= i < j <= m")
-        return f"pi{i}_{j}_{alpha}"
-
-    def pi_expr(self, i: int, j: int, alpha: int) -> Expression:
-        """Momentum component for arbitrary index order (antisymmetric)."""
-        if i == j:
-            return Const(0.0)
-        if i < j:
-            return Var(self.pi_name(i, j, alpha))
-        return Neg(Var(self.pi_name(j, i, alpha)))
-
     def chart_pi(self, i: int, j: int, alpha: int) -> Expression:
         """pi^{ij}_alpha on the chart: p^i_(alpha,j) - p^j_(alpha,i)."""
         return Sub(self.chart.p(i, self.fiber_index(alpha, j)),
                    self.chart.p(j, self.fiber_index(alpha, i)))
 
-    def _build_hamiltonian(self, pi: Callable[[int, int, int], Expression]) -> Expression:
+    def _build_hamiltonian(self) -> Expression:
         """The canonical tree of the sum over i != j and alpha of pi^2/16 +
         c^gamma_{alpha beta}/4 A^alpha_i A^beta_j pi^{ij}_gamma, with
-        pi^{ij}_alpha = ``pi(i, j, alpha)``."""
+        pi^{ij}_alpha = :meth:`chart_pi`."""
         n, m, c = self.algebra.dim, self.m, self.algebra.c
         sixteenth = NormalForm.constant(1.0 / 16.0)
         pairs = []
@@ -345,7 +276,7 @@ class YangMillsModel:
             for j in range(1, m + 1):
                 if i == j:
                     continue
-                forms = [NormalForm.of(pi(i, j, al)) for al in range(1, n + 1)]
+                forms = [NormalForm.of(self.chart_pi(i, j, al)) for al in range(1, n + 1)]
                 pairs += [(sixteenth * f, f) for f in forms]
                 pairs += [(NormalForm.polynomial([((self.u_name(al, i), self.u_name(be, j)),
                                                    c[ga - 1, al - 1, be - 1] / 4.0)
@@ -354,16 +285,3 @@ class YangMillsModel:
                           for ga in range(1, n + 1)]
         return NormalForm.dot(pairs).to_expr()
 
-
-def model_yang_mills(algebra: LieAlgebraSpec, m: int = 2,
-                     metric: np.ndarray | None = None) -> YangMillsModel:
-    if metric is not None and np.max(np.abs(np.asarray(metric) - np.eye(m))) > 0.0:
-        raise ValueError("only the Euclidean identity base metric is supported")
-    return YangMillsModel(algebra, m)
-
-
-BUILTIN_ALGEBRAS: dict[str, Callable[[], LieAlgebraSpec]] = {
-    "abelian": lambda: abelian_algebra(1),
-    "so3": so3_algebra,
-    "su2": so3_algebra,
-}

@@ -13,7 +13,7 @@ import numpy as np
 from hdw.bracket import PhaseComponents, a_hat, bracket_linear, sharp_aff
 from hdw.bundle import Chart, DensityCoefficient
 from hdw.expr import Const, Expression, Func, NormalForm
-from hdw.models import model_perfect_gas
+from hdw.models import PerfectGasModel
 from hdw.verify import (check_bracket_evolution_converse,
                         check_bracket_evolution_field,
                         check_bracket_evolution_ode, check_connection_class,
@@ -179,7 +179,7 @@ def test_10_symbolic_derivatives():
 
 
 def test_11_perfect_gas():
-    _, leg = model_perfect_gas()
+    leg = PerfectGasModel().legendre
     F = np.linspace(0.5, 2.0, 100)
     round_trip = float(np.max(np.abs(leg.recover(leg.forward(F)) - F)))
     eps = leg.energy_density(F)

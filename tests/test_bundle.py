@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from hdw.bracket import current_bracket
+from hdw.bracket import current_bracket, hamiltonian_field
 from hdw.bundle import (EXTENDED_MOMENTUM, Chart, Current, DensityCoefficient,
-                        HamiltonianSection, current_coefficients, d_current,
-                        extended_density, extract_decomposition,
+                        HamiltonianSection, current_coefficients,
                         validate_current)
 from hdw.expr import Const, Var, parse
 
@@ -23,6 +22,7 @@ class TestChart:
     def test_name_sets_disjoint(self):
         chart = Chart(m=2, n=3)
         assert len(chart.names) == 2 + 3 + 6
+        assert chart.names is chart.names  # built once: check_scope reads it per expression
         assert EXTENDED_MOMENTUM not in chart.names
 
     def test_index_bounds(self):
@@ -104,68 +104,64 @@ class TestCurrentCoefficients:
             assert str(coeff.diff(chart.p_name(i, 1))) == "sin(u1)"
 
     def test_round_trip(self):
+        # Y^a is the p^1_a slope of C^1, and beta^i is C^i at p = 0
         chart = Chart(m=2, n=2)
         c = Current(chart, ("sin(u1)", "x1 + u2^2"), ("u1*x2", "x1"))
-        Y, beta = extract_decomposition(chart, current_coefficients(c))
+        coeffs = current_coefficients(c)
+        Y = tuple(coeffs[0].diff(chart.p_name(1, a)) for a in range(1, chart.n + 1))
         rng = np.random.default_rng(1)
         for _ in range(50):
             b = {n: float(rng.uniform(-1.0, 1.0)) for n in sorted(chart.names)}
-            for got, want in zip(Y + beta, c.Y + c.beta):
+            at_p0 = {**b, **dict.fromkeys(chart.p_names, 0.0)}
+            for got, want in zip(Y, c.Y):
                 assert got.eval(b) == pytest.approx(want.eval(b), abs=1e-12)
+            for got, want in zip(coeffs, c.beta):
+                assert got.eval(at_p0) == pytest.approx(want.eval(b), abs=1e-12)
 
 
 class TestDCurrent:
+    """The differential dC of a current, as its Hamiltonian field reads it:
+    vu = Y, vp[i][b] = -dC^i/du^b and vpext = -dC^i/dx^i."""
+
+    @staticmethod
+    def _field(*coefficients):
+        return hamiltonian_field(Current(Chart(m=2, n=1), *coefficients), extended=True)
+
     def test_constant_form(self):
-        dc = d_current(Current(Chart(m=2, n=1), ("0",), ("5", "5")))
-        assert dc.c0 == Const(0.0)
-        assert all(e == Const(0.0) for row in dc.cu for e in row)
-        assert dc.cp == (Const(0.0),)
+        v = self._field(("0",), ("5", "5"))
+        assert v.vpext == Const(0.0)
+        assert all(e == Const(0.0) for row in v.vp for e in row)
+        assert v.vu == (Const(0.0),)
 
     def test_vertical_translation(self):
-        # Y = d/du: only the dp-coefficient survives
-        dc = d_current(Current(Chart(m=2, n=1), ("1",), ("0", "0")))
-        assert dc.c0 == Const(0.0)
-        assert all(e == Const(0.0) for row in dc.cu for e in row)
-        assert dc.cp == (Const(1.0),)
+        # Y = d/du: only the fiber component survives
+        v = self._field(("1",), ("0", "0"))
+        assert v.vpext == Const(0.0)
+        assert all(e == Const(0.0) for row in v.vp for e in row)
+        assert v.vu == (Const(1.0),)
 
     def test_linear_vertical_field(self):
-        dc = d_current(Current(Chart(m=2, n=1), ("u1",), ("0", "0")))
-        assert dc.c0 == Const(0.0)
-        assert [str(e) for e in dc.cu[0]] == ["p1_1", "p2_1"]
-        assert dc.cp == (Var("u1"),)
+        v = self._field(("u1",), ("0", "0"))
+        assert v.vpext == Const(0.0)
+        assert [str(row[0]) for row in v.vp] == ["-p1_1", "-p2_1"]
+        assert v.vu == (Var("u1"),)
 
     def test_base_dependence_enters_c0(self):
-        dc = d_current(Current(Chart(m=2, n=1), ("x1",), ("x2^2", "0")))
-        assert dc.c0.eval({"x1": 0.0, "x2": 1.0, "p1_1": 4.0, "p2_1": 0.0}) == 4.0
+        v = self._field(("x1",), ("x2^2", "0"))
+        assert v.vpext.eval({"x1": 0.0, "x2": 1.0, "p1_1": 4.0, "p2_1": 0.0}) == -4.0
 
     def test_linearity(self):
         chart = Chart(m=2, n=1)
-        c1 = Current(chart, ("sin(u1)",), ("x1*u1", "x2"))
-        c2 = Current(chart, ("u1^2",), ("x2", "0"))
-        csum = Current(chart, (c1.Y[0] + c2.Y[0],),
-                       (c1.beta[0] + c2.beta[0], c1.beta[1] + c2.beta[1]))
-        d1, d2, ds = d_current(c1), d_current(c2), d_current(csum)
+        c1 = (("sin(u1)",), ("x1*u1", "x2"))
+        c2 = (("u1^2",), ("x2", "0"))
+        csum = (("sin(u1) + u1^2",), ("x1*u1 + x2", "x2"))
+        v1, v2, vs = self._field(*c1), self._field(*c2), self._field(*csum)
         rng = np.random.default_rng(2)
-        flat = lambda d: [d.c0] + [e for row in d.cu for e in row] + list(d.cp)
+        flat = lambda v: [v.vpext] + [e for row in v.vp for e in row] + list(v.vu)
         for _ in range(50):
             b = {n: float(rng.uniform(-1.0, 1.0)) for n in sorted(chart.names)}
-            for a, bb, s in zip(flat(d1), flat(d2), flat(ds)):
+            for a, bb, s in zip(flat(v1), flat(v2), flat(vs)):
                 assert s.eval(b) == pytest.approx(a.eval(b) + bb.eval(b), abs=1e-12)
-
-
-class TestExtendedDensity:
-    def test_zero_hamiltonian(self):
-        h = HamiltonianSection(Chart(m=1, n=1), "0")
-        assert str(extended_density(h)) == EXTENDED_MOMENTUM
-
-    def test_assembly(self):
-        h = HamiltonianSection(Chart(m=1, n=1), "u1^2/2")
-        e = extended_density(h)
-        assert e.eval({EXTENDED_MOMENTUM: 1.0, "u1": 2.0}) == 3.0
-
-    def test_unit_pext_slope(self):
-        h = HamiltonianSection(Chart(m=2, n=2), "u1*p2_2 + x1")
-        assert extended_density(h).diff(EXTENDED_MOMENTUM) == Const(1.0)
 
 
 def test_string_coefficients_are_parsed():

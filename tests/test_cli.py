@@ -11,6 +11,7 @@ import pytest
 
 import hdw
 from hdw import cli
+from hdw.bundle import Chart
 from hdw.cli import _field_blocks, _ode_blocks, _write_csv, main
 from hdw.solver import GridSection, OdeState, evolve_field, integrate_ode
 
@@ -226,7 +227,14 @@ class TestSimulate:
          "initial": {"u": ["1"], "p": ["0"]}, "solver": {"dt": 1e-9, "t_final": 2.0}},
         {"model": "wave", "initial": {"u": ["sin(x2)"], "M": ["-cos(x2)"]},
          "solver": {"dt": 1e-9, "t_final": 2.0, "K": 32, "dx": 0.2}},
-    ], ids=["ode", "field"])
+        # 25,000,001 rows of t, u1, p1_1: 75.0M values, 50.0M without t
+        {"chart": {"m": 1, "n": 1}, "hamiltonian": "p1_1^2/2 + u1^2/2",
+         "initial": {"u": ["1"], "p": ["0"]}, "solver": {"dt": 4e-8, "t_final": 1.0}},
+        # 500,001 snapshots of t, x, u1, M1, P1 at K = 32: 80.0M values, 48.0M
+        # without t and x
+        {"model": "wave", "initial": {"u": ["sin(x2)"], "M": ["-cos(x2)"]},
+         "solver": {"dt": 2e-6, "t_final": 1.0, "K": 32, "dx": 0.2}},
+    ], ids=["ode", "field", "ode-with-t", "field-with-t-and-x"])
     def test_oversized_request_exits_2_before_integrating(self, model, tmp_path, capsys,
                                                           monkeypatch):
         def integrate(*args):
@@ -431,6 +439,31 @@ class TestModelFileValidation:
         path = write_model(tmp_path, {"chart": {"m": 1, "n": 1},
                                       "hamiltonian": "u7"})
         assert main(["bracket", "--model", path]) == 2
+
+    @pytest.mark.parametrize("key", ["Y", "beta"])
+    def test_current_off_the_chart_names_the_variable(self, key, tmp_path, capsys):
+        current = {"name": "q", "Y": ["0"], "beta": ["0", "0"]}
+        current[key] = ["q7"] + current[key][1:]
+        path = write_model(tmp_path, {"chart": {"m": 2, "n": 1}, "hamiltonian": "p1_1^2/2",
+                                      "currents": [current]})
+        assert main(["bracket", "--model", path]) == 2
+        assert capsys.readouterr().err == (f"error: {path}: currents[1].{key}[1] references "
+                                           f"unknown variables ['q7']\n")
+
+    def test_oversized_chart_exits_2_before_any_name_is_built(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # m + n + m*n = 16 + 240 + 3840 is at the limit of 4096, and 1 + 2048 + 2048
+        # one above it
+        assert cli.ModelFile({"chart": {"m": 16, "n": 240}, "hamiltonian": "u240"}).chart.n == 240
+
+        def names(chart):
+            raise AssertionError("chart names built")
+
+        monkeypatch.setattr(Chart, "names", property(names))
+        path = write_model(tmp_path, {"chart": {"m": 1, "n": 2048}, "hamiltonian": "0"})
+        assert main(["bracket", "--model", path]) == 2
+        assert capsys.readouterr().err == (f"error: {path}: chart m=1, n=2048 has 4097 "
+                                           f"names, above the limit of {cli.MAX_CHART_NAMES}\n")
 
     def test_current_mixing_forms(self, tmp_path, capsys):
         path = write_model(tmp_path, {

@@ -595,7 +595,7 @@ class TestHamiltonianSystem:
     def test_cached_on_the_section(self):
         h = _oscillator()
         assert h.system is h.system
-        assert h.replace(h.H).system is not h.system
+        assert HamiltonianSection(h.chart, h.H).system is not h.system
 
     def test_integrate_ode_is_bit_identical_to_tree_walk(self):
         h, initial = self._henon_heiles()
