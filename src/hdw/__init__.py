@@ -11,8 +11,7 @@ from .expr import (Add, Binding, Const, Div, DomainError, ExprError,
                    UnboundVariableError, Var, add_all, compile_exprs, parse,
                    simplify)
 from .bundle import (EXTENDED_MOMENTUM, Chart, Current, DensityCoefficient,
-                     HamiltonianSection, ValidationReport, current_coefficients,
-                     validate_current)
+                     HamiltonianSection, ValidationReport, validate_current)
 from .bracket import (ConnectionCheck, GammaSection, PhaseComponents,
                       VerticalField, a_hat, bracket_affine, bracket_linear,
                       connection_is_hamiltonian, current_bracket,

@@ -208,8 +208,11 @@ def _check_pair(a: Current, b: Current) -> None:
 
 
 def _forms(c: Current | DensityCoefficient) -> CurrentForms | DensityForm:
-    """The forms of a current, checked for momentum dependence, or of a density."""
+    """The forms of a current, checked for momentum dependence, or of a density,
+    checked for a one-dimensional base."""
     if isinstance(c, DensityCoefficient):
+        if c.chart.m != 1:
+            raise ValueError("plain density observables are only defined for m = 1")
         return DensityForm(c.chart, NormalForm.of(c.F))
     forms = CurrentForms.of(c)
     require_valid(forms)
@@ -279,13 +282,14 @@ def _representation_form(a: CurrentForms, b: CurrentForms, H: NormalForm) -> Nor
                           + _linear_pairs(b, _affine_form(a, H)))
 
 
-def hamiltonian_field(c: Current, extended: bool = False) -> VerticalField:
+def hamiltonian_field(c: Current | DensityCoefficient, extended: bool = False) -> VerticalField:
     """Vertical vector field generated by an observable, read from its
-    components C^i: vu[a] = Y^a, vp[i][b] = -dC^i/du^b and, with
-    ``extended=True``, vpext = -dC^i/dx^i."""
-    forms = _forms(c)
-    vu = tuple(y.to_expr() for y in forms.Y)
-    vp = tuple(tuple((-Ci.diff(u)).to_expr() for u in c.chart.u_names)
+    components C^i: vu[a] = Y^a = dC^1/dp^1_a, vp[i][b] = -dC^i/du^b and,
+    with ``extended=True``, vpext = -dC^i/dx^i."""
+    forms, chart = _forms(c), c.chart
+    vu = tuple(forms.components[0].diff(chart.p_name(1, a)).to_expr()
+               for a in range(1, chart.n + 1))
+    vp = tuple(tuple((-Ci.diff(u)).to_expr() for u in chart.u_names)
                for Ci in forms.components)
     vpext = (-NormalForm.sum(_explicit_forms(forms))).to_expr() if extended else None
     return VerticalField(vu=vu, vp=vp, vpext=vpext)

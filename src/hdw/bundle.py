@@ -207,10 +207,3 @@ def require_valid(c: Current | CurrentForms) -> None:
     report = validate_current(c)
     if not report:
         raise ValueError(f"invalid current: momentum dependence in {report.offending}")
-
-
-def current_coefficients(c: Current) -> tuple[Expression, ...]:
-    """The m component coefficients  Y^a p^i_a + b^i  of the observable."""
-    forms = CurrentForms.of(c)
-    require_valid(forms)
-    return tuple(f.to_expr() for f in forms.components)

@@ -62,6 +62,10 @@ class GridSection:
     P: np.ndarray  # shape (n, K)
 
 
+# the largest dt/dx that warn_cfl lets pass
+_CFL_LIMIT = 0.5
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float
@@ -74,11 +78,10 @@ class SolverConfig:
     p_reconstruction: str = "closed_form"
     newton_tol: float = 1e-12
     newton_max_iter: int = 50
-    cfl_limit: float = 0.5
 
     def __post_init__(self):
         # the values come from model files: a bool is not taken for a number
-        for key in ("dt", "t_final", "dx", "x0", "newton_tol", "cfl_limit"):
+        for key in ("dt", "t_final", "dx", "x0", "newton_tol"):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"solver.{key} must be a number, got {value!r}")
@@ -112,9 +115,9 @@ class SolverConfig:
             raise ValueError("need at least 8 grid points for the stencils")
 
     def warn_cfl(self):
-        if self.dx and self.dt > self.cfl_limit * self.dx:
-            warnings.warn(f"time step {self.dt} exceeds {self.cfl_limit} * dx = "
-                          f"{self.cfl_limit * self.dx}; expect instability",
+        if self.dx and self.dt > _CFL_LIMIT * self.dx:
+            warnings.warn(f"time step {self.dt} exceeds {_CFL_LIMIT} * dx = "
+                          f"{_CFL_LIMIT * self.dx}; expect instability",
                           stacklevel=3)
 
 
@@ -272,14 +275,11 @@ def _ode_tables(h: HamiltonianSection, initial: OdeState, config: SolverConfig):
 # Field case (m = 2)
 
 
-def ddx(a: np.ndarray, dx: float, boundary: str = "periodic", axis: int = -1) -> np.ndarray:
-    """Second-order first derivative along ``axis``: central differences,
+def ddx(a: np.ndarray, dx: float, boundary: str = "periodic") -> np.ndarray:
+    """Second-order first derivative along the last axis: central differences,
     and one-sided ones at the ends of a non-periodic grid."""
     a = np.asarray(a)
-    out = np.empty(a.shape, np.result_type(a, 1.0))
-    d = out
-    if axis != -1:  # the stencil runs along the last axis of both views
-        a, d = np.moveaxis(a, axis, -1), np.moveaxis(out, axis, -1)
+    d = np.empty(a.shape, np.result_type(a, 1.0))
     np.subtract(a[..., 2:], a[..., :-2], out=d[..., 1:-1])
     if boundary == "periodic":
         np.subtract(a[..., 1], a[..., -1], out=d[..., 0])
@@ -288,7 +288,7 @@ def ddx(a: np.ndarray, dx: float, boundary: str = "periodic", axis: int = -1) ->
         d[..., 0] = -3.0 * a[..., 0] + 4.0 * a[..., 1] - a[..., 2]
         d[..., -1] = 3.0 * a[..., -1] - 4.0 * a[..., -2] + a[..., -3]
     d /= 2.0 * dx
-    return out
+    return d
 
 
 class _FieldSystem:

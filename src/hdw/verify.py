@@ -9,7 +9,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -17,12 +16,10 @@ import numpy as np
 from .bracket import (_COEFFICIENT_TOL, ConnectionCheck, PhaseComponents, _affine_form,
                       _connection_check, _current_bracket_forms, _current_bracket_pairs,
                       _largest, _linear_form, _representation_form, _terms_left,
-                      bracket_affine, current_bracket, sharp_aff)
-from .bundle import (Chart, Current, CurrentForms, DensityCoefficient, DensityForm,
-                     HamiltonianSection, current_coefficients)
-from .expr import Const, NormalForm, Var, _Jet
-from .models import YangMillsModel, model_td_mechanics, so3_algebra, WaveModel
-from .solver import GridSection, OdeState, SolverConfig, _ode_tables, ddx, evolve_field
+                      current_bracket, sharp_aff)
+from .bundle import Chart, Current, CurrentForms, DensityForm
+from .expr import NormalForm, _Jet
+from .models import YangMillsModel, so3_algebra
 
 __all__ = [
     "VerificationReport", "check_representation", "check_jacobi_currents",
@@ -91,7 +88,7 @@ def _jet_current(prefix: str, chart: Chart) -> CurrentForms:
 # smooth input on the chart, and a non-empty one is a counterexample.
 # Every coefficient formed is a small integer, so the arithmetic is exact.
 
-# the chart of the representation and Jacobi proofs
+# the chart of the representation, Jacobi and evolution-law proofs
 _CHART = Chart(m=2, n=2)
 
 
@@ -299,179 +296,99 @@ def check_connection_class() -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Bracket evolution law along computed trajectories
+# Bracket evolution law
+#
+# Along a section x -> (u(x), p(x)), write its first jet through free
+# atoms: du^a/dx^i = dH/dp^i_a + F^i_a, sum_i dp^i_a/dx^i = -dH/du^a + E_a,
+# and every other dp^j_a/dx^i.  F and E are the section's defects from the
+# field equations.  The law says that the total divergence of an
+# observable equals its bracket with H plus the pairing of its field with
+# the defects, so on solutions exactly the bracket.
 
 
-def _five_point_ddt(g: np.ndarray, dt: float) -> np.ndarray:
-    """Fourth-order central derivative in time (interior points)."""
-    return (g[:-4] - 8.0 * g[1:-3] + 8.0 * g[3:-1] - g[4:]) / (12.0 * dt)
+def _law_form(c: CurrentForms | DensityForm, H: NormalForm) -> tuple[NormalForm, NormalForm]:
+    """(total divergence - bracket, defect pairing) of the observable ``c`` with
+    components C^i along a section, for the form ``H`` of the Hamiltonian.
+
+    The divergence sum_i D_i C^i is one dot product over the first jet, with
+    dp^1_a/dx^1 eliminated by the E_a equation; the pairing is
+    sum_a Y^a E_a + sum_(i,a) dC^i/du^a F^i_a with Y^a = dC^1/dp^1_a."""
+    chart, C = c.chart, c.components
+    m, n = chart.m, chart.n
+    E = [NormalForm.atom(f"E{a}") for a in range(1, n + 1)]
+    F = [[NormalForm.atom(f"F{i}_{a}") for a in range(1, n + 1)] for i in range(1, m + 1)]
+
+    def dp_dx(i: int, j: int, a: int) -> NormalForm:
+        """dp^j_a/dx^i: a free atom, but for i = j = 1."""
+        if (i, j) != (1, 1):
+            return NormalForm.atom(f"{chart.p_name(j, a)}_x{i}")
+        return NormalForm.sum([-H.diff(chart.u_name(a)), E[a - 1]]
+                              + [-dp_dx(k, k, a) for k in range(2, m + 1)])
+
+    one = NormalForm.constant(1.0)
+    divergence = NormalForm.dot(
+        [(Ci.diff(x), one) for Ci, x in zip(C, chart.x_names)]
+        + [(Ci.diff(u), NormalForm.sum([H.diff(chart.p_name(i, a)), F[i - 1][a - 1]]))
+           for i, Ci in enumerate(C, start=1) for a, u in enumerate(chart.u_names, start=1)]
+        + [(Ci.diff(chart.p_name(j, a)), dp_dx(i, j, a)) for i, Ci in enumerate(C, start=1)
+           for j in range(1, m + 1) for a in range(1, n + 1)])
+    pairing = NormalForm.dot(
+        [(C[0].diff(chart.p_name(1, a)), E[a - 1]) for a in range(1, n + 1)]
+        + [(Ci.diff(u), Fi[a]) for Ci, Fi in zip(C, F) for a, u in enumerate(chart.u_names)])
+    return NormalForm.sum([divergence, -_affine_form(c, H)]), pairing
 
 
-def _ratios(values: list[float]) -> list[float]:
-    return [values[k] / values[k + 1] for k in range(len(values) - 1)
-            if values[k + 1] > 0.0]
-
-
-def check_bracket_evolution_ode(dts=(4e-3, 2e-3, 1e-3), t_final: float = 10.0,
-                                expected_ratio: float = 16.0, band: float = 0.20,
-                                final_tol: float = 1e-8) -> VerificationReport:
-    """Bracket evolution law along an RK4 oscillator trajectory.
-
-    The pullback time derivative of an observable must match its bracket
-    with the Hamiltonian section; the defect converges at the integrator
-    order (ratio 16 per time-step halving for RK4, fourth-order time
-    stencil).
-    """
-    # frequency-2 oscillator: keeps the dt^4 defect well above the
-    # round-off floor of the time stencil at the finest level
-    h = model_td_mechanics("2*u1^2", n=1)
-    chart = h.chart
-    f0 = DensityCoefficient(chart, "u1^2*p1_1 + x1*u1 + p1_1^3/3")
-    rhs_expr = bracket_affine(f0, h).F
-
-    residuals = []
-    for dt in dts:
-        config = SolverConfig(dt=dt, t_final=t_final)
-        rows = np.concatenate(list(_ode_tables(
-            h, OdeState(t=0.0, u=np.array([1.0]), p=np.array([0.0])), config)))
-        t, u1, p1 = np.ascontiguousarray(rows.T)
-        arrays = {"x1": t, "u1": u1, "p1_1": p1}
-        g = np.atleast_1d(f0.F.eval_many(arrays))
-        lhs = _five_point_ddt(g, dt)
-        rhs = np.broadcast_to(np.atleast_1d(rhs_expr.eval_many(arrays)), t.shape)[2:-2]
-        residuals.append(float(np.max(np.abs(lhs - rhs))))
-
-    ratios = _ratios(residuals)
-    ratio_ok = all(abs(r - expected_ratio) <= band * expected_ratio for r in ratios)
-    passed = ratio_ok and residuals[-1] <= final_tol
+def check_bracket_evolution_ode() -> VerificationReport:
+    """Bracket evolution law for every smooth density f(x, u, p) and Hamiltonian
+    on m = 1, n = 2: df/dx along any section is {f, H} plus the defect pairing."""
+    chart = Chart(m=1, n=_CHART.n)
+    names = tuple(sorted(chart.names))
+    divergence, pairing = _law_form(DensityForm(chart, _jet("f", names)), _jet("h", names))
+    left = _terms_left([NormalForm.sum([divergence, -pairing])])
     return VerificationReport(
         name="bracket_evolution_ode",
-        certifies="along the RK4 trajectory an observable's defect from the bracket "
-                  "evolution law converges at fourth order in dt (1-D base)",
-        passed=passed, max_residual=residuals[-1], tolerance=final_tol,
-        sample_count=sum(int(round(t_final / dt)) for dt in dts),
-        details={"residuals": residuals, "ratios": ratios,
-                 "expected_ratio": expected_ratio})
+        certifies="along any section an observable's derivative is its bracket with H "
+                  "plus its pairing with the section's defects (1-D base)",
+        passed=not left, max_residual=_largest(left), tolerance=0.0,
+        sample_count=0, details={"residual_terms": len(left)})
 
 
-@lru_cache(maxsize=None)
-def _wave_setup(K: int):
-    """The wave model's trajectory at K grid points, for the field suites.
-
-    Memoised so that the suites of one :func:`run_suites` call share each
-    resolution; ``run_suites`` clears the memo when it returns or raises.
-    A check called on its own leaves its trajectories here until then.
-    """
-    model = WaveModel()
-    dx = 2.0 * np.pi / K
-    config = SolverConfig(dt=dx / 4.0, t_final=1.0, K=K, dx=dx)
-    x = config.x0 + dx * np.arange(K)
-    u0 = np.sin(x)[None, :]
-    M0 = -np.cos(x)[None, :]
-    traj = evolve_field(model, config, u0, M0)
-    return model, config, x, traj
-
-
-# snapshots per chunk of _field_bracket_residual, besides the two neighbours
-_CHUNK = 32
-
-
-def _field_bracket_residual(traj: list[GridSection], current: Current,
-                            h: HamiltonianSection, dt: float, dx: float) -> float:
-    """Max defect of d(pullback)/dt + d(pullback)/dx = bracket, central stencils.
-
-    The interior snapshots are taken ``_CHUNK`` at a time, each chunk with its
-    two neighbours in time, so no array spans the whole trajectory; every
-    operation is elementwise, so the chunks give the whole-array values."""
-    a1, a2 = current_coefficients(current)
-    rhs_expr = bracket_affine(current, h).F
-    K = traj[0].x.shape[0]
-
-    def chunk_max(chunk: list[GridSection]) -> float:
-        shape = (len(chunk), K)
-        t = np.array([s.t for s in chunk])
-        arrays = {"x1": t[:, None] * np.ones((1, K)),
-                  "x2": np.broadcast_to(traj[0].x, shape),
-                  "u1": np.stack([s.u[0] for s in chunk]),
-                  "p1_1": np.stack([s.M[0] for s in chunk]),
-                  "p2_1": np.stack([s.P[0] for s in chunk])}
-        A1 = np.broadcast_to(np.atleast_2d(a1.eval_many(arrays)), shape)
-        A2 = np.broadcast_to(np.atleast_2d(a2.eval_many(arrays)), shape)
-        lhs = (A1[2:] - A1[:-2]) / (2.0 * dt) + ddx(A2, dx)[1:-1]
-        rhs = np.broadcast_to(np.atleast_2d(rhs_expr.eval_many(arrays)), shape)[1:-1]
-        return np.max(np.abs(lhs - rhs))
-
-    return float(np.max([chunk_max(traj[start - 1:start + _CHUNK + 1])
-                         for start in range(1, len(traj) - 1, _CHUNK)]))
-
-
-def check_bracket_evolution_field(Ks=(64, 128, 256), expected_ratio: float = 4.0,
-                                  band: float = 0.25,
-                                  solution_tol: float = 1e-3) -> VerificationReport:
-    """Bracket evolution law along the computed wave-model trajectory."""
-    residual_table: dict[str, list[float]] = {}
-    solution_error = None
-    for K in Ks:
-        model, config, x, traj = _wave_setup(K)
-        chart = model.chart
-        currents = {
-            "momentum_flux": Current(chart, (Const(1.0),), (Const(0.0), Const(0.0))),
-            "weighted_flux": Current(chart, (Var("u1"),), (Const(0.0), Const(0.0))),
-        }
-        for name, cur in currents.items():
-            res = _field_bracket_residual(traj, cur, model.hamiltonian,
-                                          config.dt, config.dx)
-            residual_table.setdefault(name, []).append(res)
-        if K == 128:
-            final = traj[-1]
-            exact = np.sin(x - final.t)
-            solution_error = float(np.max(np.abs(final.u[0] - exact)))
-
-    ratio_ok = True
-    all_ratios = {}
-    for name, residuals in residual_table.items():
-        ratios = _ratios(residuals)
-        all_ratios[name] = ratios
-        ratio_ok &= all(abs(r - expected_ratio) <= band * expected_ratio for r in ratios)
-    passed = ratio_ok and solution_error is not None and solution_error <= solution_tol
-    worst = max(res[-1] for res in residual_table.values())
+def check_bracket_evolution_field() -> VerificationReport:
+    """Bracket evolution law for every smooth current and Hamiltonian on m = n = 2."""
+    chart = _CHART
+    divergence, pairing = _law_form(_jet_current("a", chart),
+                                    _jet("h", tuple(sorted(chart.names))))
+    left = _terms_left([NormalForm.sum([divergence, -pairing])])
     return VerificationReport(
         name="bracket_evolution_field",
-        certifies="along the method-of-lines trajectory two currents' defects from "
-                  "the bracket evolution law converge at second order under grid "
-                  "refinement (1+1-D wave model)",
-        passed=passed, max_residual=worst, tolerance=solution_tol,
-        sample_count=sum(Ks),
-        details={"residuals": residual_table, "ratios": all_ratios,
-                 "solution_error_K128": solution_error,
-                 "expected_ratio": expected_ratio})
+        certifies="along any section a current's total divergence is its bracket with H "
+                  "plus its pairing with the section's defects",
+        passed=not left, max_residual=_largest(left), tolerance=0.0,
+        sample_count=0, details={"residual_terms": len(left)})
 
 
-def check_bracket_evolution_converse(Ks=(128, 256), perturbation: float = 1e-3,
-                                     floor: float = 1e-4) -> VerificationReport:
-    """A perturbed trajectory violates the bracket evolution law persistently.
-
-    The momentum field is corrupted by a smooth 1e-3 wave that is not a
-    solution mode; the defect must stay above the floor and must not
-    decrease under refinement.
-    """
-    residuals = []
-    for K in Ks:
-        model, config, x, traj = _wave_setup(K)
-        corrupted = []
-        for s in traj:
-            bump = perturbation * np.sin(s.x - 2.0 * s.t)[None, :]
-            corrupted.append(GridSection(t=s.t, x=s.x, u=s.u, M=s.M + bump, P=s.P))
-        cur = Current(model.chart, (Const(1.0),), (Const(0.0), Const(0.0)))
-        residuals.append(_field_bracket_residual(corrupted, cur, model.hamiltonian,
-                                                 config.dt, config.dx))
-    passed = all(r >= floor for r in residuals) and residuals[-1] >= 0.5 * residuals[0]
+def check_bracket_evolution_converse() -> VerificationReport:
+    """On m = n = 2 the currents Y = e_a and beta^i = u^a leave exactly the
+    defects E_a and F^i_a, so a section on which every current obeys the law
+    solves the field equations."""
+    chart = _CHART
+    m, n = chart.m, chart.n
+    H = _jet("h", tuple(sorted(chart.names)))
+    zero, one = NormalForm.constant(0.0), NormalForm.constant(1.0)
+    probes = [(CurrentForms(chart, tuple(one if b == a else zero for b in range(1, n + 1)),
+                            (zero,) * m), f"E{a}") for a in range(1, n + 1)]
+    probes += [(CurrentForms(chart, (zero,) * n,
+                             tuple(NormalForm.atom(chart.u_name(a)) if j == i else zero
+                                   for j in range(1, m + 1))), f"F{i}_{a}")
+               for i in range(1, m + 1) for a in range(1, n + 1)]
+    left = _terms_left(NormalForm.sum([_law_form(c, H)[0], -NormalForm.atom(defect)])
+                       for c, defect in probes)
     return VerificationReport(
         name="bracket_evolution_converse",
-        certifies="the bracket evolution law detects non-solutions: a perturbed "
-                  "trajectory keeps a bounded-away defect under refinement",
-        passed=passed, max_residual=residuals[-1], tolerance=floor,
-        sample_count=sum(Ks), details={"residuals": residuals})
+        certifies="the bracket evolution law holds for every current only on solutions: "
+                  "each field equation's defect is one current's defect from the law",
+        passed=not left, max_residual=_largest(left), tolerance=0.0,
+        sample_count=0, details={"residual_terms": len(left)})
 
 
 # ---------------------------------------------------------------------------
@@ -537,16 +454,13 @@ def run_suites(names=None, seed: int | None = None) -> list[VerificationReport]:
     if unknown:
         raise KeyError(f"unknown suite(s) {unknown}; available: {list(SUITES)}")
     reports = []
-    try:
-        for name in selected:
-            check = SUITES[name]
-            start = time.perf_counter()
-            if seed is not None and "seed" in check.__code__.co_varnames:
-                report = check(seed=seed)
-            else:
-                report = check()
-            report.details["runtime_s"] = round(time.perf_counter() - start, 3)
-            reports.append(report)
-    finally:
-        _wave_setup.cache_clear()  # no trajectory outlives the run
+    for name in selected:
+        check = SUITES[name]
+        start = time.perf_counter()
+        if seed is not None and "seed" in check.__code__.co_varnames:
+            report = check(seed=seed)
+        else:
+            report = check()
+        report.details["runtime_s"] = round(time.perf_counter() - start, 3)
+        reports.append(report)
     return reports

@@ -391,6 +391,15 @@ class TestHamiltonianField:
         v = hamiltonian_field(Current(chart, ("x1",), ("0", "0")), extended=True)
         assert str(v.vpext) == "-p1_1"
 
+    def test_m1_density(self):
+        # on a 1-D base the field of F is (dF/dp, -dF/du)
+        v = hamiltonian_field(DensityCoefficient(Chart(m=1, n=1), "p1_1^2/2 + u1^2/2"))
+        assert v.vu == (Var("p1_1"),)
+        assert [[str(e) for e in row] for row in v.vp] == [["-u1"]]
+        # on m >= 2 an observable is a current
+        with pytest.raises(ValueError, match="m = 1"):
+            hamiltonian_field(DensityCoefficient(Chart(m=2, n=1), "u1*p1_1 + p2_1"))
+
 
 class TestRepresentationResidual:
     def test_repeated_argument(self):

@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 
 from hdw.bracket import current_bracket, hamiltonian_field
-from hdw.bundle import (EXTENDED_MOMENTUM, Chart, Current, DensityCoefficient,
-                        HamiltonianSection, current_coefficients,
-                        validate_current)
+from hdw.bundle import (EXTENDED_MOMENTUM, Chart, Current, CurrentForms,
+                        HamiltonianSection, require_valid, validate_current)
 from hdw.expr import Const, Var, parse
+
+
+def _components(c: Current) -> tuple:
+    """The m component coefficients C^i = Y^a p^i_a + beta^i of a valid current,
+    as the brackets read them."""
+    forms = CurrentForms.of(c)
+    require_valid(forms)
+    return tuple(f.to_expr() for f in forms.components)
 
 
 class TestChart:
@@ -73,17 +80,17 @@ class TestValidateCurrent:
 class TestCurrentCoefficients:
     def test_constant_field(self):
         c = Current(Chart(m=2, n=1), ("1",), ("0", "0"))
-        coeffs = current_coefficients(c)
+        coeffs = _components(c)
         assert [str(e) for e in coeffs] == ["p1_1", "p2_1"]
 
     def test_zero_field_leaves_beta(self):
         c = Current(Chart(m=2, n=2), ("0", "0"), ("x1", "u2"))
-        coeffs = current_coefficients(c)
+        coeffs = _components(c)
         assert [str(e) for e in coeffs] == ["x1", "u2"]
 
     def test_general_assembly(self):
         c = Current(Chart(m=2, n=1), ("u1",), ("x2", "0"))
-        coeffs = current_coefficients(c)
+        coeffs = _components(c)
         binding = {"x1": 0.0, "x2": 3.0, "u1": 2.0, "p1_1": 5.0, "p2_1": 7.0}
         assert coeffs[0].eval(binding) == 13.0  # u1*p1_1 + x2
         assert coeffs[1].eval(binding) == 14.0
@@ -93,7 +100,7 @@ class TestCurrentCoefficients:
         # component i only sees the p^i_a column
         chart = Chart(m=2, n=2)
         c = Current(chart, ("sin(u1)", "x1*u2"), ("u1", "x2"))
-        coeffs = current_coefficients(c)
+        coeffs = _components(c)
         for i, coeff in enumerate(coeffs, start=1):
             for j in range(1, 3):
                 for a in range(1, 3):
@@ -107,7 +114,7 @@ class TestCurrentCoefficients:
         # Y^a is the p^1_a slope of C^1, and beta^i is C^i at p = 0
         chart = Chart(m=2, n=2)
         c = Current(chart, ("sin(u1)", "x1 + u2^2"), ("u1*x2", "x1"))
-        coeffs = current_coefficients(c)
+        coeffs = _components(c)
         Y = tuple(coeffs[0].diff(chart.p_name(1, a)) for a in range(1, chart.n + 1))
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -174,5 +181,5 @@ def test_a_momentum_that_cancels_is_no_dependence():
     chart = Chart(m=2, n=1)
     c = Current(chart, ("p1_1 - p1_1 + u1",), ("0", "x1"))
     assert validate_current(c)
-    assert current_coefficients(c)[0].variables() == {"u1", "p1_1"}
+    assert _components(c)[0].variables() == {"u1", "p1_1"}
     assert current_bracket(c, Current(chart, ("1",), ("0", "0"))).Y[0].variables() == set()

@@ -136,12 +136,10 @@ class TestEvolveField:
         assert np.max(np.abs(t1[-1].u - t2[-1].u)) <= 1e-10
 
 
-def _roll_ddx(a, dx, boundary="periodic", axis=-1):
+def _roll_ddx(a, dx, boundary="periodic"):
     """Reference: the np.roll central difference and one-sided ends."""
     if boundary == "periodic":
-        return (np.roll(a, -1, axis=axis) - np.roll(a, 1, axis=axis)) / (2.0 * dx)
-    if axis != -1:
-        return np.moveaxis(_roll_ddx(np.moveaxis(a, axis, -1), dx, boundary), -1, axis)
+        return (np.roll(a, -1, axis=-1) - np.roll(a, 1, axis=-1)) / (2.0 * dx)
     out = np.empty_like(a)
     out[..., 1:-1] = (a[..., 2:] - a[..., :-2]) / (2.0 * dx)
     out[..., 0] = (-3.0 * a[..., 0] + 4.0 * a[..., 1] - a[..., 2]) / (2.0 * dx)
@@ -153,16 +151,15 @@ class TestDdx:
     """The slice stencil gives the np.roll formulas bit for bit."""
 
     @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
-    @pytest.mark.parametrize("shape, axis", [((2, 8), -1), ((5, 8, 1, 2), 1)],
-                             ids=["grid", "gauge"])
-    def test_floats(self, boundary, shape, axis):
+    @pytest.mark.parametrize("shape", [(2, 8), (5, 8, 2)], ids=["grid", "gauge"])
+    def test_floats(self, boundary, shape):
         a = np.random.default_rng(3).uniform(-2.0, 2.0, shape)
         before = a.copy()
-        # a (T, K, 1, 2) array is read through a strided view, along a
-        # non-last axis
-        view = a[..., 0] if axis == 1 else a
-        out = ddx(view, 0.37, boundary, axis=axis)
-        expected = _roll_ddx(view, 0.37, boundary, axis=axis)
+        # one component of a (T, K, 2) array is read through a view with
+        # stride 2 along the grid axis
+        view = a[..., 0] if len(shape) == 3 else a
+        out = ddx(view, 0.37, boundary)
+        expected = _roll_ddx(view, 0.37, boundary)
         assert out.shape == expected.shape and out.dtype == expected.dtype
         assert np.array_equal(out, expected)
         assert np.array_equal(a, before)

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from hdw import bracket, verify
-from hdw.bundle import Chart, Current, CurrentForms, HamiltonianSection, current_coefficients
-from hdw.expr import Const, NormalForm, Var
-from hdw.models import WaveModel
-from hdw.solver import GridSection, SolverConfig, ddx, evolve_field
+from hdw.bundle import Chart, CurrentForms, HamiltonianSection
+from hdw.expr import NormalForm
 from hdw.verify import (SUITES, check_bracket_evolution_converse,
-                        check_bracket_evolution_ode, check_connection_class,
-                        check_jacobi_currents, check_m1_reduction,
+                        check_bracket_evolution_field, check_bracket_evolution_ode,
+                        check_connection_class, check_jacobi_currents, check_m1_reduction,
                         check_representation, check_ym_conservation, run_suites)
+
+# the suite keys of the bracket evolution law's proofs
+_LAW_SUITES = ("evolution-ode", "evolution-field", "evolution-converse")
 
 
 def _dyadic_polynomial(rng: np.random.Generator, names: tuple[str, ...]) -> NormalForm:
@@ -56,18 +57,6 @@ class TestAlgebraicChecks:
         assert r1.to_dict() == r2.to_dict()
 
 
-class TestEvolutionChecks:
-    def test_ode_short_ladder(self):
-        report = check_bracket_evolution_ode(dts=(4e-3, 2e-3), t_final=2.0)
-        assert report.passed
-        assert all(abs(r - 16.0) <= 3.2 for r in report.details["ratios"])
-
-    def test_converse_detects_perturbation(self):
-        report = check_bracket_evolution_converse()
-        assert report.passed
-        assert all(r >= 1e-4 for r in report.details["residuals"])
-
-
 def test_report_serialization():
     report = check_m1_reduction()
     d = report.to_dict()
@@ -83,92 +72,6 @@ def test_run_suites_selection():
     assert "runtime_s" in reports[0].details
 
 
-def _count_integrations(monkeypatch) -> list[int]:
-    """The grid sizes of the field trajectories the verify suites integrate."""
-    calls = []
-    evolve = verify.evolve_field
-
-    def counted(model, config, u0, M0):
-        calls.append(config.K)
-        return evolve(model, config, u0, M0)
-
-    monkeypatch.setattr(verify, "evolve_field", counted)
-    verify._wave_setup.cache_clear()  # a direct check call may have filled it
-    return calls
-
-
-def test_one_run_integrates_each_wave_resolution_once(monkeypatch):
-    calls = _count_integrations(monkeypatch)
-    assert all(report.passed for report in run_suites())
-    # evolution-field takes K = 64, 128, 256; evolution-converse shares 128, 256
-    assert sorted(calls) == [64, 128, 256]
-    assert verify._wave_setup.cache_info().currsize == 0
-    calls.clear()
-    run_suites()
-    assert sorted(calls) == [64, 128, 256]
-    calls.clear()
-    run_suites(["evolution-converse"])
-    assert sorted(calls) == [128, 256]
-    assert verify._wave_setup.cache_info().currsize == 0
-
-
-def test_the_trajectory_memo_is_cleared_when_a_suite_raises(monkeypatch):
-    calls = _count_integrations(monkeypatch)
-    seen = []
-
-    def failing():
-        seen.append(verify._wave_setup.cache_info())
-        raise RuntimeError("suite failed")
-
-    monkeypatch.setitem(SUITES, "yang-mills", failing)
-    with pytest.raises(RuntimeError, match="suite failed"):
-        run_suites(["evolution-field", "evolution-converse", "yang-mills"])
-    assert sorted(calls) == [64, 128, 256]
-    assert seen[0].hits == 2 and seen[0].currsize == 3
-    assert verify._wave_setup.cache_info().currsize == 0
-
-
-def _whole_trajectory_residual(traj, current, h, dt, dx) -> float:
-    """The field residual on arrays that span the whole trajectory: the
-    reference for the chunked :func:`verify._field_bracket_residual`."""
-    a1, a2 = current_coefficients(current)
-    rhs_expr = bracket.bracket_affine(current, h).F
-    shape = (len(traj), traj[0].x.shape[0])
-    arrays = {"x1": np.array([s.t for s in traj])[:, None] * np.ones((1, shape[1])),
-              "x2": np.broadcast_to(traj[0].x, shape),
-              "u1": np.stack([s.u[0] for s in traj]),
-              "p1_1": np.stack([s.M[0] for s in traj]),
-              "p2_1": np.stack([s.P[0] for s in traj])}
-    A1 = np.broadcast_to(np.atleast_2d(a1.eval_many(arrays)), shape)
-    A2 = np.broadcast_to(np.atleast_2d(a2.eval_many(arrays)), shape)
-    lhs = (A1[2:] - A1[:-2]) / (2.0 * dt) + ddx(A2, dx)[1:-1]
-    rhs = np.broadcast_to(np.atleast_2d(rhs_expr.eval_many(arrays)), shape)[1:-1]
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-@pytest.mark.parametrize("chunk", [1, 3, 32])
-def test_the_chunked_field_residual_is_the_whole_trajectory_one(chunk, monkeypatch):
-    # a defect planted at any one snapshot, at a chunk's edge too, gives the
-    # whole-array residual to the bit
-    monkeypatch.setattr(verify, "_CHUNK", chunk)
-    model = WaveModel()
-    K = 32
-    dx = 2.0 * np.pi / K
-    config = SolverConfig(dt=dx / 4.0, t_final=1.0, K=K, dx=dx)
-    x = dx * np.arange(K)
-    traj = evolve_field(model, config, np.sin(x)[None, :], -np.cos(x)[None, :])
-    assert len(traj) == 21
-    chart = model.chart
-    for current in (Current(chart, (Const(1.0),), (Const(0.0), Const(0.0))),
-                    Current(chart, (Var("u1"),), (Const(0.0), Const(0.0)))):
-        for j in range(len(traj)):
-            s = traj[j]
-            planted = traj[:j] + [GridSection(t=s.t, x=s.x, u=s.u, M=s.M + 1e-3 * (j + 1),
-                                              P=s.P)] + traj[j + 1:]
-            args = (planted, current, model.hamiltonian, config.dt, config.dx)
-            assert verify._field_bracket_residual(*args) == _whole_trajectory_residual(*args)
-
-
 def test_run_suites_unknown_name():
     with pytest.raises(KeyError):
         run_suites(["no-such-suite"])
@@ -182,6 +85,9 @@ def test_all_suites_registered():
 
 @pytest.mark.parametrize("check, seed, limit", [
     (check_representation, None, 0),  # jet forms, never a tree
+    (check_bracket_evolution_ode, None, 0),
+    (check_bracket_evolution_field, None, 0),
+    (check_bracket_evolution_converse, None, 0),
     # the oracle's two coefficient-variable currents (8 trees) and one public
     # current_bracket of them (4 trees), however many trials it draws
     (check_jacobi_currents, 1, 12),
@@ -209,7 +115,9 @@ def test_brackets_and_residuals_emit_no_intermediate_trees(check, seed, limit, m
 
 
 @pytest.mark.parametrize("check, degree", [
-    (check_representation, 3), (check_jacobi_currents, 3), (check_m1_reduction, 2)])
+    (check_representation, 3), (check_jacobi_currents, 3), (check_m1_reduction, 2),
+    (check_bracket_evolution_ode, 2), (check_bracket_evolution_field, 2),
+    (check_bracket_evolution_converse, 1)])
 def test_algebraic_suites_are_exact_on_dyadic_draws(check, degree, monkeypatch):
     # an identity proved on jets holds for every specialisation: fed k/64
     # polynomial draws in place of its jets, a suite leaves no residual term.
@@ -328,9 +236,11 @@ def test_a_planted_term_in_the_linear_bracket_fails_the_m1_reduction(monkeypatch
 
 @pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (3, 3)])
 def test_the_identities_are_proved_on_larger_charts(m, n, monkeypatch):
-    # hdw verify proves them on m = n = 2; the same jet proofs hold on these charts
+    # hdw verify proves them on m = n = 2 (the density law on m = 1, n = 2); the
+    # same jet proofs hold on these charts
     monkeypatch.setattr(verify, "_CHART", Chart(m=m, n=n))
-    for report in (check_representation(), check_jacobi_currents(trials=2)):
+    for report in (check_representation(), check_jacobi_currents(trials=2),
+                   *(SUITES[key]() for key in _LAW_SUITES)):
         assert report.passed and report.max_residual == 0.0, report.name
         assert report.details["residual_terms"] == 0
 
@@ -360,7 +270,9 @@ def test_an_antisymmetry_error_alone_fails_the_jacobi_suite(monkeypatch):
 
 
 @pytest.mark.parametrize("check", [check_representation, check_jacobi_currents,
-                                   check_m1_reduction])
+                                   check_m1_reduction, check_bracket_evolution_ode,
+                                   check_bracket_evolution_field,
+                                   check_bracket_evolution_converse])
 def test_an_exact_pass_evaluates_no_sample(check):
     report = check()
     assert report.passed and report.max_residual == 0.0 and report.tolerance == 0.0
@@ -469,7 +381,7 @@ def test_yang_mills_controls_leave_terms():
     assert report.details["control_terms"] == {"generator_u2": 8, "h_plus_pi12_1_squared": 4}
 
 
-def test_a_transport_sign_error_fails_yang_mills(monkeypatch):
+def _flip_the_transport_sign(monkeypatch) -> None:
     pairs = bracket._linear_pairs
 
     def wrong_sign(c, g):
@@ -478,9 +390,34 @@ def test_a_transport_sign_error_fails_yang_mills(monkeypatch):
         return [(x, -y) if k % (m + 1) == m else (x, y) for k, (x, y) in enumerate(pairs(c, g))]
 
     monkeypatch.setattr(bracket, "_linear_pairs", wrong_sign)
+
+
+def test_a_transport_sign_error_fails_yang_mills(monkeypatch):
+    _flip_the_transport_sign(monkeypatch)
     report = check_ym_conservation()
     assert not report.passed
     assert report.details["residual_terms"] > 0 and report.max_residual > 0.0
+
+
+def test_a_transport_sign_error_fails_every_law_proof(monkeypatch):
+    _flip_the_transport_sign(monkeypatch)
+    for key in _LAW_SUITES:
+        report = SUITES[key]()
+        assert not report.passed and report.details["residual_terms"] > 0, key
+        assert report.max_residual > 0.0
+
+
+def test_a_scaled_explicit_term_fails_the_law_for_x_dependent_observables(monkeypatch):
+    explicit = bracket._explicit_forms
+
+    def scaled(c):
+        return [NormalForm.dot([(f, NormalForm.constant(0.999))]) for f in explicit(c)]
+
+    monkeypatch.setattr(bracket, "_explicit_forms", scaled)
+    terms = {key: SUITES[key]().details["residual_terms"] for key in _LAW_SUITES}
+    # df/dx1 of the density; the x-derivatives of Y^a p^i_a and beta^i of the
+    # current's two components; the converse's currents do not depend on x
+    assert terms == {"evolution-ode": 1, "evolution-field": 6, "evolution-converse": 0}
 
 
 def test_a_gauge_current_without_one_structure_constant_term_leaves_terms(monkeypatch):
