@@ -7,6 +7,9 @@ forms and is decided by its coefficients, never by evaluating it:
 :func:`connection_is_hamiltonian` and :func:`representation_residual`
 report the largest |coefficient| left.  The derivatives of a
 Hamiltonian section are read from ``h.system``, which derives them once.
+An observable's Hamiltonian vector field V_c is derived once, and read by
+the brackets, as {c, g}_l = -V_c(g), by :func:`hamiltonian_field` and by
+the defect pairing of :func:`hdw.verify._law_form`.
 """
 
 from __future__ import annotations
@@ -50,13 +53,12 @@ class VerticalField:
     """Vertical vector field attached to an observable.
 
     ``vu[a]`` are the fiber components, ``vp[i][b]`` the momentum
-    components; ``vpext`` is the extended-momentum component when the
-    extended field is requested.
+    components and ``vpext`` the extended-momentum component.
     """
 
     vu: tuple
     vp: tuple
-    vpext: Expression | None = None
+    vpext: Expression
 
 
 def _neg(x):
@@ -168,11 +170,8 @@ def bracket_affine(c: Current | DensityCoefficient, h: HamiltonianSection) -> De
     result is the time-dependent Poisson formula
     df/dx + df/du dH/dp - df/dp dH/du.
     """
-    chart = h.chart
-    if isinstance(c, DensityCoefficient) and chart.m != 1:
-        raise ValueError("plain density observables are only defined for m = 1; "
-                         "supply a Current for m >= 2")
-    return DensityCoefficient(chart, _affine_form(_forms(c), NormalForm.of(h.H)).to_expr())
+    _check_charts(c, h)
+    return DensityCoefficient(h.chart, _affine_form(_forms(c), NormalForm.of(h.H)).to_expr())
 
 
 def bracket_linear(c: Current | DensityCoefficient,
@@ -183,23 +182,21 @@ def bracket_linear(c: Current | DensityCoefficient,
     argument.  For m = 1 both arguments are density coefficients and the
     result is the canonical Poisson bracket.
     """
-    if isinstance(c, DensityCoefficient) and F.chart.m != 1:
-        raise ValueError("plain density observables are only defined for m = 1")
+    _check_charts(c, F)
     return DensityCoefficient(F.chart, _linear_form(_forms(c), NormalForm.of(F.F)).to_expr())
 
 
 def current_bracket(a: Current, b: Current) -> Current:
     """Lie bracket on observables: -([Y,Z], i_Y d(beta_b) - i_Z d(beta_a))."""
-    _check_pair(a, b)
+    _check_charts(a, b)
     return _current_bracket_forms(_forms(a), _forms(b)).to_current()
 
 
-def _check_pair(a: Current, b: Current) -> None:
-    if a.chart != b.chart:
-        raise ValueError("currents must share a chart")
-    if a.chart.m < 2:
-        raise ValueError("the current bracket requires m >= 2; "
-                         "use bracket_linear on density coefficients for m = 1")
+def _check_charts(*args) -> None:
+    """Refuse arguments that do not share one chart."""
+    charts = [x.chart for x in args]
+    if any(chart != charts[0] for chart in charts):
+        raise ValueError(f"the arguments must share a chart, got {charts}")
 
 
 # The brackets on normal forms: a current is a CurrentForms, a plain density
@@ -234,13 +231,13 @@ def _affine_form(c: CurrentForms | DensityForm, H: NormalForm) -> NormalForm:
 def _linear_pairs(c: CurrentForms | DensityForm,
                   g: NormalForm) -> list[tuple[NormalForm, NormalForm]]:
     """The (x, y) pairs whose products x*y sum to the bracket of a valid ``c``
-    with the density coefficient ``g``:
-    dC^i/du^a dg/dp^i_a - dg/du^a dC^1/dp^1_a."""
-    chart, C = c.chart, c.components
+    with the density coefficient ``g``, read from the field (vu, vp) of ``c``:
+    -(vp[i][a] dg/dp^i_a + vu[a] dg/du^a)."""
+    chart, (vu, vp) = c.chart, c._field
     pairs = []
-    for a, ua in enumerate(chart.u_names, start=1):
-        pairs += [(Ci.diff(ua), g.diff(chart.p_name(i, a))) for i, Ci in enumerate(C, start=1)]
-        pairs.append((-g.diff(ua), C[0].diff(chart.p_name(1, a))))
+    for a, ua in enumerate(chart.u_names):
+        pairs += [(-vpi[a], g.diff(chart.p_name(i, a + 1))) for i, vpi in enumerate(vp, start=1)]
+        pairs.append((-g.diff(ua), vu[a]))
     return pairs
 
 
@@ -282,22 +279,19 @@ def _representation_form(a: CurrentForms, b: CurrentForms, H: NormalForm) -> Nor
                           + _linear_pairs(b, _affine_form(a, H)))
 
 
-def hamiltonian_field(c: Current | DensityCoefficient, extended: bool = False) -> VerticalField:
-    """Vertical vector field generated by an observable, read from its
-    components C^i: vu[a] = Y^a = dC^1/dp^1_a, vp[i][b] = -dC^i/du^b and,
-    with ``extended=True``, vpext = -dC^i/dx^i."""
-    forms, chart = _forms(c), c.chart
-    vu = tuple(forms.components[0].diff(chart.p_name(1, a)).to_expr()
-               for a in range(1, chart.n + 1))
-    vp = tuple(tuple((-Ci.diff(u)).to_expr() for u in chart.u_names)
-               for Ci in forms.components)
-    vpext = (-NormalForm.sum(_explicit_forms(forms))).to_expr() if extended else None
-    return VerticalField(vu=vu, vp=vp, vpext=vpext)
+def hamiltonian_field(c: Current | DensityCoefficient) -> VerticalField:
+    """Extended Hamiltonian vector field of an observable: the field (vu, vp)
+    that the brackets read, as trees, and vpext = -dC^i/dx^i."""
+    forms = _forms(c)
+    vu, vp = forms._field
+    return VerticalField(vu=tuple(f.to_expr() for f in vu),
+                         vp=tuple(tuple(f.to_expr() for f in row) for row in vp),
+                         vpext=(-NormalForm.sum(_explicit_forms(forms))).to_expr())
 
 
 def representation_residual(a: Current, b: Current, h: HamiltonianSection) -> float:
     """Largest |coefficient| left in the affine-representation identity's residual
     {{a,b}, h} - {a, {b,h}}_l + {b, {a,h}}_l; 0.0 when the identity holds."""
-    _check_pair(a, b)
+    _check_charts(a, b, h)
     form = _representation_form(_forms(a), _forms(b), NormalForm.of(h.H))
     return _largest(_terms_left([form]))

@@ -132,8 +132,20 @@ class Current:
             raise ValueError(f"expected {self.chart.m} beta coefficients, got {len(self.beta)}")
 
 
+class _ObservableForms:
+    """The forms of an observable with component coefficients ``components``."""
+
+    @cached_property
+    def _field(self) -> tuple[tuple[NormalForm, ...], tuple[tuple[NormalForm, ...], ...]]:
+        """Its Hamiltonian vector field (vu, vp), derived once from the C^i:
+        vu[a] = dC^1/dp^1_a (Y^a for a current) and vp[i][a] = -dC^i/du^a."""
+        chart, C = self.chart, self.components
+        return (tuple(C[0].diff(chart.p_name(1, a)) for a in range(1, chart.n + 1)),
+                tuple(tuple(-Ci.diff(u) for u in chart.u_names) for Ci in C))
+
+
 @dataclass(frozen=True)
-class CurrentForms:
+class CurrentForms(_ObservableForms):
     """The normal forms of a current's coefficients ``Y`` and ``beta``.
 
     Brackets compose these without emitting trees.
@@ -163,7 +175,7 @@ class CurrentForms:
 
 
 @dataclass(frozen=True)
-class DensityForm:
+class DensityForm(_ObservableForms):
     """The normal form of a density coefficient's ``F``, for the m = 1 brackets."""
 
     chart: Chart

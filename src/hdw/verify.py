@@ -60,6 +60,13 @@ class VerificationReport:
         }
 
 
+def _exact(name: str, certifies: str, left: list[float]) -> VerificationReport:
+    """The report of a proof whose residual keeps the |coefficients| ``left``."""
+    return VerificationReport(name=name, certifies=certifies, passed=not left,
+                              max_residual=_largest(left), tolerance=0.0,
+                              sample_count=0, details={"residual_terms": len(left)})
+
+
 # ---------------------------------------------------------------------------
 # Jets
 
@@ -99,12 +106,9 @@ def check_representation() -> VerificationReport:
     H = _jet("h", tuple(sorted(chart.names)))
     a, b = (_jet_current(prefix, chart) for prefix in "ab")
     left = _terms_left([_representation_form(a, b, H)])
-    return VerificationReport(
-        name="representation_identity",
-        certifies="the linear-affine bracket represents the current algebra on "
-                  "the affine space of Hamiltonian sections",
-        passed=not left, max_residual=_largest(left), tolerance=0.0,
-        sample_count=0, details={"residual_terms": len(left)})
+    return _exact("representation_identity",
+                  "the linear-affine bracket represents the current algebra on "
+                  "the affine space of Hamiltonian sections", left)
 
 
 def _coefficient_current(prefix: str, chart: Chart) -> CurrentForms:
@@ -236,11 +240,8 @@ def check_m1_reduction() -> VerificationReport:
     left = _terms_left([NormalForm.sum([_linear_form(f, G), -canonical]),
                         NormalForm.sum([_affine_form(f, G), -F.diff("x1"), -canonical]),
                         _linear_form(f, F)])
-    return VerificationReport(
-        name="mechanics_reduction",
-        certifies="1-D base brackets equal the canonical time-dependent Poisson bracket",
-        passed=not left, max_residual=_largest(left), tolerance=0.0,
-        sample_count=0, details={"residual_terms": len(left)})
+    return _exact("mechanics_reduction",
+                  "1-D base brackets equal the canonical time-dependent Poisson bracket", left)
 
 
 # the chart of the connection-class proof
@@ -311,8 +312,9 @@ def _law_form(c: CurrentForms | DensityForm, H: NormalForm) -> tuple[NormalForm,
     components C^i along a section, for the form ``H`` of the Hamiltonian.
 
     The divergence sum_i D_i C^i is one dot product over the first jet, with
-    dp^1_a/dx^1 eliminated by the E_a equation; the pairing is
-    sum_a Y^a E_a + sum_(i,a) dC^i/du^a F^i_a with Y^a = dC^1/dp^1_a."""
+    dp^1_a/dx^1 eliminated by the E_a equation.  The pairing
+    sum_a vu[a] E_a - sum_(i,a) vp[i][a] F^i_a reads the field of ``c``, as the
+    bracket does; the divergence does not, so a wrong field cannot cancel."""
     chart, C = c.chart, c.components
     m, n = chart.m, chart.n
     E = [NormalForm.atom(f"E{a}") for a in range(1, n + 1)]
@@ -332,9 +334,9 @@ def _law_form(c: CurrentForms | DensityForm, H: NormalForm) -> tuple[NormalForm,
            for i, Ci in enumerate(C, start=1) for a, u in enumerate(chart.u_names, start=1)]
         + [(Ci.diff(chart.p_name(j, a)), dp_dx(i, j, a)) for i, Ci in enumerate(C, start=1)
            for j in range(1, m + 1) for a in range(1, n + 1)])
-    pairing = NormalForm.dot(
-        [(C[0].diff(chart.p_name(1, a)), E[a - 1]) for a in range(1, n + 1)]
-        + [(Ci.diff(u), Fi[a]) for Ci, Fi in zip(C, F) for a, u in enumerate(chart.u_names)])
+    vu, vp = c._field
+    pairing = NormalForm.dot(list(zip(vu, E))
+                             + [(-x, Fi[a]) for vpi, Fi in zip(vp, F) for a, x in enumerate(vpi)])
     return NormalForm.sum([divergence, -_affine_form(c, H)]), pairing
 
 
@@ -345,12 +347,9 @@ def check_bracket_evolution_ode() -> VerificationReport:
     names = tuple(sorted(chart.names))
     divergence, pairing = _law_form(DensityForm(chart, _jet("f", names)), _jet("h", names))
     left = _terms_left([NormalForm.sum([divergence, -pairing])])
-    return VerificationReport(
-        name="bracket_evolution_ode",
-        certifies="along any section an observable's derivative is its bracket with H "
-                  "plus its pairing with the section's defects (1-D base)",
-        passed=not left, max_residual=_largest(left), tolerance=0.0,
-        sample_count=0, details={"residual_terms": len(left)})
+    return _exact("bracket_evolution_ode",
+                  "along any section an observable's derivative is its bracket with H "
+                  "plus its pairing with the section's defects (1-D base)", left)
 
 
 def check_bracket_evolution_field() -> VerificationReport:
@@ -359,12 +358,9 @@ def check_bracket_evolution_field() -> VerificationReport:
     divergence, pairing = _law_form(_jet_current("a", chart),
                                     _jet("h", tuple(sorted(chart.names))))
     left = _terms_left([NormalForm.sum([divergence, -pairing])])
-    return VerificationReport(
-        name="bracket_evolution_field",
-        certifies="along any section a current's total divergence is its bracket with H "
-                  "plus its pairing with the section's defects",
-        passed=not left, max_residual=_largest(left), tolerance=0.0,
-        sample_count=0, details={"residual_terms": len(left)})
+    return _exact("bracket_evolution_field",
+                  "along any section a current's total divergence is its bracket with H "
+                  "plus its pairing with the section's defects", left)
 
 
 def check_bracket_evolution_converse() -> VerificationReport:
@@ -383,12 +379,9 @@ def check_bracket_evolution_converse() -> VerificationReport:
                for i in range(1, m + 1) for a in range(1, n + 1)]
     left = _terms_left(NormalForm.sum([_law_form(c, H)[0], -NormalForm.atom(defect)])
                        for c, defect in probes)
-    return VerificationReport(
-        name="bracket_evolution_converse",
-        certifies="the bracket evolution law holds for every current only on solutions: "
-                  "each field equation's defect is one current's defect from the law",
-        passed=not left, max_residual=_largest(left), tolerance=0.0,
-        sample_count=0, details={"residual_terms": len(left)})
+    return _exact("bracket_evolution_converse",
+                  "the bracket evolution law holds for every current only on solutions: "
+                  "each field equation's defect is one current's defect from the law", left)
 
 
 # ---------------------------------------------------------------------------

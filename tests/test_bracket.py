@@ -320,6 +320,17 @@ def test_m1_brackets_agree_with_sympy():
     check()
 
 
+def test_a_bracket_across_charts_is_refused():
+    # each was computed on the observable's chart and labelled with the other one
+    c = Current(Chart(m=2, n=1), ("u1",), ("x1", "0"))
+    with pytest.raises(ValueError, match="chart"):
+        bracket_affine(c, HamiltonianSection(Chart(m=2, n=2), "p1_1*p1_2 + u2^2"))
+    with pytest.raises(ValueError, match="chart"):
+        bracket_linear(c, DensityCoefficient(Chart(m=3, n=1), "p3_1"))
+    with pytest.raises(ValueError, match="chart"):
+        representation_residual(c, c, HamiltonianSection(Chart(m=2, n=2), "u2"))
+
+
 class TestCurrentBracket:
     def test_self_bracket_vanishes(self):
         chart = Chart(m=2, n=1)
@@ -388,7 +399,7 @@ class TestHamiltonianField:
 
     def test_extended_component(self):
         chart = Chart(m=2, n=1)
-        v = hamiltonian_field(Current(chart, ("x1",), ("0", "0")), extended=True)
+        v = hamiltonian_field(Current(chart, ("x1",), ("0", "0")))
         assert str(v.vpext) == "-p1_1"
 
     def test_m1_density(self):

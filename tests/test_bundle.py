@@ -132,7 +132,7 @@ class TestDCurrent:
 
     @staticmethod
     def _field(*coefficients):
-        return hamiltonian_field(Current(Chart(m=2, n=1), *coefficients), extended=True)
+        return hamiltonian_field(Current(Chart(m=2, n=1), *coefficients))
 
     def test_constant_form(self):
         v = self._field(("0",), ("5", "5"))

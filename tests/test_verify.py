@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hdw import bracket, verify
+from hdw import bracket, bundle, verify
 from hdw.bundle import Chart, CurrentForms, HamiltonianSection
 from hdw.expr import NormalForm
 from hdw.verify import (SUITES, check_bracket_evolution_converse,
@@ -433,3 +433,42 @@ def test_a_gauge_current_without_one_structure_constant_term_leaves_terms(monkey
     monkeypatch.setattr(verify, "_gauge_current", dropped)
     report = check_ym_conservation()
     assert not report.passed and report.details["residual_terms"] > 0
+
+
+# the suites that read an observable's Hamiltonian vector field
+_FIELD_SUITES = ("representation", "m1-reduction") + _LAW_SUITES + ("yang-mills",)
+
+
+@pytest.mark.parametrize("mutant", ["vu_sign", "vp_scaled"])
+def test_a_wrong_hamiltonian_field_fails_every_suite_that_reads_it(mutant, monkeypatch):
+    derive = bundle._ObservableForms.__dict__["_field"].func
+    tilt = NormalForm.constant(0.999)
+
+    def wrong(self):
+        vu, vp = derive(self)
+        if mutant == "vu_sign":
+            return tuple(-x for x in vu), vp
+        return vu, tuple(tuple(x * tilt for x in row) for row in vp)
+
+    monkeypatch.setattr(bundle._ObservableForms, "_field", property(wrong))
+    for key in _FIELD_SUITES:
+        report = SUITES[key]()
+        assert not report.passed and report.details["residual_terms"] > 0, key
+
+
+def test_the_representation_proof_differentiates_each_component_once(monkeypatch):
+    a, b = (verify._jet_current(prefix, verify._CHART) for prefix in "ab")
+    components = a.components + b.components
+    seen = []
+    diff = NormalForm.diff
+
+    def recorded(self, var):
+        seen.extend((k, var) for k, c in enumerate(components) if c is self)
+        return diff(self, var)
+
+    monkeypatch.setattr(NormalForm, "diff", recorded)
+    H = verify._jet("h", tuple(sorted(verify._CHART.names)))
+    assert not bracket._representation_form(a, b, H).terms
+    # each C^i in x^i for its explicit term and in each u^a for vp, C^1 in each
+    # p^1_a for vu: 2 + 4 + 2 pairs per current on m = n = 2
+    assert len(seen) == len(set(seen)) == 2 * 8
