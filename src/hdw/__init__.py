@@ -17,10 +17,9 @@ from .bracket import (ConnectionCheck, GammaSection, PhaseComponents,
                       connection_is_hamiltonian, current_bracket,
                       dh_components, gamma_h, hamiltonian_field,
                       representation_residual, sharp_aff)
-from .models import (ContinuumSpec, GasConstants, LieAlgebraSpec,
-                     PerfectGasLegendre, PerfectGasModel, WaveModel,
-                     YangMillsModel, abelian_algebra, model_td_mechanics,
-                     so3_algebra)
+from .models import (LieAlgebraSpec, PerfectGasLegendre, PerfectGasModel,
+                     WaveModel, YangMillsModel, abelian_algebra,
+                     model_td_mechanics, so3_algebra)
 from .solver import (GridSection, HamiltonianSystem, NewtonError, OdeState,
                      SolverConfig, evolve_field, hdw_residual,
                      integrate_ode, reconstruct_P, step_ode_rk4)

@@ -118,7 +118,6 @@ class Current:
     chart: Chart
     Y: tuple[Expression, ...]
     beta: tuple[Expression, ...]
-    name: str = ""
 
     def __post_init__(self):
         if self.chart.m < 2:
@@ -196,7 +195,7 @@ class ValidationReport:
         return self.valid
 
 
-def validate_current(c: Current | CurrentForms, chart: Chart | None = None) -> ValidationReport:
+def validate_current(c: Current | CurrentForms) -> ValidationReport:
     """Check that no coefficient of ``c`` depends on a momentum variable.
 
     Reads the variables of the coefficients' normal forms, so a momentum
@@ -204,8 +203,7 @@ def validate_current(c: Current | CurrentForms, chart: Chart | None = None) -> V
     """
     if isinstance(c, Current):
         c = CurrentForms.of(c)
-    chart = chart or c.chart
-    forbidden = frozenset(chart.p_names) | {EXTENDED_MOMENTUM}
+    forbidden = frozenset(c.chart.p_names) | {EXTENDED_MOMENTUM}
     offending: dict[str, tuple[str, ...]] = {}
     for label, exprs in (("Y", c.Y), ("beta", c.beta)):
         for k, e in enumerate(exprs, start=1):

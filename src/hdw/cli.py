@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -20,9 +21,8 @@ import numpy as np
 
 from .bracket import bracket_affine
 from .bundle import Chart, Current, DensityCoefficient, HamiltonianSection
-from .expr import DomainError, ExprError, ParseError, parse, simplify
-from .models import (ContinuumSpec, GasConstants, PerfectGasModel, WaveModel,
-                     model_td_mechanics)
+from .expr import DomainError, ExprError, ParseError, SizeError, parse, simplify
+from .models import PerfectGasModel, WaveModel, model_td_mechanics
 from .solver import NewtonError, OdeState, SolverConfig, _field_sections, _quiet, \
     _ode_tables, _ResidualNorms
 from .verify import run_suites, SUITES
@@ -83,8 +83,7 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
 # ---------------------------------------------------------------------------
 # Model files
 
-_SOLVER_KEYS = {"dt", "t_final", "K", "dx", "x0", "boundary", "scheme",
-                "p_reconstruction", "newton_tol", "newton_max_iter"}
+_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 
 
 class ModelFile:
@@ -163,8 +162,7 @@ class ModelFile:
                 for key, exprs in coeffs.items():
                     for j, e in enumerate(exprs, start=1):
                         self.chart.check_scope(e, f"{where}.{key}[{j}]")
-                self.currents[name] = Current(self.chart, coeffs["Y"], coeffs["beta"],
-                                              name=name)
+                self.currents[name] = Current(self.chart, coeffs["Y"], coeffs["beta"])
 
         initial = _expect(data.get("initial", {}), dict, f"{source}: initial")
         _check_keys(initial, {"u", "M", "p"}, f"{source}: initial")
@@ -175,14 +173,9 @@ class ModelFile:
         self.solver_data = solver_obj
 
     def _build_builtin(self, builtin: str, data: dict) -> HamiltonianSection:
-        if builtin == "wave":
-            model = WaveModel()
-            self.field_model = model
-            return model.hamiltonian
-        if builtin == "perfect_gas":
-            model = PerfectGasModel(ContinuumSpec(gas=GasConstants()))
-            self.field_model = model
-            return model.hamiltonian
+        if builtin in ("wave", "perfect_gas"):
+            self.field_model = WaveModel() if builtin == "wave" else PerfectGasModel()
+            return self.field_model.hamiltonian
         if builtin == "td_mechanics":
             potential = _expect(data.get("potential", "0"), str, f"{self.source}: potential")
             return model_td_mechanics(parse(potential))
@@ -469,12 +462,12 @@ def cmd_parse_check(args) -> int:
     status = EXIT_OK
     for text in args.expression:
         try:
-            e = parse(text)
-        except ParseError as exc:
+            e = simplify(parse(text))
+        except (ParseError, SizeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             status = EXIT_USAGE
             continue
-        print(f"ok: {simplify(e)}")
+        print(f"ok: {e}")
     return status
 
 

@@ -90,6 +90,21 @@ class DomainError(ExprError):
     pass
 
 
+class SizeError(ExprError):
+    """A normal-form product would form more than :data:`MAX_PRODUCTS` term products."""
+
+
+# the most term products one NormalForm product or dot may form: the tests and
+# suites form at most 12,544, (u1+u2+u3+u4)^30 forms 658,920
+MAX_PRODUCTS = 1 << 17
+
+
+def _check_products(count: int) -> None:
+    if count > MAX_PRODUCTS:
+        raise SizeError(f"expression too large: a product would form {count} products "
+                        f"of terms, above the limit of {MAX_PRODUCTS}")
+
+
 def _coerce(value) -> "Expression":
     if isinstance(value, Expression):
         return value
@@ -725,6 +740,7 @@ class NormalForm:
         pairs = [(x, y) for x, y in pairs if x.terms and y.terms]
         if not pairs:
             return NormalForm()
+        _check_products(sum(len(x.terms) * len(y.terms) for x, y in pairs))
         atoms = NormalForm._common_atoms([f for pair in pairs for f in pair])
         acc: defaultdict[int, list[float]] = defaultdict(list)
         for x, y in pairs:
@@ -740,6 +756,7 @@ class NormalForm:
     def __mul__(self, other: "NormalForm") -> "NormalForm":
         if not self.terms or not other.terms:
             return NormalForm()
+        _check_products(len(self.terms) * len(other.terms))
         atoms = NormalForm._common_atoms((self, other))
         a, b = self._terms_on(atoms), other._terms_on(atoms)
         if len(a) == 1:

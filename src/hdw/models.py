@@ -1,14 +1,16 @@
-"""Built-in example theories: mechanics, continuum models and gauge fields."""
+"""Built-in example theories: time-dependent mechanics, two 1+1-D continuum
+models at fixed constants (the unit wave and the perfect gas with gamma = 1.4,
+K = 1), and Yang-Mills fields of a given Lie algebra."""
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bundle import Chart, HamiltonianSection
-from .expr import (Add, Const, Div, Expression, Func, Mul, Neg, NormalForm, Pow, Sub,
+from .expr import (Add, Const, Div, Expression, Func, Mul, NormalForm, Pow, Sub,
                    add_all, parse, simplify)
 
 
@@ -22,7 +24,6 @@ class LieAlgebraSpec:
 
     dim: int
     c: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         n = self.dim
@@ -45,7 +46,7 @@ class LieAlgebraSpec:
 
 
 def abelian_algebra(dim: int = 1) -> LieAlgebraSpec:
-    return LieAlgebraSpec(dim=dim, c=np.zeros((dim, dim, dim)), name=f"abelian({dim})")
+    return LieAlgebraSpec(dim=dim, c=np.zeros((dim, dim, dim)))
 
 
 def so3_algebra() -> LieAlgebraSpec:
@@ -54,7 +55,7 @@ def so3_algebra() -> LieAlgebraSpec:
         for a in range(3):
             for b in range(3):
                 c[g, a, b] = _levi_civita(a, b, g)
-    return LieAlgebraSpec(dim=3, c=c, name="so3")
+    return LieAlgebraSpec(dim=3, c=c)
 
 
 def _levi_civita(i: int, j: int, k: int) -> float:
@@ -67,45 +68,6 @@ def _levi_civita(i: int, j: int, k: int) -> float:
 
 # ---------------------------------------------------------------------------
 # Continuum mechanics
-
-
-@dataclass(frozen=True)
-class GasConstants:
-    gamma: float = 1.4
-    eps0: float = 1.0
-    rho0: float = 1.0
-    s0: float = 0.0
-    Cv: float = 1.0
-
-
-@dataclass(frozen=True)
-class ContinuumSpec:
-    """Constant structure data of a continuum theory.
-
-    ``g`` is the fiber metric, ``G`` the base cometric (both constant,
-    symmetric positive definite), ``rho_bar`` the reference mass density
-    and ``sigma_bar`` the reference entropy density.
-    """
-
-    N: int = 1
-    g: np.ndarray = field(default_factory=lambda: np.eye(1))
-    G: np.ndarray = field(default_factory=lambda: np.eye(1))
-    rho_bar: float = 1.0
-    sigma_bar: float = 0.0
-    gas: GasConstants | None = None
-
-    def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
-        G = np.asarray(self.G, dtype=float)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "G", G)
-        for name, mat in (("g", g), ("G", G)):
-            if np.max(np.abs(mat - mat.T)) > 1e-14:
-                raise ValueError(f"metric {name} must be symmetric")
-            if np.any(np.linalg.eigvalsh(mat) <= 0.0):
-                raise ValueError(f"metric {name} must be positive definite")
-        if self.rho_bar <= 0.0:
-            raise ValueError("reference mass density must be positive")
 
 
 def model_td_mechanics(V: Expression | str, n: int = 1) -> HamiltonianSection:
@@ -126,50 +88,29 @@ class WaveModel:
     (momentum density) and p2_1 = P (stress density).
     """
 
-    name = "wave"
-
-    def __init__(self, spec: ContinuumSpec | None = None):
-        spec = spec or ContinuumSpec()
-        if spec.N != 1 or spec.g.shape != (1, 1) or spec.G.shape != (1, 1):
-            raise ValueError("the wave model is 1+1-dimensional with scalar metrics")
-        self.spec = spec
+    def __init__(self):
         self.chart = Chart(m=2, n=1)
-        g = float(spec.g[0, 0])
-        Ginv = float(spec.G[0, 0])
-        rho = spec.rho_bar
         M, P = self.chart.p(1, 1), self.chart.p(2, 1)
-        kinetic = Div(Pow(M, 2), Const(2.0 * g * rho))
-        # potential part of the simplified stored energy, already Legendre-inverted
-        elastic = Neg(Div(Mul(Const(1.0 / (Ginv * g)), Pow(P, 2)), Const(2.0 * rho)))
-        self.hamiltonian = HamiltonianSection(self.chart, simplify(Add(kinetic, elastic)))
-        self._p_slope = -rho * g * Ginv
+        # kinetic energy minus the Legendre-inverted simplified stored energy
+        H = Sub(Div(Pow(M, 2), Const(2.0)), Div(Pow(P, 2), Const(2.0)))
+        self.hamiltonian = HamiltonianSection(self.chart, simplify(H))
 
     def reconstruct_P(self, du_dx: np.ndarray) -> np.ndarray:
-        """Closed-form stress from the deformation gradient: P = -rho g G du/dx."""
-        return self._p_slope * du_dx
+        """Closed-form stress from the deformation gradient: P = -du/dx."""
+        return -1.0 * du_dx
 
 
 class PerfectGasLegendre:
-    """Scalar stress/deformation relation of the 1-D perfect gas.
+    """Scalar stress/deformation relation of the 1-D perfect gas, gamma = 1.4.
 
     Forward map: P = f(detF) / detF with f(x) = (gamma-1) K x^(1-gamma);
-    the determinant relation detP = f(detF)^N / detF is inverted in
-    closed form.
+    the determinant relation detP = f(detF) / detF is inverted in closed
+    form, which gamma = 2 would not allow.
     """
 
-    def __init__(self, spec: ContinuumSpec):
-        if spec.gas is None:
-            raise ValueError("perfect-gas model requires gas constants")
-        if spec.N != 1:
-            raise ValueError("only the 1-D perfect gas is implemented")
-        gas = spec.gas
-        self.gamma = gas.gamma
-        sqrt_g = float(np.sqrt(np.linalg.det(spec.g)))
-        self.sqrt_g = sqrt_g
-        entropy_factor = np.exp((spec.sigma_bar / spec.rho_bar - gas.s0 / gas.rho0) / gas.Cv)
-        self.K = gas.eps0 * entropy_factor * (spec.rho_bar / (gas.rho0 * sqrt_g)) ** gas.gamma * sqrt_g
-        if self.gamma == 2.0:
-            raise ValueError("state relation is not invertible for adiabatic index 2")
+    gamma = 1.4
+    K = 1.0
+    sqrt_g = 1.0
 
     def energy_density(self, detF: float | np.ndarray):
         """Eulerian internal energy density at the given volume ratio."""
@@ -204,17 +145,11 @@ class PerfectGasLegendre:
 class PerfectGasModel:
     """1-D perfect-gas fluid with closed-form Legendre inversion."""
 
-    name = "perfect_gas"
-
-    def __init__(self, spec: ContinuumSpec | None = None):
-        spec = spec or ContinuumSpec(gas=GasConstants())
-        self.spec = spec
-        self.legendre = PerfectGasLegendre(spec)
+    def __init__(self):
+        self.legendre = leg = PerfectGasLegendre()
         self.chart = Chart(m=2, n=1)
-        leg = self.legendre
-        g_inv = float(np.linalg.inv(spec.g)[0, 0])
         M, P = self.chart.p(1, 1), self.chart.p(2, 1)
-        kinetic = Div(Mul(Const(g_inv), Pow(M, 2)), Const(2.0 * spec.rho_bar))
+        kinetic = Div(Pow(M, 2), Const(2.0))
         # potential energy (1 + N(gamma-1)) ebar detF = gamma K detF^(1-gamma) with
         # detF recovered from P: detF = ((gamma-1) K / P)^(1/gamma), so the power
         # is one exp of ((1-gamma)/gamma) ln((gamma-1) K / P)

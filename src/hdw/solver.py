@@ -98,6 +98,8 @@ class SolverConfig:
                 raise ValueError(f"solver.{key} must be an integer, got {value!r}")
         if self.dt <= 0.0:
             raise ValueError("time step must be positive")
+        if self.t_final < 0.0:
+            raise ValueError(f"solver.t_final must be non-negative, got {self.t_final}")
         if self.dx < 0.0:
             raise ValueError(f"solver.dx must be positive, got {self.dx}")
         if self.newton_tol < 0.0:
@@ -234,11 +236,10 @@ def _floats(state: OdeState) -> list[float]:
     return [*map(float, state.u), *map(float, state.p)]
 
 
-def step_ode_rk4(state: OdeState, h: HamiltonianSection, dt: float,
-                 system: _OdeSystem | None = None) -> OdeState:
+def step_ode_rk4(state: OdeState, h: HamiltonianSection, dt: float) -> OdeState:
     """One classical fourth-order step of the Hamilton equations; raises
     FloatingPointError if it reaches a non-finite state."""
-    y = (system or _OdeSystem(h)).steps(array("d"), 0, 1, state.t, dt, *_floats(state))
+    y = _OdeSystem(h).steps(array("d"), 0, 1, state.t, dt, *_floats(state))
     n = len(state.u)
     return OdeState(t=state.t + dt, u=np.array(y[:n]), p=np.array(y[n:]))
 
@@ -397,16 +398,13 @@ def _field_sections(model, config: SolverConfig, u0: np.ndarray, M0: np.ndarray)
         raise FloatingPointError(f"invalid state at step {k} (t = {t}): {exc}") from None
 
 
-def reconstruct_P(u: np.ndarray, model, config: SolverConfig,
-                  t: float = 0.0, M: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise solve of the spatial constraint du/dx = dH/dP."""
+def reconstruct_P(u: np.ndarray, model, config: SolverConfig) -> np.ndarray:
+    """Pointwise solve of the spatial constraint du/dx = dH/dP at t = 0 and
+    zero momentum density M."""
     system = _FieldSystem(model, config)
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    K = u.shape[-1]
-    x = config.x0 + config.dx * np.arange(K)
-    if M is None:
-        M = np.zeros_like(u)
-    return system.reconstruct_P(t, x, u, M)
+    x = config.x0 + config.dx * np.arange(u.shape[-1])
+    return system.reconstruct_P(0.0, x, u, np.zeros_like(u))
 
 
 # ---------------------------------------------------------------------------

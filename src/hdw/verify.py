@@ -202,8 +202,11 @@ def _oracle_mismatch(seed: int, trials: int) -> float:
     return float(np.max([np.abs(o - d) / (1.0 + np.abs(d)) for o, d in zip(oracle, direct)]))
 
 
-def check_jacobi_currents(seed: int = 1, trials: int = 20,
-                          oracle_tol: float = 1e-5) -> VerificationReport:
+# the largest relative gap to the finite-difference oracle the Jacobi suite accepts
+_ORACLE_TOL = 1e-5
+
+
+def check_jacobi_currents(seed: int = 1, trials: int = 20) -> VerificationReport:
     """Lie algebra laws of the current bracket for every smooth triple of
     currents on m = n = 2, and the public bracket against a finite-difference
     oracle on ``trials`` random pairs."""
@@ -220,7 +223,7 @@ def check_jacobi_currents(seed: int = 1, trials: int = 20,
         name="current_lie_algebra",
         certifies="the current bracket is an antisymmetric Lie bracket matching "
                   "the commutator/contraction form",
-        passed=not jacobi and not antisym and worst_oracle <= oracle_tol,
+        passed=not jacobi and not antisym and worst_oracle <= _ORACLE_TOL,
         max_residual=_largest(jacobi), tolerance=0.0, sample_count=0,
         seed=seed, details={"antisymmetry": _largest(antisym),
                             "oracle_mismatch": worst_oracle,

@@ -68,6 +68,13 @@ class TestParseCheck:
     def test_mixed(self):
         assert main(["parse-check", "u1", "((("]) == 2
 
+    def test_oversized_expression_is_reported_and_the_next_one_printed(self, capsys):
+        # expanding the power would form 658,920 products of terms
+        assert main(["parse-check", "(u1+u2+u3+u4)^30", "u1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "ok: u1\n"
+        assert err.startswith("error: expression too large") and "131072" in err
+
 
 class TestBracket:
     def test_prints_expression_and_value(self, oscillator_model, capsys):
@@ -540,8 +547,9 @@ def test_non_finite_solver_value_exits_2_without_output(key, value, tmp_path, ca
     ("newton_tol", -1, "solver.newton_tol must be non-negative"),
     ("newton_tol", True, "solver.newton_tol must be a number"),
     ("K", 128.5, "solver.K must be an integer"),
+    ("t_final", -1, "solver.t_final must be non-negative"),
 ], ids=["max_iter-0", "max_iter-float", "max_iter-bool", "dt-string", "t_final-huge-int",
-        "tol-negative", "tol-bool", "K-float"])
+        "tol-negative", "tol-bool", "K-float", "t_final-negative"])
 def test_bad_solver_value_exits_2_without_output(key, value, message, tmp_path, capsys):
     K = 128
     solver = {"dt": 1 / K / 8, "t_final": 0.01, "K": K, "dx": 1 / K,

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hdw.expr import (MAX_NESTING, Add, Const, Div, DomainError, ExprError, Func, Mul, Neg,
-                      ParseError, Pow, Sub, UnboundVariableError, Var, _Check, compile_exprs,
-                      parse, simplify)
+from hdw.expr import (MAX_NESTING, MAX_PRODUCTS, Add, Const, Div, DomainError, ExprError, Func,
+                      Mul, Neg, NormalForm, ParseError, Pow, SizeError, Sub, UnboundVariableError,
+                      Var, _Check, compile_exprs, parse, simplify)
 
 
 class TestParse:
@@ -167,6 +167,20 @@ class TestSimplify:
     def test_constant_zero_denominator(self):
         with pytest.raises(DomainError):
             simplify(parse("u1/(2-2)"))
+
+    def test_products_beyond_the_limit_are_refused(self):
+        # forms of 400 and 256 terms; a product forms len x len products of
+        # terms, a dot their sum over its pairs
+        x = NormalForm.polynomial([(("u1",) * k, 1.0) for k in range(400)])
+        y = NormalForm.polynomial([(("u2",) * k, 1.0) for k in range(256)])
+        assert 256 * 400 <= MAX_PRODUCTS < 400 * 400 and 2 * 256 * 400 > MAX_PRODUCTS
+        assert len((x * y).terms) == 256 * 400
+        with pytest.raises(SizeError, match="160000 products of terms"):
+            x * x
+        with pytest.raises(SizeError, match="204800 products of terms"):
+            NormalForm.dot([(x, y), (y, x)])
+        with pytest.raises(SizeError):
+            simplify(parse("(u1+u2+u3+u4)^30"))
 
     def test_preserves_values(self):
         rng = np.random.default_rng(3)

@@ -8,8 +8,7 @@ import pytest
 from hdw import solver
 from hdw.bundle import Chart, HamiltonianSection
 from hdw.expr import DomainError, compile_exprs, parse, simplify
-from hdw.models import (ContinuumSpec, GasConstants, PerfectGasModel,
-                        WaveModel, model_td_mechanics)
+from hdw.models import PerfectGasModel, WaveModel, model_td_mechanics
 from hdw.solver import (GridSection, NewtonError, OdeState, SolverConfig,
                         _FieldSystem, ddx, evolve_field, hdw_residual,
                         integrate_ode, reconstruct_P, step_ode_rk4)
@@ -269,7 +268,7 @@ class TestFieldStepperReference:
         x = dx * np.arange(K)
         config = SolverConfig(dt=dx / 8.0, t_final=0.1, K=K, dx=dx, boundary="dirichlet",
                               p_reconstruction="newton")
-        model = PerfectGasModel(ContinuumSpec(gas=GasConstants()))
+        model = PerfectGasModel()
         self._assert_equal(model, config, (x + 0.03 * np.sin(2.0 * np.pi * x))[None, :],
                            (0.01 * np.sin(2.0 * np.pi * x))[None, :])
 
@@ -290,7 +289,7 @@ class TestReconstructP:
 
     def test_gas_newton_round_trip(self):
         # the Newton solve reproduces the closed-form reconstruction
-        model = PerfectGasModel(ContinuumSpec(gas=GasConstants()))
+        model = PerfectGasModel()
         K = 32
         dx = 1.0 / K
         x = dx * np.arange(K)
@@ -303,7 +302,7 @@ class TestReconstructP:
         assert np.max(np.abs(P1 - P2)) <= 1e-10
 
     def test_newton_failure_reported(self):
-        model = PerfectGasModel(ContinuumSpec(gas=GasConstants()))
+        model = PerfectGasModel()
         # negative deformation gradient is outside the state relation's domain;
         # the Newton solve starts from the closed form, which refuses it
         for reconstruction in ("closed_form", "newton"):
@@ -318,7 +317,7 @@ class TestReconstructP:
         # one Newton step from that stress, taken with its slope, and that
         # step does not close the gap to the tolerance, so the error names
         # the grid point of the largest residual left
-        model = PerfectGasModel(ContinuumSpec(gas=GasConstants()))
+        model = PerfectGasModel()
         K = 32
         dx = 1.0 / K
         dt = dx / 8.0
@@ -350,7 +349,7 @@ class TestReconstructP:
         # the perfect gas at K = 128 with Dirichlet ends, dt = dx/8 to t = 0.5
         # (2,049 solves): from the predicted start every solve after the
         # first converges within two stress_and_slope calls
-        model = PerfectGasModel(ContinuumSpec(gas=GasConstants()))
+        model = PerfectGasModel()
         K = 128
         dx = 1.0 / K
         x = dx * np.arange(K)
@@ -485,7 +484,7 @@ def _residual_case(case, snapshots):
         dt = dx / 4.0
         u0, M0 = np.sin(dx * np.arange(K)), -np.cos(dx * np.arange(K))
     else:
-        model = PerfectGasModel(ContinuumSpec(gas=GasConstants()))
+        model = PerfectGasModel()
         dx, boundary = 1.0 / K, "dirichlet"
         dt = dx / 8.0
         x = dx * np.arange(K)
@@ -666,7 +665,7 @@ class TestHamiltonianSystem:
             assert state.t == row.t and np.array_equal(state.u, row.u) \
                 and np.array_equal(state.p, row.p)
 
-    @pytest.mark.parametrize("make", [lambda: PerfectGasModel(ContinuumSpec(gas=GasConstants())),
+    @pytest.mark.parametrize("make", [lambda: PerfectGasModel(),
                                       WaveModel], ids=["perfect-gas", "wave"])
     def test_stress_and_slope_equal_the_separate_kernels(self, make):
         # the wave model's slope is a constant, returned as a scalar
@@ -681,7 +680,7 @@ class TestHamiltonianSystem:
             assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
 
     def test_stress_and_slope_keep_the_domain_checks(self):
-        system = PerfectGasModel(ContinuumSpec(gas=GasConstants())).hamiltonian.system
+        system = PerfectGasModel().hamiltonian.system
         x = np.linspace(0.0, 1.0, 16)
         P = 0.3 + x
         P[5] = 0.0
