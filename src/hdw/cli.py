@@ -101,16 +101,17 @@ class ModelFile:
           "hamiltonian": "p1_1^2/2 + u1^2/2",
           "currents": [{"name": "q", "F": "u1"},
                        {"name": "flux", "Y": ["1"], "beta": ["0", "0"]}],
-          "initial": {"u": ["sin(x2)"], "M": ["-cos(x2)"], "p": ["0"]},
+          "initial": {"u": ["sin(x2)"], "M": ["-cos(x2)"]},
           "solver": {"dt": 0.01, "t_final": 1.0, "K": 128, "dx": 0.05}
         }
 
     ``model`` selects a built-in theory; otherwise ``chart`` and
     ``hamiltonian`` define a custom one.  Current entries carry either a
     plain density coefficient ``F`` (m = 1) or the pair ``Y``/``beta``
-    (m >= 2).  Initial data are expressions in the spatial coordinate
-    x2 for fields, or constant expressions for mechanics.  Every field
-    has the JSON type shown, and chart dimensions are integers >= 1.
+    (m >= 2).  Initial data are one ``u`` and one ``M`` expression in the
+    spatial coordinate x2 for fields, or ``u`` and ``p`` constant expressions
+    for mechanics, and no other key.  Every field has the JSON type shown,
+    and chart dimensions are integers >= 1.
     """
 
     def __init__(self, data: dict, source: str = "<model>"):
@@ -165,7 +166,7 @@ class ModelFile:
                 self.currents[name] = Current(self.chart, coeffs["Y"], coeffs["beta"])
 
         initial = _expect(data.get("initial", {}), dict, f"{source}: initial")
-        _check_keys(initial, {"u", "M", "p"}, f"{source}: initial")
+        _check_keys(initial, {"u", "p" if self.chart.m == 1 else "M"}, f"{source}: initial")
         self.initial = {k: _texts(v, f"{source}: initial.{k}") for k, v in initial.items()}
 
         solver_obj = _expect(data.get("solver", {}), dict, f"{source}: solver")
@@ -252,18 +253,12 @@ def _eval_constant(text: str) -> float:
     return e.eval({})
 
 
-def _eval_profile(exprs: list[str], x: np.ndarray, chart: Chart) -> np.ndarray:
-    rows = []
-    for text in exprs:
-        e = parse(text)
-        extra = e.variables() - {"x2"}
-        if extra:
-            raise ModelFileError(f"initial profile may only use x2, got {sorted(extra)}")
-        value = e.eval_many({"x2": x})
-        rows.append(np.broadcast_to(np.atleast_1d(value), x.shape))
-    if len(rows) != chart.n:
-        raise ModelFileError(f"expected {chart.n} initial profiles, got {len(rows)}")
-    return np.stack(rows)
+def _eval_profile(text: str, x: np.ndarray) -> np.ndarray:
+    e = parse(text)
+    extra = e.variables() - {"x2"}
+    if extra:
+        raise ModelFileError(f"initial profile may only use x2, got {sorted(extra)}")
+    return np.broadcast_to(e.eval_many({"x2": x}), x.shape)
 
 
 def _json(obj, allow_nan: bool = True) -> str:
@@ -292,27 +287,26 @@ def _ode_blocks(tables):
 
 def _field_blocks(sections):
     """Blocks of whole snapshots, about ``_BLOCK_VALUES`` values of u, M and P
-    each: rows t, x, then u, M, P of each fiber coordinate.  Each t and the
+    each: rows t, x, u, M, P of the one fibre coordinate.  Each t and the
     shared grid x are formatted once."""
     # imported on first use: building its tables takes about 0.5 MiB of
     # resident memory, which hdw verify has no use for
     from .csvtext import WORDS, join_rows, slots
 
     def text(batch) -> bytes:
-        S, (n, K) = len(batch), batch[0].u.shape
-        values = slots(np.concatenate([[s.t for s in batch]] + [
-            np.stack([s.u, s.M, s.P], axis=1).ravel() for s in batch]))
-        rows = np.empty((S, K, 2 + 3 * n, WORDS), dtype=x_slots.dtype)
+        S, K = len(batch), len(x_slots)
+        values = slots(np.concatenate([[s.t for s in batch]]
+                                      + [a for s in batch for a in (s.u, s.M, s.P)]))
+        rows = np.empty((S, K, 5, WORDS), dtype=x_slots.dtype)
         rows[:, :, 0] = values[:S, None]
         rows[:, :, 1] = x_slots
-        rows[:, :, 2:] = values[S:].reshape(S, 3 * n, K, WORDS).transpose(0, 2, 1, 3)
+        rows[:, :, 2:] = values[S:].reshape(S, 3, K, WORDS).transpose(0, 2, 1, 3)
         return join_rows(rows)
 
     batch, x_slots = [], None
     for s in sections:
         if x_slots is None:
-            n, K = s.u.shape
-            per_block = max(1, _BLOCK_VALUES // (3 * n * K))
+            per_block = max(1, _BLOCK_VALUES // (3 * len(s.x)))
             x_slots = slots(s.x)
         batch.append(s)
         if len(batch) == per_block:
@@ -405,16 +399,17 @@ def cmd_simulate(args) -> int:
                                      "(closed-form stress reconstruction)")
             if not config.K or not config.dx:
                 raise ModelFileError("field simulation needs solver.K and solver.dx")
-            _check_size(config, (2 + 3 * chart.n) * config.K)
+            _check_size(config, 5 * config.K)
+            for key in ("u", "M"):
+                if len(model.initial.get(key, [])) != 1:
+                    raise ModelFileError(f"{model.source}: expected one '{key}' profile, "
+                                         f"got {len(model.initial.get(key, []))}")
             x = config.x0 + config.dx * np.arange(config.K)
             with _quiet():  # a non-finite profile fails at step 0, not as a numpy warning
-                u0 = _eval_profile(model.initial.get("u", []), x, chart)
-                M0 = _eval_profile(model.initial.get("M", []), x, chart)
+                u0, M0 = (_eval_profile(model.initial[key][0], x) for key in ("u", "M"))
             residual = _ResidualNorms(model.hamiltonian, config.dt, config.dx, config.boundary)
             sections = _field_sections(model.field_model, config, u0, M0)
-            header = ["t", "x"]
-            for a in range(1, chart.n + 1):
-                header += [f"u{a}", f"M{a}", f"P{a}"]
+            header = ["t", "x", "u1", "M1", "P1"]
             blocks = _field_blocks(_fed(sections, lambda s: residual.add([s])))
         else:
             raise ModelFileError("simulation supports base dimensions 1 and 2")

@@ -2,10 +2,10 @@
 
 The base coordinate x1 is designated as time.  For a one-dimensional
 base the equations are the classical Hamilton ODEs and are integrated
-with RK4.  For a 1+1-dimensional base (x1 = t, x2 = x) the method of
-lines is used: u and M = p1 evolve by RK4 with second-order central
-space differences, while the stress P = p2 is reconstructed each stage
-from the spatial constraint du/dx = dH/dP.
+with RK4.  For a 1+1-dimensional base (x1 = t, x2 = x) and one fibre the
+method of lines is used on (K,) grid arrays: u and M = p1 evolve by RK4
+with second-order central space differences, while the stress P = p2 is
+reconstructed each stage from the spatial constraint du/dx = dH/dP.
 
 The right-hand sides and the residuals evaluate H's derivatives through
 the section's :class:`HamiltonianSystem`, whose kernels are generated
@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .bundle import HamiltonianSection
+from .bundle import Chart, HamiltonianSection
 from .expr import Neg, compile_exprs, define_kernel
 
 __all__ = [
@@ -53,13 +53,14 @@ class OdeState:
 
 @dataclass(frozen=True)
 class GridSection:
-    """Discrete field section (m = 2) on a spatial grid at time t."""
+    """Discrete field section (m = 2, n = 1) at time t: the fibre value u, its
+    momentum density M and the stress P, each of shape (K,) on the grid x."""
 
     t: float
     x: np.ndarray
-    u: np.ndarray  # shape (n, K)
-    M: np.ndarray  # shape (n, K)
-    P: np.ndarray  # shape (n, K)
+    u: np.ndarray
+    M: np.ndarray
+    P: np.ndarray
 
 
 # the largest dt/dx that warn_cfl lets pass
@@ -163,10 +164,10 @@ class HamiltonianSystem:
 
     @cached_property
     def stress_and_slope(self):
-        """Vectorized kernel: (dH/dP_a..., d2H/dP_a dP_b... row-major), with
+        """Vectorized kernel: (dH/dP, d2H/dP^2) of the stress P = p^m_1, with
         the subtrees and domain checks the two share computed once."""
-        stress, P_names = self.dH_dp[-1], self.chart.p_names[-self.chart.n:]
-        return compile_exprs(stress + tuple(e.diff(P) for e in stress for P in P_names),
+        stress = self.dH_dp[-1][0]
+        return compile_exprs((stress, stress.diff(self.chart.p_name(self.chart.m, 1))),
                              self.args, numpy=True)
 
 
@@ -294,13 +295,9 @@ def ddx(a: np.ndarray, dx: float, boundary: str = "periodic") -> np.ndarray:
 
 class _FieldSystem:
     def __init__(self, model, config: SolverConfig):
-        if model.chart.m != 2:
-            raise ValueError("the field solver handles a 1+1-dimensional base")
-        if config.p_reconstruction == "newton" and model.chart.n != 1:
-            raise ValueError("Newton reconstruction implemented for scalar fibers")
-        self.model = model
-        self.n = model.chart.n
-        self.config = config
+        if model.chart != Chart(2, 1):
+            raise ValueError(f"the field solver takes (m, n) = (2, 1), got {model.chart}")
+        self.model, self.config = model, config
         self.system = model.hamiltonian.system
         self._last: tuple | None = None  # (P, target, slope) of the last converged solve
 
@@ -311,22 +308,21 @@ class _FieldSystem:
             return np.asarray(self.model.reconstruct_P(du_dx), dtype=float)
         return self._newton_P(t, x, u, M, du_dx)
 
-    def _newton_P(self, t, x, u, M, du_dx) -> np.ndarray:
+    def _newton_P(self, t, x, u, M, target) -> np.ndarray:
         """Newton's solve of dH/dP = du/dx.  The first solve starts from the
         model's closed form; each later one starts one Newton step, taken
         with the last converged slope, from the last converged P:
         P0 = P_prev + (target - target_prev) / slope_prev."""
         cfg = self.config
-        target = du_dx[0]
         if self._last is not None:
             P_prev, target_prev, slope_prev = self._last
             P = P_prev + (target - target_prev) / slope_prev
         else:
-            P = np.asarray(self.model.reconstruct_P(du_dx), dtype=float)
+            P = np.asarray(self.model.reconstruct_P(target), dtype=float)
         residual = None
         for _ in range(cfg.newton_max_iter):
             # each a grid row or a scalar; the (K,) target broadcasts them
-            stress, slope = self.system.stress_and_slope(t, x, *u, *M, *P)
+            stress, slope = self.system.stress_and_slope(t, x, u, M, P)
             residual = stress - target
             if np.maximum.reduce(np.abs(residual), None) <= cfg.newton_tol:
                 self._last = (P, target, slope)
@@ -340,17 +336,12 @@ class _FieldSystem:
         """(du/dt, dM/dt, P); P is reconstructed from u unless given."""
         if P is None:
             P = self.reconstruct_P(t, x, u, M)
-        n = self.n
         du, dM = np.empty_like(u), np.empty_like(u)
-        values = self.system.evolution(t, x, *u, *M, *P)
-        for a in range(n):  # a kernel value is a grid row or a scalar
-            du[a] = values[a]
-            dM[a] = values[n + a]
+        du[:], dM[:] = self.system.evolution(t, x, u, M, P)  # grid rows or scalars
         np.negative(dM, out=dM)
         dM -= ddx(P, self.config.dx, self.config.boundary)
         if self.config.boundary == "dirichlet":
-            du[:, 0] = du[:, -1] = 0.0
-            dM[:, 0] = dM[:, -1] = 0.0
+            du[0] = du[-1] = dM[0] = dM[-1] = 0.0
         return du, dM, P
 
 
@@ -372,13 +363,9 @@ def _field_sections(model, config: SolverConfig, u0: np.ndarray, M0: np.ndarray)
     """The snapshots of :func:`evolve_field`, one at a time."""
     config.warn_cfl()
     system = _FieldSystem(model, config)
-    K = config.K or u0.shape[-1]
-    x = config.x0 + config.dx * np.arange(K)
-    u = np.atleast_2d(np.asarray(u0, dtype=float)).copy()
-    M = np.atleast_2d(np.asarray(M0, dtype=float)).copy()
-    t = 0.0
-    dt = config.dt
-    k = 0
+    u, M = _profile(u0, "u"), _profile(M0, "M")
+    x = config.x0 + config.dx * np.arange(len(u))
+    t, dt, k = 0.0, config.dt, 0
     try:
         for k in range(int(round(config.t_final / dt)) + 1):
             with _quiet():
@@ -402,9 +389,17 @@ def reconstruct_P(u: np.ndarray, model, config: SolverConfig) -> np.ndarray:
     """Pointwise solve of the spatial constraint du/dx = dH/dP at t = 0 and
     zero momentum density M."""
     system = _FieldSystem(model, config)
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    x = config.x0 + config.dx * np.arange(u.shape[-1])
+    u = _profile(u, "u")
+    x = config.x0 + config.dx * np.arange(len(u))
     return system.reconstruct_P(0.0, x, u, np.zeros_like(u))
+
+
+def _profile(values, name: str) -> np.ndarray:
+    """A float copy of a field profile, which has the grid's shape (K,)."""
+    a = np.array(values, dtype=float)
+    if a.ndim != 1:
+        raise ValueError(f"the {name} profile must have shape (K,), got {a.shape}")
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +411,8 @@ def hdw_residual(traj, h: HamiltonianSection, dt: float,
                  boundary: str = "periodic") -> dict[str, dict[str, float]]:
     """Central-difference residual norms of the field equations.
 
-    For m = 1 expects a trajectory of :class:`OdeState`; for m = 2 a
-    trajectory of :class:`GridSection` at uniform time spacing ``dt``.
+    For m = 1 expects a trajectory of :class:`OdeState`; for m = 2, where
+    only n = 1 is taken, one of :class:`GridSection` at uniform spacing ``dt``.
     """
     if len(traj) < 3:
         raise ValueError("need at least 3 snapshots for the time stencil")
@@ -453,13 +448,15 @@ class _ResidualNorms:
             self._join, self._evaluate = np.concatenate, self._ode
             self._chunk = _TABLE_ROWS
         elif chart.m == 2:
+            if chart != Chart(2, 1):
+                raise ValueError(f"field residuals need one fibre coordinate, n = 1; got {chart}")
             if dx is None:
                 raise ValueError("dx is required for field residuals")
-            self._join, self._evaluate = _sections, self._field
-            self._chunk = _CHUNK
+            self._join = lambda parts: [s for part in parts for s in part]
+            self._evaluate, self._chunk = self._field, _CHUNK
         else:
             raise ValueError("residuals implemented for m in (1, 2)")
-        self.system, self.n, self.dt, self.dx, self.boundary = h.system, chart.n, dt, dx, boundary
+        self.system, self.dt, self.dx, self.boundary = h.system, dt, dx, boundary
         self._held: list = []
         self._count = 0
         self.snapshots = 0
@@ -494,7 +491,7 @@ class _ResidualNorms:
         self._count = 2
 
     def _ode(self, rows: np.ndarray) -> dict[str, list[np.ndarray]]:
-        n, dt = self.n, self.dt
+        n, dt = (rows.shape[1] - 1) // 2, self.dt  # rows t, u..., p...
         columns = np.ascontiguousarray(rows.T)
         t, u, p = columns[0], columns[1:n + 1], columns[n + 1:]  # u, p: (n, T)
         values = [np.broadcast_to(np.atleast_1d(v), t.shape)
@@ -505,34 +502,20 @@ class _ResidualNorms:
                 "evolution_p": [dp_dt + np.stack(values[n:])[:, 1:-1]]}
 
     def _field(self, traj: list[GridSection]) -> dict[str, list[np.ndarray]]:
-        n, dt, dx, boundary = self.n, self.dt, self.dx, self.boundary
-        u = np.stack([s.u for s in traj])  # (T, n, K)
+        dt, dx, boundary = self.dt, self.dx, self.boundary
+        u = np.stack([s.u for s in traj])  # (T, K)
         M = np.stack([s.M for s in traj])
         P = np.stack([s.P for s in traj])
         t = np.array([s.t for s in traj])
-        x = traj[0].x
-        T, _, K = u.shape
-        interior = slice(1, T - 1)
-        args = (t[interior, None] * np.ones((1, K)), np.broadcast_to(x, (T - 2, K)),
-                *u[interior].swapaxes(0, 1), *M[interior].swapaxes(0, 1),
-                *P[interior].swapaxes(0, 1))
-        evolution = [np.broadcast_to(v, (T - 2, K)) for v in self.system.evolution(*args)]
-        stress = [np.broadcast_to(v, (T - 2, K)) for v in self.system.stress(*args)]
-
-        du_dt = (u[2:] - u[:-2]) / (2.0 * dt)
-        dM_dt = (M[2:] - M[:-2]) / (2.0 * dt)
-        res_ut, res_ux, res_m = [], [], []
-        for a in range(n):
-            res_ut.append(du_dt[:, a] - evolution[a])
-            res_ux.append(ddx(u[interior, a], dx, boundary) - stress[a])
-            res_m.append(dM_dt[:, a] + ddx(P[interior, a], dx, boundary) + evolution[n + a])
-        if boundary == "dirichlet":
-            res_ut = [r[:, 2:-2] for r in res_ut]
-            res_ux = [r[:, 2:-2] for r in res_ux]
-            res_m = [r[:, 2:-2] for r in res_m]
-        return {"evolution_u": res_ut, "constraint_P": res_ux, "evolution_M": res_m}
-
-
-def _sections(parts: list[list[GridSection]]) -> list[GridSection]:
-    return [s for part in parts for s in part]
-
+        T, K = u.shape
+        mid = slice(1, T - 1)
+        args = (t[mid, None] * np.ones((1, K)), np.broadcast_to(traj[0].x, (T - 2, K)),
+                u[mid], M[mid], P[mid])
+        dH_dM, dH_du = self.system.evolution(*args)  # each (T - 2, K) or a scalar
+        dH_dP, = self.system.stress(*args)
+        ends = slice(2, -2) if boundary == "dirichlet" else slice(None)
+        res_ut = (u[2:] - u[:-2]) / (2.0 * dt) - dH_dM
+        res_ux = ddx(u[mid], dx, boundary) - dH_dP
+        res_m = (M[2:] - M[:-2]) / (2.0 * dt) + ddx(P[mid], dx, boundary) + dH_du
+        return {"evolution_u": [res_ut[:, ends]], "constraint_P": [res_ux[:, ends]],
+                "evolution_M": [res_m[:, ends]]}

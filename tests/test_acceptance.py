@@ -139,7 +139,7 @@ def _wave_trajectory(K: int):
     dx = 2.0 * np.pi / K
     config = SolverConfig(dt=dx / 4.0, t_final=1.0, K=K, dx=dx)
     x = dx * np.arange(K)
-    return model, config, evolve_field(model, config, np.sin(x)[None, :], -np.cos(x)[None, :])
+    return model, config, evolve_field(model, config, np.sin(x), -np.cos(x))
 
 
 def _whole_trajectory_residual(traj: list[GridSection], current: Current, h, dt: float,
@@ -151,9 +151,9 @@ def _whole_trajectory_residual(traj: list[GridSection], current: Current, h, dt:
     shape = (len(traj), traj[0].x.shape[0])
     arrays = {"x1": np.array([s.t for s in traj])[:, None] * np.ones((1, shape[1])),
               "x2": np.broadcast_to(traj[0].x, shape),
-              "u1": np.stack([s.u[0] for s in traj]),
-              "p1_1": np.stack([s.M[0] for s in traj]),
-              "p2_1": np.stack([s.P[0] for s in traj])}
+              "u1": np.stack([s.u for s in traj]),
+              "p1_1": np.stack([s.M for s in traj]),
+              "p2_1": np.stack([s.P for s in traj])}
     A1 = np.broadcast_to(np.atleast_2d(a1.eval_many(arrays)), shape)
     A2 = np.broadcast_to(np.atleast_2d(a2.eval_many(arrays)), shape)
     lhs = (A1[2:] - A1[:-2]) / (2.0 * dt) + ddx(A2, dx)[1:-1]
@@ -174,7 +174,7 @@ def test_06_evolution_field():
                 traj, current, model.hamiltonian, config.dt, config.dx))
         if K == 128:
             final = traj[-1]
-            solution_error = float(np.max(np.abs(final.u[0] - np.sin(final.x - final.t))))
+            solution_error = float(np.max(np.abs(final.u - np.sin(final.x - final.t))))
     elapsed = time.perf_counter() - start
     ratios_ok = all(abs(r - 4.0) <= 0.25 * 4.0
                     for values in residuals.values() for r in _ratios(values))
@@ -190,7 +190,7 @@ def test_07_evolution_converse():
     for K in (128, 256):
         model, config, traj = _wave_trajectory(K)
         corrupted = [GridSection(t=s.t, x=s.x, u=s.u, P=s.P,
-                                 M=s.M + 1e-3 * np.sin(s.x - 2.0 * s.t)[None, :])
+                                 M=s.M + 1e-3 * np.sin(s.x - 2.0 * s.t))
                      for s in traj]
         current = Current(model.chart, (Const(1.0),), (Const(0.0), Const(0.0)))
         residuals.append(_whole_trajectory_residual(corrupted, current, model.hamiltonian,

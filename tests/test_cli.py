@@ -357,10 +357,7 @@ def _field_rows(traj):
     rows = []
     for s in traj:
         for k in range(len(s.x)):
-            row = [s.t, s.x[k]]
-            for a in range(s.u.shape[0]):
-                row += [s.u[a, k], s.M[a, k], s.P[a, k]]
-            rows.append(row)
+            rows.append([s.t, s.x[k], s.u[k], s.M[k], s.P[k]])
     return rows
 
 
@@ -408,9 +405,8 @@ class TestTrajectoryCsv:
         values = np.array(csv_edge_values)
         ode = [OdeState(t=v, u=np.roll(values, -k)[:2], p=np.roll(values, -k)[2:4])
                for k, v in enumerate(values)]
-        field = [GridSection(t=v, x=values, u=np.roll(values, k)[None, :],
-                             M=np.roll(values[::-1], k)[None, :],
-                             P=-np.roll(values, 2 * k)[None, :])
+        field = [GridSection(t=v, x=values, u=np.roll(values, k),
+                             M=np.roll(values[::-1], k), P=-np.roll(values, 2 * k))
                  for k, v in enumerate(values)]
         for name, blocks, rows in [("ode", _ode_blocks([np.array(_ode_rows(ode))]),
                                     _ode_rows(ode)),
@@ -591,10 +587,19 @@ _WAVE = {"model": "wave", "initial": {"u": ["sin(x2)"], "M": ["-cos(x2)"]},
     (_WAVE, {"solver": {"dt": 0.05, "t_final": 0.1, "K": 16, "dx": -0.1}},
      "solver.dx must be positive"),
     (_WAVE, {"initial": {"u": [1.0], "M": ["0"]}}, "initial.u[1] must be a string"),
+    # a key the model does not read is refused, not ignored
+    (_WAVE, {"initial": {"u": ["sin(x2)"], "M": ["-cos(x2)"], "p": ["0"]}},
+     "unknown key(s) ['p'] in"),
+    (_OSCILLATOR, {"initial": {"u": ["1"], "p": ["0"], "M": ["0"]}},
+     "unknown key(s) ['M'] in"),
+    (_WAVE, {"initial": {"u": ["sin(x2)", "0"], "M": ["-cos(x2)"]}},
+     "expected one 'u' profile, got 2"),
+    (_WAVE, {"initial": {"u": ["sin(x2)"]}}, "expected one 'M' profile, got 0"),
 ], ids=["m-list", "m-float", "m-bool", "n-missing", "m-zero", "chart-list",
         "hamiltonian-number", "current-number", "currents-string", "F-number",
         "initial-number", "steps-infinite", "potential-number", "dx-negative",
-        "profile-number"])
+        "profile-number", "field-initial-p", "mechanics-initial-M", "two-u-profiles",
+        "M-profile-missing"])
 def test_bad_model_file_exits_2_without_output(base, change, message, tmp_path, capsys):
     model = {**base, **change}
     if model.get("model"):

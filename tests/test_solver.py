@@ -86,28 +86,28 @@ class TestEvolveField:
         dx = 2.0 * np.pi / K
         config = SolverConfig(dt=dx / 4.0, t_final=t_final, K=K, dx=dx)
         x = dx * np.arange(K)
-        u0 = np.sin(x)[None, :]
-        M0 = -np.cos(x)[None, :]
+        u0 = np.sin(x)
+        M0 = -np.cos(x)
         return WaveModel(), config, x, u0, M0
 
     def test_travelling_wave(self):
         model, config, x, u0, M0 = self._wave(128)
         traj = evolve_field(model, config, u0, M0)
         final = traj[-1]
-        assert np.max(np.abs(final.u[0] - np.sin(x - final.t))) <= 1e-3
+        assert np.max(np.abs(final.u - np.sin(x - final.t))) <= 1e-3
 
     def test_solution_error_converges(self):
         errors = []
         for K in (64, 128):
             model, config, x, u0, M0 = self._wave(K)
             final = evolve_field(model, config, u0, M0)[-1]
-            errors.append(np.max(np.abs(final.u[0] - np.sin(x - final.t))))
+            errors.append(np.max(np.abs(final.u - np.sin(x - final.t))))
         ratio = errors[0] / errors[1]
         assert abs(ratio - 4.0) <= 1.0
 
     def test_zero_data_stays_zero(self):
         model, config, x, _, _ = self._wave(16, t_final=0.1)
-        traj = evolve_field(model, config, np.zeros((1, 16)), np.zeros((1, 16)))
+        traj = evolve_field(model, config, np.zeros(16), np.zeros(16))
         assert all(np.all(s.u == 0.0) and np.all(s.M == 0.0) for s in traj)
 
     def test_deterministic(self):
@@ -133,6 +133,30 @@ class TestEvolveField:
         t1 = evolve_field(model, config, u0, M0)
         t2 = evolve_field(model, newton_config, u0, M0)
         assert np.max(np.abs(t1[-1].u - t2[-1].u)) <= 1e-10
+
+    @pytest.mark.parametrize("reconstruction", ["closed_form", "newton"])
+    def test_sections_hold_grid_arrays(self, reconstruction):
+        # the field path has one fibre coordinate: u, M and P are (K,) arrays
+        K = 32
+        dx = 1.0 / K
+        x = dx * np.arange(K)
+        config = SolverConfig(dt=dx / 8.0, t_final=0.05, K=K, dx=dx, boundary="dirichlet",
+                              p_reconstruction=reconstruction)
+        traj = evolve_field(PerfectGasModel(), config, x + 0.03 * np.sin(2.0 * np.pi * x),
+                            0.01 * np.sin(2.0 * np.pi * x))
+        assert len(traj) == 14
+        for s in traj:
+            assert s.x.shape == s.u.shape == s.M.shape == s.P.shape == (K,)
+
+    def test_refuses_a_profile_that_is_not_one_dimensional(self):
+        # the (1, K) layout of a fibre axis is refused by name, not broadcast
+        model, config, x, u0, M0 = self._wave(16, t_final=0.1)
+        for u, M, name in [(np.zeros((1, 16)), M0, "u"), (u0, np.zeros((1, 16)), "M")]:
+            with pytest.raises(ValueError, match=rf"the {name} profile must have shape "
+                                                 rf"\(K,\), got \(1, 16\)"):
+                evolve_field(model, config, u, M)
+        with pytest.raises(ValueError, match=r"the u profile must have shape \(K,\)"):
+            reconstruct_P(np.zeros((1, 16)), model, config)
 
 
 def _roll_ddx(a, dx, boundary="periodic"):
@@ -247,20 +271,19 @@ class TestFieldStepperReference:
 
     def _assert_equal(self, model, config, u0, M0):
         traj = evolve_field(model, config, u0, M0)
-        reference = _reference_field_rk4(model, config, u0, M0)
+        reference = _reference_field_rk4(model, config, u0[None], M0[None])
         assert len(traj) == len(reference) > 2
         for s, (t, u, M, P) in zip(traj, reference):
             assert s.t == t
-            assert np.array_equal(s.u, u) and np.array_equal(s.M, M)
-            assert np.array_equal(s.P, P)
+            assert np.array_equal(s.u, u[0]) and np.array_equal(s.M, M[0])
+            assert np.array_equal(s.P, P[0])
 
     def test_periodic_wave(self):
         K = 64
         dx = 2.0 * np.pi / K
         x = dx * np.arange(K)
         config = SolverConfig(dt=dx / 4.0, t_final=0.5, K=K, dx=dx)
-        self._assert_equal(WaveModel(), config, np.sin(2 * x)[None, :],
-                           -2.0 * np.cos(2 * x)[None, :])
+        self._assert_equal(WaveModel(), config, np.sin(2 * x), -2.0 * np.cos(2 * x))
 
     def test_dirichlet_perfect_gas_newton(self):
         K = 32
@@ -269,8 +292,8 @@ class TestFieldStepperReference:
         config = SolverConfig(dt=dx / 8.0, t_final=0.1, K=K, dx=dx, boundary="dirichlet",
                               p_reconstruction="newton")
         model = PerfectGasModel()
-        self._assert_equal(model, config, (x + 0.03 * np.sin(2.0 * np.pi * x))[None, :],
-                           (0.01 * np.sin(2.0 * np.pi * x))[None, :])
+        self._assert_equal(model, config, x + 0.03 * np.sin(2.0 * np.pi * x),
+                           0.01 * np.sin(2.0 * np.pi * x))
 
 
 class TestReconstructP:
@@ -280,7 +303,7 @@ class TestReconstructP:
         config = SolverConfig(dt=dx / 4, t_final=1.0, K=K, dx=dx)
         x = dx * np.arange(K)
         P = reconstruct_P(np.sin(x), WaveModel(), config)
-        assert np.max(np.abs(P[0] + np.cos(x))) <= dx ** 2
+        assert np.max(np.abs(P + np.cos(x))) <= dx ** 2
 
     def test_constant_field(self):
         config = SolverConfig(dt=0.01, t_final=1.0, K=16, dx=0.1)
@@ -322,20 +345,20 @@ class TestReconstructP:
         dx = 1.0 / K
         dt = dx / 8.0
         x = dx * np.arange(K)
-        u = (x + 0.03 * np.sin(2.0 * np.pi * x))[None, :]
-        M = (0.01 * np.sin(2.0 * np.pi * x))[None, :]
+        u = x + 0.03 * np.sin(2.0 * np.pi * x)
+        M = 0.01 * np.sin(2.0 * np.pi * x)
         config = SolverConfig(dt=dt, t_final=0.1, K=K, dx=dx, boundary="dirichlet",
                               p_reconstruction="newton", newton_max_iter=1)
         system = model.hamiltonian.system
         du_dx = ddx(u, dx, "dirichlet")
         P = np.asarray(model.reconstruct_P(du_dx), dtype=float)
-        assert np.abs(system.stress(0.0, x, *u, *M, *P)[0] - du_dx[0]).max() <= config.newton_tol
-        slope = _slope_kernel(system)(0.0, x, *u, *M, *P)[0]
+        assert np.abs(system.stress(0.0, x, u, M, P)[0] - du_dx).max() <= config.newton_tol
+        slope = _slope_kernel(system)(0.0, x, u, M, P)[0]
         k1u, k1M, _ = _FieldSystem(model, config).rhs(0.0, x, u, M, P)
         u2, M2 = u + dt / 2 * k1u, M + dt / 2 * k1M
-        target = ddx(u2, dx, "dirichlet")[0]
-        P2 = P + (target - du_dx[0]) / slope
-        residual = np.abs(system.stress(dt / 2, x, *u2, *M2, *P2)[0] - target)
+        target = ddx(u2, dx, "dirichlet")
+        P2 = P + (target - du_dx) / slope
+        residual = np.abs(system.stress(dt / 2, x, u2, M2, P2)[0] - target)
         index = int(np.argmax(residual))
         assert residual[index] > config.newton_tol
         with pytest.raises(NewtonError) as info:
@@ -353,8 +376,8 @@ class TestReconstructP:
         K = 128
         dx = 1.0 / K
         x = dx * np.arange(K)
-        u0 = (x + 0.0353546487410077 * np.sin(6.283185307179586 * x))[None, :]
-        M0 = (0.009504636963259353 * np.sin(6.283185307179586 * x))[None, :]
+        u0 = x + 0.0353546487410077 * np.sin(6.283185307179586 * x)
+        M0 = 0.009504636963259353 * np.sin(6.283185307179586 * x)
         config = SolverConfig(dt=dx / 8.0, t_final=0.5, K=K, dx=dx, boundary="dirichlet",
                               p_reconstruction="newton")
         system = model.hamiltonian.system
@@ -408,13 +431,22 @@ class TestHdwResidual:
             dt = dx / 4
             x = dx * np.arange(K)
             traj = [GridSection(t=k * dt, x=x,
-                                u=np.sin(x - k * dt)[None, :],
-                                M=-np.cos(x - k * dt)[None, :],
-                                P=-np.cos(x - k * dt)[None, :])
+                                u=np.sin(x - k * dt),
+                                M=-np.cos(x - k * dt),
+                                P=-np.cos(x - k * dt))
                     for k in range(6)]
             norms = hdw_residual(traj, model.hamiltonian, dt, dx=dx)
             norms_by_K.append(max(norms[k]["max"] for k in norms))
         assert norms_by_K[0] / norms_by_K[1] == pytest.approx(4.0, rel=0.25)
+
+    def test_field_refuses_two_fibre_coordinates(self):
+        h = HamiltonianSection(Chart(m=2, n=2), "p1_1^2/2 + p1_2^2/2 - p2_1^2/2 - p2_2^2/2")
+        x = np.linspace(0.0, 1.0, 16)
+        traj = [GridSection(t=0.1 * k, x=x, u=np.zeros((2, 16)), M=np.zeros((2, 16)),
+                            P=np.zeros((2, 16))) for k in range(3)]
+        with pytest.raises(ValueError, match=re.escape(
+                "field residuals need one fibre coordinate, n = 1; got Chart(m=2, n=2)")):
+            hdw_residual(traj, h, 0.1, dx=x[1])
 
     def test_needs_three_snapshots(self):
         h = _oscillator()
@@ -428,7 +460,7 @@ class TestHdwResidual:
             dx = 2 * np.pi / K
             config = SolverConfig(dt=dx / 4, t_final=0.5, K=K, dx=dx)
             x = dx * np.arange(K)
-            traj = evolve_field(model, config, np.sin(x)[None, :], -np.cos(x)[None, :])
+            traj = evolve_field(model, config, np.sin(x), -np.cos(x))
             r = hdw_residual(traj, model.hamiltonian, config.dt, dx=dx)
             norms.append(max(r[k]["max"] for k in r))
         assert abs(norms[0] / norms[1] - 4.0) <= 1.2
@@ -449,9 +481,9 @@ def _whole_array_residual(traj, h, dt, dx=None, boundary="periodic"):
         res_u = (u[2:] - u[:-2]) / (2.0 * dt) - np.stack(values[:n], axis=1)[1:-1]
         res_p = (p[2:] - p[:-2]) / (2.0 * dt) + np.stack(values[n:], axis=1)[1:-1]
         return {"evolution_u": norms(res_u), "evolution_p": norms(res_p)}
-    u = np.stack([s.u for s in traj])
-    M = np.stack([s.M for s in traj])
-    P = np.stack([s.P for s in traj])
+    u = np.stack([s.u[None] for s in traj])
+    M = np.stack([s.M[None] for s in traj])
+    P = np.stack([s.P[None] for s in traj])
     t = np.array([s.t for s in traj])
     T, _, K = u.shape
     mid = slice(1, T - 1)
@@ -490,7 +522,7 @@ def _residual_case(case, snapshots):
         x = dx * np.arange(K)
         u0, M0 = x + 0.03 * np.sin(2.0 * np.pi * x), 0.01 * np.sin(2.0 * np.pi * x)
     config = SolverConfig(dt=dt, t_final=(snapshots - 1) * dt, K=K, dx=dx, boundary=boundary)
-    traj = evolve_field(model, config, u0[None, :], M0[None, :])
+    traj = evolve_field(model, config, u0, M0)
     return traj, model.hamiltonian, dt, dx, boundary
 
 
@@ -543,7 +575,7 @@ class TestTimeGrid:
         dx = 2.0 * np.pi / K
         config = SolverConfig(dt=0.1, t_final=20.0, K=K, dx=dx)
         x = dx * np.arange(K)
-        traj = evolve_field(WaveModel(), config, np.sin(x)[None, :], -np.cos(x)[None, :])
+        traj = evolve_field(WaveModel(), config, np.sin(x), -np.cos(x))
         assert len(traj) == 201 and traj[-1].t == 200 * 0.1 == 20.0
         assert [s.t for s in traj] == [k * 0.1 for k in range(201)]
 
@@ -704,7 +736,7 @@ class TestHamiltonianSystem:
         config = SolverConfig(dt=dx / 4.0, t_final=0.5, K=K, dx=dx)
 
         def run():
-            return evolve_field(forced, config, np.sin(x)[None, :], -np.cos(x)[None, :])
+            return evolve_field(forced, config, np.sin(x), -np.cos(x))
 
         traj = run()
         system = forced.hamiltonian.system
@@ -729,6 +761,6 @@ class TestHamiltonianSystem:
         dx = 2.0 * np.pi / K
         config = SolverConfig(dt=dx / 4.0, t_final=0.2, K=K, dx=dx, p_reconstruction="newton")
         x = dx * np.arange(K)
-        traj = evolve_field(WaveModel(), config, np.sin(x)[None, :], -np.cos(x)[None, :])
+        traj = evolve_field(WaveModel(), config, np.sin(x), -np.cos(x))
         steps = len(traj) - 1
         assert len(calls) == 4 * steps + 1
