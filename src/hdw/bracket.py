@@ -139,26 +139,26 @@ def connection_is_hamiltonian(Hu: Sequence[Sequence], Hp: Sequence[Sequence[Sequ
         return NormalForm.of(e)
 
     system = h.system
-    return _connection_check(
+    worst = _largest(_terms_left(_connection_forms(
         [[as_form(v, f"Hu[{i}][{a}]") for a, v in enumerate(row)] for i, row in enumerate(Hu)],
         [[[as_form(v, f"Hp[{i}][{a}][{j}]") for j, v in enumerate(cell)]
           for a, cell in enumerate(row)] for i, row in enumerate(Hp)],
         [NormalForm.of(e) for e in system.dH_du],
-        [[NormalForm.of(e) for e in row] for row in system.dH_dp])
+        [[NormalForm.of(e) for e in row] for row in system.dH_dp])))
+    return ConnectionCheck(is_hamiltonian=worst <= _COEFFICIENT_TOL, max_residual=worst)
 
 
-def _connection_check(Hu: Sequence[Sequence[NormalForm]],
+def _connection_forms(Hu: Sequence[Sequence[NormalForm]],
                       Hp: Sequence[Sequence[Sequence[NormalForm]]],
                       dH_du: Sequence[NormalForm],
-                      dH_dp: Sequence[Sequence[NormalForm]]) -> ConnectionCheck:
-    """:func:`connection_is_hamiltonian` on the normal forms of the coefficients
-    and of H's derivatives: decided by the largest |coefficient| left in the
-    residuals Hu - dH/dp and sum_i Hp[i][a][i] + dH/du."""
+                      dH_dp: Sequence[Sequence[NormalForm]]) -> list[NormalForm]:
+    """The residuals Hu - dH/dp and sum_i Hp[i][a][i] + dH/du that
+    :func:`connection_is_hamiltonian` decides on, from the normal forms of the
+    coefficients and of H's derivatives."""
     m, n = len(dH_dp), len(dH_du)
     forms = [NormalForm.sum([Hu[i][a], -dH_dp[i][a]]) for i in range(m) for a in range(n)]
     forms += [NormalForm.sum([Hp[i][a][i] for i in range(m)] + [dH_du[a]]) for a in range(n)]
-    worst = _largest(_terms_left(forms))
-    return ConnectionCheck(is_hamiltonian=worst <= _COEFFICIENT_TOL, max_residual=worst)
+    return forms
 
 
 def bracket_affine(c: Current | DensityCoefficient, h: HamiltonianSection) -> DensityCoefficient:

@@ -363,7 +363,7 @@ def _field_sections(model, config: SolverConfig, u0: np.ndarray, M0: np.ndarray)
     """The snapshots of :func:`evolve_field`, one at a time."""
     config.warn_cfl()
     system = _FieldSystem(model, config)
-    u, M = _profile(u0, "u"), _profile(M0, "M")
+    u, M = _profile(u0, "u", config.K), _profile(M0, "M", config.K)
     x = config.x0 + config.dx * np.arange(len(u))
     t, dt, k = 0.0, config.dt, 0
     try:
@@ -389,16 +389,16 @@ def reconstruct_P(u: np.ndarray, model, config: SolverConfig) -> np.ndarray:
     """Pointwise solve of the spatial constraint du/dx = dH/dP at t = 0 and
     zero momentum density M."""
     system = _FieldSystem(model, config)
-    u = _profile(u, "u")
+    u = _profile(u, "u", config.K)
     x = config.x0 + config.dx * np.arange(len(u))
     return system.reconstruct_P(0.0, x, u, np.zeros_like(u))
 
 
-def _profile(values, name: str) -> np.ndarray:
-    """A float copy of a field profile, which has the grid's shape (K,)."""
+def _profile(values, name: str, K: int) -> np.ndarray:
+    """A float copy of a field profile, which must have the grid's shape (K,)."""
     a = np.array(values, dtype=float)
-    if a.ndim != 1:
-        raise ValueError(f"the {name} profile must have shape (K,), got {a.shape}")
+    if a.shape != (K,):
+        raise ValueError(f"the {name} profile must have shape ({K},), got {a.shape}")
     return a
 
 

@@ -1,24 +1,24 @@
 """Executable certification of the bracket calculus at desk scale.
 
-Each check returns a :class:`VerificationReport`; only the Jacobi check's
-finite-difference oracle draws, from the seed recorded in its report.
+Each check returns a :class:`VerificationReport`, decided by the terms left
+in its residual forms; only the Jacobi check's finite-difference oracle
+draws, from the seed recorded in its report's details.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from dataclasses import asdict, dataclass, field
+from itertools import combinations_with_replacement, islice
 
 import numpy as np
 
-from .bracket import (_COEFFICIENT_TOL, ConnectionCheck, PhaseComponents, _affine_form,
-                      _connection_check, _current_bracket_forms, _current_bracket_pairs,
-                      _largest, _linear_form, _representation_form, _terms_left,
-                      current_bracket, sharp_aff)
+from .bracket import (PhaseComponents, _affine_form, _connection_forms, _current_bracket_forms,
+                      _current_bracket_pairs, _largest, _linear_form, _representation_form,
+                      _terms_left, current_bracket, sharp_aff)
 from .bundle import Chart, Current, CurrentForms, DensityForm
-from .expr import NormalForm, _Jet
+from .expr import NormalForm, _Jet, _pack, _print
 from .models import YangMillsModel, so3_algebra
 
 __all__ = [
@@ -31,40 +31,52 @@ __all__ = [
 
 @dataclass
 class VerificationReport:
+    """The outcome of a proof: ``details["residual_terms"]`` terms are left in
+    its residual forms, the largest of |coefficient| ``max_residual``."""
+
     name: str
     certifies: str
     passed: bool
     max_residual: float
-    tolerance: float
-    sample_count: int
-    seed: int | None = None
     details: dict = field(default_factory=dict)
 
     def summary(self) -> str:
+        """The status and what decided it: the terms left, up to three of them,
+        and the Jacobi suite's oracle."""
+        d = self.details
         status = "PASS" if self.passed else "FAIL"
-        samples = "exact" if self.sample_count == 0 else f"{self.sample_count} samples"
-        return (f"[{status}] {self.name}: max residual {self.max_residual:.3e} "
-                f"(tolerance {self.tolerance:.1e}, {samples})")
+        line = f"[{status}] {self.name}: {d['residual_terms']} terms left"
+        if "counterexample" in d:
+            line += ", e.g. " + "; ".join(d["counterexample"])
+        if "oracle" in d:
+            o = d["oracle"]
+            line += (f"; oracle gap {o['gap']:.1e} (bound {o['bound']:.0e}, "
+                     f"{o['samples']} samples, seed {o['seed']})")
+        return line
 
     def to_dict(self) -> dict:
         """The report without its ``runtime_s`` detail, so that it is byte-stable."""
-        return {
-            "name": self.name,
-            "certifies": self.certifies,
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "details": {k: v for k, v in self.details.items() if k != "runtime_s"},
-        }
+        d = asdict(self)
+        d["details"].pop("runtime_s", None)
+        return d
 
 
-def _exact(name: str, certifies: str, left: list[float]) -> VerificationReport:
-    """The report of a proof whose residual keeps the |coefficients| ``left``."""
-    return VerificationReport(name=name, certifies=certifies, passed=not left,
-                              max_residual=_largest(left), tolerance=0.0,
-                              sample_count=0, details={"residual_terms": len(left)})
+def _exact(name: str, certifies: str, forms, passed: bool = True,
+           **details) -> VerificationReport:
+    """The report of a proof that passes if and only if its residual ``forms``
+    are empty and ``passed`` holds.  A failed proof records its first three
+    terms, in the order of each form's canonical tree, as
+    ``details["counterexample"]``; a nan coefficient prints as nan."""
+    forms = list(forms)
+    left = _terms_left(forms)
+    details["residual_terms"] = len(left)
+    if left:
+        terms = ((atoms, exps, c) for f in forms for atoms, rows in [f._rows()]
+                 for exps, c in rows)
+        details["counterexample"] = [
+            _print(NormalForm(atoms, {_pack(exps): c}).to_expr(), strict=False)
+            for atoms, exps, c in islice(terms, 3)]
+    return VerificationReport(name, certifies, passed and not left, _largest(left), details)
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +117,9 @@ def check_representation() -> VerificationReport:
     chart = _CHART
     H = _jet("h", tuple(sorted(chart.names)))
     a, b = (_jet_current(prefix, chart) for prefix in "ab")
-    left = _terms_left([_representation_form(a, b, H)])
     return _exact("representation_identity",
                   "the linear-affine bracket represents the current algebra on "
-                  "the affine space of Hamiltonian sections", left)
+                  "the affine space of Hamiltonian sections", [_representation_form(a, b, H)])
 
 
 def _coefficient_current(prefix: str, chart: Chart) -> CurrentForms:
@@ -213,21 +224,16 @@ def check_jacobi_currents(seed: int = 1, trials: int = 20) -> VerificationReport
     chart = _CHART
     a, b, c = (_jet_current(prefix, chart) for prefix in "abc")
     ab, ba, bc, ca = (_current_bracket_forms(x, y) for x, y in ((a, b), (b, a), (b, c), (c, a)))
-    antisym = _terms_left(map(NormalForm.sum, zip(ab.Y + ab.beta, ba.Y + ba.beta)))
+    antisym = list(map(NormalForm.sum, zip(ab.Y + ab.beta, ba.Y + ba.beta)))
     # the coefficients of [[a,b],c] + [[b,c],a] + [[c,a],b], each one dot product
     cyclic = zip(*(_current_bracket_pairs(x, y) for x, y in ((ab, c), (bc, a), (ca, b))))
-    jacobi = _terms_left(NormalForm.dot(p + q + r) for p, q, r in cyclic)
-    worst_oracle = _oracle_mismatch(seed, trials)
-
-    return VerificationReport(
-        name="current_lie_algebra",
-        certifies="the current bracket is an antisymmetric Lie bracket matching "
-                  "the commutator/contraction form",
-        passed=not jacobi and not antisym and worst_oracle <= _ORACLE_TOL,
-        max_residual=_largest(jacobi), tolerance=0.0, sample_count=0,
-        seed=seed, details={"antisymmetry": _largest(antisym),
-                            "oracle_mismatch": worst_oracle,
-                            "residual_terms": len(jacobi) + len(antisym)})
+    jacobi = [NormalForm.dot(p + q + r) for p, q, r in cyclic]
+    gap = _oracle_mismatch(seed, trials)
+    return _exact("current_lie_algebra",
+                  "the current bracket is an antisymmetric Lie bracket matching "
+                  "the commutator/contraction form", jacobi + antisym,
+                  passed=gap <= _ORACLE_TOL, antisymmetry=_largest(_terms_left(antisym)),
+                  oracle={"gap": gap, "bound": _ORACLE_TOL, "samples": trials, "seed": seed})
 
 
 def check_m1_reduction() -> VerificationReport:
@@ -240,11 +246,11 @@ def check_m1_reduction() -> VerificationReport:
     canonical = NormalForm.dot(
         pair for ua, pa in zip(chart.u_names, chart.p_names)
         for pair in ((F.diff(ua), G.diff(pa)), (-F.diff(pa), G.diff(ua))))
-    left = _terms_left([NormalForm.sum([_linear_form(f, G), -canonical]),
-                        NormalForm.sum([_affine_form(f, G), -F.diff("x1"), -canonical]),
-                        _linear_form(f, F)])
     return _exact("mechanics_reduction",
-                  "1-D base brackets equal the canonical time-dependent Poisson bracket", left)
+                  "1-D base brackets equal the canonical time-dependent Poisson bracket",
+                  [NormalForm.sum([_linear_form(f, G), -canonical]),
+                   NormalForm.sum([_affine_form(f, G), -F.diff("x1"), -canonical]),
+                   _linear_form(f, F)])
 
 
 # the chart of the connection-class proof
@@ -273,30 +279,24 @@ def check_connection_class() -> VerificationReport:
         return [[[weights[i] * g.hp[a] if j == i else zero for j in range(m)]
                  for a in range(n)] for i in range(m)]
 
-    results: dict[str, ConnectionCheck] = {}
-    results["canonical"] = _connection_check(g.hu, base_Hp(), dH_du, dH_dp)
+    cases = {"canonical": _connection_forms(g.hu, base_Hp(), dH_du, dH_dp)}
 
     Hp = base_Hp()
     bump = _jet("k", tuple(sorted(chart.names)))  # every smooth trace-free direction
     Hp[0][0][0] = NormalForm.sum([Hp[0][0][0], bump])
     Hp[1][0][1] = NormalForm.sum([Hp[1][0][1], -bump])
-    results["trace_free_perturbation"] = _connection_check(g.hu, Hp, dH_du, dH_dp)
+    cases["trace_free_perturbation"] = _connection_forms(g.hu, Hp, dH_du, dH_dp)
 
     Hp = base_Hp()
     Hp[0][0][0] = NormalForm.sum([Hp[0][0][0], NormalForm.constant(1.0)])
-    results["trace_perturbation"] = _connection_check(g.hu, Hp, dH_du, dH_dp)
+    cases["trace_perturbation"] = _connection_forms(g.hu, Hp, dH_du, dH_dp)
 
-    accepted = (results["canonical"], results["trace_free_perturbation"])
-    return VerificationReport(
-        name="connection_class",
-        certifies="only the u-components and the momentum trace of a connection "
+    terms = {k: len(_terms_left(forms)) for k, forms in cases.items()}
+    return _exact("connection_class",
+                  "only the u-components and the momentum trace of a connection "
                   "are constrained by the Hamiltonian section",
-        passed=(all(r.is_hamiltonian for r in accepted)
-                and not results["trace_perturbation"].is_hamiltonian),
-        max_residual=_largest([r.max_residual for r in accepted]),
-        tolerance=_COEFFICIENT_TOL, sample_count=0,
-        details={k: {"is_hamiltonian": v.is_hamiltonian, "max_residual": v.max_residual}
-                 for k, v in results.items()})
+                  cases["canonical"] + cases["trace_free_perturbation"],
+                  passed=terms["trace_perturbation"] > 0, **terms)
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +349,10 @@ def check_bracket_evolution_ode() -> VerificationReport:
     chart = Chart(m=1, n=_CHART.n)
     names = tuple(sorted(chart.names))
     divergence, pairing = _law_form(DensityForm(chart, _jet("f", names)), _jet("h", names))
-    left = _terms_left([NormalForm.sum([divergence, -pairing])])
     return _exact("bracket_evolution_ode",
                   "along any section an observable's derivative is its bracket with H "
-                  "plus its pairing with the section's defects (1-D base)", left)
+                  "plus its pairing with the section's defects (1-D base)",
+                  [NormalForm.sum([divergence, -pairing])])
 
 
 def check_bracket_evolution_field() -> VerificationReport:
@@ -360,10 +360,10 @@ def check_bracket_evolution_field() -> VerificationReport:
     chart = _CHART
     divergence, pairing = _law_form(_jet_current("a", chart),
                                     _jet("h", tuple(sorted(chart.names))))
-    left = _terms_left([NormalForm.sum([divergence, -pairing])])
     return _exact("bracket_evolution_field",
                   "along any section a current's total divergence is its bracket with H "
-                  "plus its pairing with the section's defects", left)
+                  "plus its pairing with the section's defects",
+                  [NormalForm.sum([divergence, -pairing])])
 
 
 def check_bracket_evolution_converse() -> VerificationReport:
@@ -380,11 +380,11 @@ def check_bracket_evolution_converse() -> VerificationReport:
                              tuple(NormalForm.atom(chart.u_name(a)) if j == i else zero
                                    for j in range(1, m + 1))), f"F{i}_{a}")
                for i in range(1, m + 1) for a in range(1, n + 1)]
-    left = _terms_left(NormalForm.sum([_law_form(c, H)[0], -NormalForm.atom(defect)])
-                       for c, defect in probes)
     return _exact("bracket_evolution_converse",
                   "the bracket evolution law holds for every current only on solutions: "
-                  "each field equation's defect is one current's defect from the law", left)
+                  "each field equation's defect is one current's defect from the law",
+                  (NormalForm.sum([_law_form(c, H)[0], -NormalForm.atom(defect)])
+                   for c, defect in probes))
 
 
 # ---------------------------------------------------------------------------
@@ -413,22 +413,18 @@ def check_ym_conservation() -> VerificationReport:
     chart, H = model.chart, NormalForm.of(model.hamiltonian.H)
     # the bracket is linear in the algebra element, so the basis covers every one
     currents = [_gauge_current(model, xi) for xi in range(1, model.algebra.dim + 1)]
-    left = _terms_left(_affine_form(J, H) for J in currents)
     zero = NormalForm.constant(0.0)
     u2 = CurrentForms(chart, (NormalForm.atom("u2"),) + (zero,) * (chart.n - 1),
                       (zero,) * chart.m)
     pi = NormalForm.of(model.chart_pi(1, 2, 1))
     not_invariant = NormalForm.sum([H, NormalForm.constant(0.1) * pi * pi])
-    controls = {"generator_u2": len(_terms_left([_affine_form(u2, H)])),
-                "h_plus_pi12_1_squared": len(_terms_left([_affine_form(currents[1],
-                                                                       not_invariant)]))}
-    return VerificationReport(
-        name="ym_conservation",
-        certifies="the global gauge charges of so(3) Yang-Mills theory are conserved: "
+    controls = {"generator_u2": len(_affine_form(u2, H).terms),
+                "h_plus_pi12_1_squared": len(_affine_form(currents[1], not_invariant).terms)}
+    return _exact("ym_conservation",
+                  "the global gauge charges of so(3) Yang-Mills theory are conserved: "
                   "the bracket of every gauge current with H vanishes",
-        passed=not left and all(controls.values()),
-        max_residual=_largest(left), tolerance=0.0, sample_count=0,
-        details={"residual_terms": len(left), "control_terms": controls})
+                  (_affine_form(J, H) for J in currents), passed=all(controls.values()),
+                  control_terms=controls)
 
 
 SUITES = {
@@ -451,12 +447,9 @@ def run_suites(names=None, seed: int | None = None) -> list[VerificationReport]:
         raise KeyError(f"unknown suite(s) {unknown}; available: {list(SUITES)}")
     reports = []
     for name in selected:
-        check = SUITES[name]
         start = time.perf_counter()
-        if seed is not None and "seed" in check.__code__.co_varnames:
-            report = check(seed=seed)
-        else:
-            report = check()
+        check = SUITES[name]
+        report = check(seed=seed) if name == "jacobi" and seed is not None else check()
         report.details["runtime_s"] = round(time.perf_counter() - start, 3)
         reports.append(report)
     return reports

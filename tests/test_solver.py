@@ -149,14 +149,20 @@ class TestEvolveField:
             assert s.x.shape == s.u.shape == s.M.shape == s.P.shape == (K,)
 
     def test_refuses_a_profile_that_is_not_one_dimensional(self):
-        # the (1, K) layout of a fibre axis is refused by name, not broadcast
+        # the (1, K) layout of a fibre axis, and a profile of another length, are
+        # refused by name, not broadcast or run on their own grid
         model, config, x, u0, M0 = self._wave(16, t_final=0.1)
-        for u, M, name in [(np.zeros((1, 16)), M0, "u"), (u0, np.zeros((1, 16)), "M")]:
+        for u, M, name, shape in [(np.zeros((1, 16)), M0, "u", r"\(1, 16\)"),
+                                  (u0, np.zeros((1, 16)), "M", r"\(1, 16\)"),
+                                  (u0, np.zeros(8), "M", r"\(8,\)"),
+                                  (np.zeros(12), np.zeros(12), "u", r"\(12,\)")]:
             with pytest.raises(ValueError, match=rf"the {name} profile must have shape "
-                                                 rf"\(K,\), got \(1, 16\)"):
+                                                 rf"\(16,\), got {shape}"):
                 evolve_field(model, config, u, M)
-        with pytest.raises(ValueError, match=r"the u profile must have shape \(K,\)"):
-            reconstruct_P(np.zeros((1, 16)), model, config)
+        for u, shape in [(np.zeros((1, 16)), r"\(1, 16\)"), (np.zeros(12), r"\(12,\)")]:
+            with pytest.raises(ValueError, match=rf"the u profile must have shape "
+                                                 rf"\(16,\), got {shape}"):
+                reconstruct_P(u, model, config)
 
 
 def _roll_ddx(a, dx, boundary="periodic"):

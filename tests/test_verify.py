@@ -37,7 +37,9 @@ class TestAlgebraicChecks:
         report = check_jacobi_currents(seed=1, trials=3)
         assert report.passed
         assert report.details["antisymmetry"] <= 1e-12
-        assert report.details["oracle_mismatch"] <= 1e-5
+        oracle = report.details["oracle"]
+        assert oracle["gap"] <= 1e-5
+        assert (oracle["bound"], oracle["samples"], oracle["seed"]) == (1e-5, 3, 1)
 
     def test_m1_reduction(self):
         report = check_m1_reduction()
@@ -47,9 +49,9 @@ class TestAlgebraicChecks:
     def test_connection_class(self):
         report = check_connection_class()
         assert report.passed
-        assert report.details["canonical"]["is_hamiltonian"]
-        assert report.details["trace_free_perturbation"]["is_hamiltonian"]
-        assert not report.details["trace_perturbation"]["is_hamiltonian"]
+        assert report.details["canonical"] == 0
+        assert report.details["trace_free_perturbation"] == 0
+        assert report.details["trace_perturbation"] >= 1
 
     def test_reports_are_reproducible(self):
         r1 = check_jacobi_currents(seed=5, trials=2)
@@ -60,9 +62,10 @@ class TestAlgebraicChecks:
 def test_report_serialization():
     report = check_m1_reduction()
     d = report.to_dict()
-    assert d["name"] == "mechanics_reduction" and d["seed"] is None
+    assert d["name"] == "mechanics_reduction"
+    assert set(d) == {"name", "certifies", "passed", "max_residual", "details"}
     assert isinstance(d["passed"], bool)
-    assert "PASS" in report.summary()
+    assert report.summary() == "[PASS] mechanics_reduction: 0 terms left"
 
 
 def test_run_suites_selection():
@@ -132,8 +135,8 @@ def test_algebraic_suites_are_exact_on_dyadic_draws(check, degree, monkeypatch):
 
     monkeypatch.setattr(verify, "_jet", drawn)
     report = check()
-    assert report.passed and report.max_residual == 0.0 and report.tolerance == 0.0
-    assert report.details["residual_terms"] == 0
+    assert report.passed and report.max_residual == 0.0
+    assert report.details["residual_terms"] == 0 and "counterexample" not in report.details
     assert len(inputs) == degree
 
 
@@ -170,21 +173,47 @@ def test_the_oracle_sees_a_wrong_public_bracket(monkeypatch):
     monkeypatch.setattr(bracket, "_current_bracket_forms", scaled)
     report = check_jacobi_currents()
     assert not report.passed
-    assert report.details["oracle_mismatch"] > 1e-5
+    assert report.details["oracle"]["gap"] > 1e-5
     assert report.max_residual == 0.0 and report.details["residual_terms"] == 0
+    assert report.summary().startswith("[FAIL] current_lie_algebra: 0 terms left; oracle gap ")
+
+
+def _python(code: str, **env: str) -> subprocess.CompletedProcess:
+    """A child interpreter's run of ``code`` with this checkout's hdw, and ``env`` set."""
+    src = str(Path(verify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""), **env)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            timeout=300)
+    assert result.returncode == 0, result.stderr.decode()
+    return result
 
 
 def test_hdw_verify_loads_no_numpy_random():
     # every draw of hdw verify comes from the standard library's random.Random
-    code = ("import sys\n"
+    _python("import sys\n"
             "from hdw.cli import main\n"
             "assert main(['verify']) == 0\n"
             "assert 'numpy.random' not in sys.modules, 'numpy.random was loaded'\n")
-    src = str(Path(verify.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=300)
-    assert result.returncode == 0, result.stderr
+
+
+def test_a_failed_proof_prints_the_same_terms_under_any_hash_seed():
+    # the counterexample follows each residual's canonical order, never set or
+    # dict hash order: the wrong transport sign below, in a fresh interpreter
+    # per PYTHONHASHSEED
+    code = ("import json\n"
+            "from hdw import bracket, verify\n"
+            "pairs = bracket._current_bracket_pairs\n"
+            "def wrong_sign(a, b):\n"
+            "    return [[(x, -y) if k % 2 else (x, y) for k, (x, y) in enumerate(c)]\n"
+            "            for c in pairs(a, b)]\n"
+            "bracket._current_bracket_pairs = verify._current_bracket_pairs = wrong_sign\n"
+            "for report in (verify.check_representation(),\n"
+            "               verify.check_jacobi_currents(trials=0)):\n"
+            "    print(report.summary())\n"
+            "    print(json.dumps(report.to_dict(), sort_keys=True))\n")
+    out = [_python(code, PYTHONHASHSEED=seed).stdout for seed in ("0", "1")]
+    assert out[0].count(b"[FAIL] ") == 2 and out[0].count(b'"counterexample"') == 2
+    assert out[0] == out[1]
 
 
 def test_a_wrong_transport_sign_leaves_residual_terms(monkeypatch):
@@ -197,12 +226,25 @@ def test_a_wrong_transport_sign_leaves_residual_terms(monkeypatch):
 
     monkeypatch.setattr(bracket, "_current_bracket_pairs", wrong_sign)
     monkeypatch.setattr(verify, "_current_bracket_pairs", wrong_sign)
-    for report in (check_representation(), check_jacobi_currents(trials=0)):
+    representation, jacobi = check_representation(), check_jacobi_currents(trials=0)
+    for report in (representation, jacobi):
         assert not report.passed, report.name
         assert report.details["residual_terms"] > 0
         assert report.max_residual > 0.0
     # the flipped term makes the bracket symmetric, so ab + ba is left too
-    assert report.details["antisymmetry"] > 0.0
+    assert jacobi.details["antisymmetry"] > 0.0
+    # the first three terms, in the order of the residual's canonical tree
+    assert representation.details["counterexample"] == [
+        "-2*p1_1*aY1_u1*bY1_u1*h_p1_1", "-2*p1_1*aY1_u1*bY1_u2*h_p1_2", "-2*p1_1*aY1_u1*bY1_x1"]
+    assert representation.summary() == (
+        "[FAIL] representation_identity: 76 terms left, e.g. -2*p1_1*aY1_u1*bY1_u1*h_p1_1; "
+        "-2*p1_1*aY1_u1*bY1_u2*h_p1_2; -2*p1_1*aY1_u1*bY1_x1")
+    assert jacobi.details["counterexample"] == [
+        "2*aY1*bY1*cY1_u1u1", "4*aY1*bY1_u1*cY1_u1", "2*aY1*bY1_u1u1*cY1"]
+    assert jacobi.summary() == (
+        "[FAIL] current_lie_algebra: 154 terms left, e.g. 2*aY1*bY1*cY1_u1u1; "
+        "4*aY1*bY1_u1*cY1_u1; 2*aY1*bY1_u1u1*cY1; oracle gap 0.0e+00 "
+        "(bound 1e-05, 0 samples, seed 1)")
 
 
 def test_an_exact_residual_below_the_tolerance_still_fails(monkeypatch):
@@ -215,9 +257,12 @@ def test_an_exact_residual_below_the_tolerance_still_fails(monkeypatch):
 
     monkeypatch.setattr(verify, "_representation_form", off_by_a_little)
     report = check_representation()
-    assert not report.passed and report.max_residual == 2.0 ** -60 > report.tolerance == 0.0
+    assert not report.passed and report.max_residual == 2.0 ** -60
     # one residual, built once for the two jet currents
     assert report.details["residual_terms"] == 1
+    assert report.details["counterexample"] == [f"{2.0 ** -60!r}*u1"]
+    assert report.summary() == ("[FAIL] representation_identity: 1 terms left, "
+                                f"e.g. {2.0 ** -60!r}*u1")
 
 
 def test_a_planted_term_in_the_linear_bracket_fails_the_m1_reduction(monkeypatch):
@@ -264,9 +309,9 @@ def test_an_antisymmetry_error_alone_fails_the_jacobi_suite(monkeypatch):
     monkeypatch.setattr(verify, "_current_bracket_forms", planted)
     report = check_jacobi_currents(trials=0)
     assert not report.passed
-    assert report.max_residual == 0.0 and report.details["antisymmetry"] == 1.0
+    assert report.max_residual == 1.0 and report.details["antisymmetry"] == 1.0
     # one u1, in the first coefficient of [a, b] + [b, a]
-    assert report.details["residual_terms"] == 1
+    assert report.details["residual_terms"] == 1 and report.details["counterexample"] == ["u1"]
 
 
 @pytest.mark.parametrize("check", [check_representation, check_jacobi_currents,
@@ -275,11 +320,14 @@ def test_an_antisymmetry_error_alone_fails_the_jacobi_suite(monkeypatch):
                                    check_bracket_evolution_converse])
 def test_an_exact_pass_evaluates_no_sample(check):
     report = check()
-    assert report.passed and report.max_residual == 0.0 and report.tolerance == 0.0
-    assert report.sample_count == 0 and report.details["residual_terms"] == 0
-    assert set(report.details) <= {"residual_terms", "antisymmetry", "oracle_mismatch",
-                                   "runtime_s"}
-    assert report.summary().startswith("[PASS] ") and report.summary().endswith(", exact)")
+    assert report.passed and report.max_residual == 0.0
+    assert report.details["residual_terms"] == 0
+    assert set(report.details) <= {"residual_terms", "antisymmetry", "oracle"}
+    line = f"[PASS] {report.name}: 0 terms left"
+    if check is check_jacobi_currents:
+        gap = report.details["oracle"]["gap"]
+        line += f"; oracle gap {gap:.1e} (bound 1e-05, 20 samples, seed 1)"
+    assert report.summary() == line
 
 
 def test_a_nan_residual_is_reported_as_nan(monkeypatch):
@@ -291,6 +339,8 @@ def test_a_nan_residual_is_reported_as_nan(monkeypatch):
     report = check_representation()
     assert np.isnan(report.max_residual) and not report.passed
     assert report.details["residual_terms"] == 2
+    assert report.details["counterexample"] == ["nan*u1", "u2"]
+    assert report.summary() == "[FAIL] representation_identity: 2 terms left, e.g. nan*u1; u2"
 
 
 def test_generic_brackets_agree_with_sympy():
@@ -345,10 +395,11 @@ def test_the_connection_class_is_proved_on_a_larger_chart(monkeypatch):
     monkeypatch.setattr(verify, "_CONNECTION_CHART", Chart(m=3, n=2))
     report = check_connection_class()
     d = report.details
-    assert report.passed and report.max_residual == 0.0 and report.sample_count == 0
-    assert d["canonical"] == d["trace_free_perturbation"] == {"is_hamiltonian": True,
-                                                              "max_residual": 0.0}
-    assert d["trace_perturbation"] == {"is_hamiltonian": False, "max_residual": 1.0}
+    assert report.passed and report.max_residual == 0.0
+    assert d["residual_terms"] == d["canonical"] == d["trace_free_perturbation"] == 0
+    # the constant 1 added to the trace, and nothing else
+    assert d["trace_perturbation"] == 1
+    assert report.summary() == "[PASS] connection_class: 0 terms left"
 
 
 def test_a_wrong_sharp_aff_sign_fails_the_connection_class(monkeypatch):
@@ -360,23 +411,42 @@ def test_a_wrong_sharp_aff_sign_fails_the_connection_class(monkeypatch):
 
     monkeypatch.setattr(verify, "sharp_aff", wrong_sign)
     report = check_connection_class()
-    assert not report.passed and not report.details["canonical"]["is_hamiltonian"]
+    assert not report.passed and report.details["canonical"] == 1
     # -dH/du is left twice: 2 * 1.0 on the jet h_u1
     assert report.max_residual == 2.0
+    assert report.details["counterexample"] == ["2*h_u1", "2*h_u1"]
+
+
+def test_a_connection_residual_far_below_any_float_tolerance_fails(monkeypatch):
+    # hp scaled by 1 + 2^-40 leaves -2^-40 dH/du (about 9.1e-13) in the trace
+    # residual of both accepted cases: a term left, however small
+    sharp = verify.sharp_aff
+    scale = NormalForm.constant(1.0 + 2.0 ** -40)
+
+    def scaled(pc):
+        g = sharp(pc)
+        return bracket.GammaSection(hu=g.hu, hp=tuple(x * scale for x in g.hp))
+
+    monkeypatch.setattr(verify, "sharp_aff", scaled)
+    report = check_connection_class()
+    assert not report.passed and report.max_residual == 2.0 ** -40
+    assert (report.details["canonical"], report.details["trace_free_perturbation"]) == (1, 1)
+    assert report.details["counterexample"] == [f"{-2.0 ** -40!r}*h_u1"] * 2
 
 
 def test_yang_mills_is_proved_on_m3(monkeypatch):
     monkeypatch.setattr(verify, "_YM_BASE", 3)
     report = check_ym_conservation()
-    assert report.passed and report.max_residual == 0.0 and report.sample_count == 0
+    assert report.passed and report.max_residual == 0.0
     assert report.details["residual_terms"] == 0
+    assert report.summary() == "[PASS] ym_conservation: 0 terms left"
     assert all(report.details["control_terms"].values())
 
 
 def test_yang_mills_controls_leave_terms():
     report = check_ym_conservation()
-    assert report.passed and report.tolerance == 0.0
-    assert report.summary().startswith("[PASS] ") and report.summary().endswith(", exact)")
+    assert report.passed and report.details["residual_terms"] == 0
+    assert report.summary() == "[PASS] ym_conservation: 0 terms left"
     # 0.1*(pi^12_1)^2 is fixed by rotations about e1 only, so e2 sees it
     assert report.details["control_terms"] == {"generator_u2": 8, "h_plus_pi12_1_squared": 4}
 
